@@ -288,8 +288,9 @@ class RankingConfig:
     n_divisor: int = STOPPING_N_DIVISOR
     k_coeff: int = STOPPING_K_COEFF
     k_divisor: int = STOPPING_K_DIVISOR
-    #: contact peers in parallel groups of this size (Section 5.2 mentions
-    #: groups of m peers; 1 reproduces the sequential algorithm).
+    #: contact at least this many peers per wave, speculatively (Section
+    #: 5.2 mentions groups of m peers); 1 contacts exactly the peers, and
+    #: returns exactly the answer, of the sequential algorithm.
     group_size: int = 1
 
     def __post_init__(self) -> None:

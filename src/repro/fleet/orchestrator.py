@@ -415,6 +415,35 @@ class Fleet:
         self.scheduler = QueryScheduler(self.observer)
         return self.scheduler
 
+    async def await_observer_addresses(self, timeout_s: float) -> float:
+        """Seconds until the observer can address every fleet member;
+        raises :class:`FleetError` past ``timeout_s``.
+
+        Directory convergence counts entries, and an entry made by a
+        filter rumor that overtook its member's JOIN has no address yet
+        (a bootstrap hands such entries on in its snapshot): until the
+        record arrives the member is no search candidate, so a recall
+        measured now would judge the join, not the search.
+        """
+        assert self.observer is not None
+        directory = self.observer.peer.directory
+        started = time.monotonic()
+        while True:
+            missing = [
+                pid
+                for pid in range(self.spec.num_nodes)
+                if pid not in directory or not directory[pid].address
+            ]
+            elapsed = time.monotonic() - started
+            if not missing:
+                return elapsed
+            if elapsed > timeout_s:
+                raise FleetError(
+                    f"observer still cannot address nodes {missing} "
+                    f"after {elapsed:.1f}s"
+                )
+            await asyncio.sleep(max(0.05, self.spec.gossip_interval_s / 4))
+
     # -- teardown ------------------------------------------------------------
 
     async def stop(self, reap_timeout_s: float | None = None) -> tuple[int, int, int]:
@@ -502,6 +531,8 @@ async def run_scenario_async(
         )
 
         scheduler = await fleet.start_observer()
+        waited = await fleet.await_observer_addresses(bound)
+        say(f"fleet: observer can address every node (+{waited:.1f}s)")
         client = scheduler.client
         oracle = FleetOracle(scenario)
 

@@ -4,12 +4,15 @@ Runs the same two search modes as :class:`~repro.core.community.
 InProcessCommunity`, but the "contact a peer" step is a real RPC:
 
 * **ranked** — rank members by eq. 3 over the node's *replicated* Bloom
-  filters (reusing :func:`repro.ranking.tfipf.rank_peers`), then contact
-  them best-first in groups, merging local top-k responses and stopping
-  per the adaptive rule of :mod:`repro.ranking.stopping`.  Because the
-  ranking, merge, and stopping logic are shared with the in-process
-  implementation, a converged networked community returns the same top-k
-  as :meth:`InProcessCommunity.ranked_search` on the same corpus.
+  filters (reusing :func:`repro.ranking.tfipf.rank_peers`), then drive
+  one :class:`~repro.ranking.tfipf.SearchRun` best-first: each wave is
+  the peers eq. 4 is already committed to contacting, asked concurrently
+  and merged in rank order — the round trips of a wave overlap, and the
+  peers contacted and the answer are those of the one-at-a-time search.
+  Because the ranking, contact loop, merge, and stopping logic are shared
+  with the in-process implementation, a converged networked community
+  returns the same top-k as :meth:`InProcessCommunity.ranked_search` on
+  the same corpus.
 * **exhaustive** — Section 5.1's conjunctive search against every
   candidate whose replicated filter hits all query terms.
 
@@ -46,7 +49,7 @@ if TYPE_CHECKING:
 from repro.obs import DEFAULT_COUNT_BOUNDS
 from repro.ranking.stopping import AdaptiveStopping, StoppingPolicy
 from repro.ranking.tfidf import RankedDoc
-from repro.ranking.tfipf import DistributedSearchResult, TFIPFSearch, rank_peers
+from repro.ranking.tfipf import DistributedSearchResult, SearchRun, rank_peers
 from repro.text.document import Document
 
 __all__ = ["NetworkSearchClient", "PeerGateLike"]
@@ -58,6 +61,29 @@ class PeerGateLike(Protocol):
     def slot(self, pid: int) -> asyncio.Semaphore:
         """The in-flight cap for RPCs targeting ``pid``."""
         ...
+
+
+def _candidates(node: NetworkPeer, *, need_filter: bool) -> tuple[list[int], int]:
+    """Rankable member ids (sorted), and how many more would be but for a
+    missing address.
+
+    A candidate must be contactable: an entry created by a filter rumor
+    that overtook its member's JOIN has a filter but no address yet, and
+    ranking it would book an unanswerable contact against eq. 4's streak.
+    ``need_filter`` is the flat directory's extra condition (a partial
+    view ranks members whose filters it dropped from relayed rows).
+    """
+    ids = []
+    unaddressed = 0
+    for pid, entry in node.peer.directory.items():
+        if pid == node.peer_id:
+            ids.append(pid)
+        elif entry.online and not (need_filter and entry.bloom_filter is None):
+            if entry.address:
+                ids.append(pid)
+            else:
+                unaddressed += 1
+    return sorted(ids), unaddressed
 
 
 class _ReplicaBackend:
@@ -73,13 +99,7 @@ class _ReplicaBackend:
 
     def online_peer_ids(self) -> list[int]:
         """Members whose replicated entries are usable for ranking."""
-        ids = []
-        for pid, entry in self.node.peer.directory.items():
-            if pid == self.node.peer_id or (
-                entry.online and entry.bloom_filter is not None
-            ):
-                ids.append(pid)
-        return sorted(ids)
+        return _candidates(self.node, need_filter=True)[0]
 
     def peer_filter(self, pid: int) -> BloomFilter:
         """The replicated filter (our own live filter for ourselves)."""
@@ -156,13 +176,50 @@ class NetworkSearchClient:
         self.peer_gate = peer_gate
         self._backend = _ReplicaBackend(node)
         #: searches record into the node's registry (component ``client``).
-        self.obs = node.obs
+        self.obs = obs = node.obs
+        # Resolved once: a search must not pay a registry lookup per count.
+        self._c_queries = obs.counter("client", "queries_total", "ranked searches issued")
+        self._c_contacted = obs.counter(
+            "client", "peers_contacted_total", "peers contacted across queries"
+        )
+        self._c_stopped_early = obs.counter(
+            "client", "stopped_early_total", "searches the stopping rule ended"
+        )
+        self._c_exhausted = obs.counter(
+            "client", "ranking_exhausted_total", "searches that ran out of ranked peers"
+        )
+        self._c_unaddressed = obs.counter(
+            "client",
+            "unaddressed_candidates_total",
+            "online members left out of a ranking for want of an address",
+        )
+        self._c_deadline = obs.counter(
+            "client",
+            "peer_deadline_timeouts_total",
+            "RPCs abandoned at the per-peer deadline",
+        )
+        self._h_wave_latency = obs.histogram(
+            "client", "wave_latency_seconds", "per-contact-wave round-trip time"
+        )
+        self._h_peers = obs.histogram(
+            "client",
+            "peers_per_query",
+            "contact fan-out per ranked search",
+            bounds=DEFAULT_COUNT_BOUNDS,
+        )
+        self._h_waves = obs.histogram(
+            "client",
+            "waves_per_query",
+            "sequential contact rounds per ranked search",
+            bounds=DEFAULT_COUNT_BOUNDS,
+        )
 
     # -- ranked search -------------------------------------------------------
 
     async def ranked_search(self, query: str, k: int = 20) -> DistributedSearchResult:
         """Section 5.2 over the wire: rank by replicated filters, contact
-        best-first in groups of ``group_size``, stop adaptively."""
+        best-first in waves of the peers eq. 4 is committed to (at least
+        ``group_size``), stop adaptively."""
         if k <= 0:
             raise ValueError("k must be positive")
         terms = self.node.analyzer.analyze_query(query)
@@ -172,56 +229,33 @@ class NetworkSearchClient:
             ranking, ipf, pool = await self._rank_via_shards(terms)
         else:
             ranking, ipf = rank_peers(terms, self._backend)
-            pool = len(self._backend.online_peer_ids())
-        self.stopping.reset(pool, k)
-        self.obs.counter("client", "queries_total", "ranked searches issued").inc()
-        wave_latency = self.obs.histogram(
-            "client", "wave_latency_seconds", "per-contact-wave round-trip time"
-        )
+            ids, unaddressed = _candidates(self.node, need_filter=True)
+            pool = len(ids)
+            self._c_unaddressed.inc(unaddressed)
+        run = SearchRun(ranking, k, self.stopping.begin(pool, k), self.group_size)
+        self._c_queries.inc()
 
-        top: dict[str, float] = {}
-        contacted: list[int] = []
-        stopped_early = False
-        for wave, start in enumerate(range(0, len(ranking), self.group_size)):
-            group = ranking[start : start + self.group_size]
+        while wave := run.next_wave():
             self.obs.emit(
-                "search_wave",
-                peer=self.node.peer_id,
-                wave=wave,
-                targets=[pid for pid, _r in group],
+                "search_wave", peer=self.node.peer_id, wave=run.waves, targets=wave
             )
             wave_started = self.node.clock()
-            responses = await asyncio.gather(
-                *(self._query_peer(pid, terms, ipf, k) for pid, _r in group)
-            )
-            wave_latency.observe(max(0.0, self.node.clock() - wave_started))
-            for (pid, _r), returned in zip(group, responses):
-                contacted.append(pid)
-                contributed = TFIPFSearch._merge(top, returned, k)
-                self.stopping.observe(contributed, len(top))
-            if self.stopping.should_stop():
-                stopped_early = start + self.group_size < len(ranking)
-                break
+            if len(wave) == 1:  # nothing to overlap: no Task, no gather
+                responses = [await self._query_peer(wave[0], terms, ipf, k)]
+            else:
+                responses = await asyncio.gather(
+                    *(self._query_peer(pid, terms, ipf, k) for pid in wave)
+                )
+            self._h_wave_latency.observe(max(0.0, self.node.clock() - wave_started))
+            run.feed(responses)
 
-        self.obs.counter(
-            "client", "peers_contacted_total", "peers contacted across queries"
-        ).inc(len(contacted))
-        self.obs.histogram(
-            "client",
-            "peers_per_query",
-            "contact fan-out per ranked search",
-            bounds=DEFAULT_COUNT_BOUNDS,
-        ).observe(len(contacted))
-        self.obs.counter(
-            "client",
-            "stopped_early_total" if stopped_early else "ranking_exhausted_total",
-            "adaptive-stopping decisions",
-        ).inc()
-
-        ordered = sorted(top.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+        self._c_contacted.inc(len(run.contacted))
+        self._h_peers.observe(len(run.contacted))
+        self._h_waves.observe(run.waves)
+        (self._c_stopped_early if run.stopped_early else self._c_exhausted).inc()
         return DistributedSearchResult(
-            results=[RankedDoc(d, s) for d, s in ordered],
-            peers_contacted=contacted,
+            results=run.results(),
+            peers_contacted=run.contacted,
             peer_ranking=ranking,
             ipf=ipf,
         )
@@ -263,13 +297,11 @@ class NetworkSearchClient:
         for pid, row in remote.items():
             if pid not in rows:  # a held full filter beats a relayed answer
                 rows[pid] = row
-        # Every directory member is a candidate row (zeros where nothing
-        # is known) so IPF's N matches the flat mode's community size.
-        ids = sorted(
-            pid
-            for pid, entry in node.peer.directory.items()
-            if pid == node.peer_id or entry.online
-        )
+        # Every contactable directory member is a candidate row (zeros
+        # where nothing is known) so IPF's N matches the flat mode's
+        # community size.
+        ids, unaddressed = _candidates(node, need_filter=False)
+        self._c_unaddressed.inc(unaddressed)
         hits = np.zeros((len(ids), len(term_list)), dtype=bool)
         for i, pid in enumerate(ids):
             row = rows.get(pid)
@@ -446,18 +478,15 @@ class NetworkSearchClient:
         # the fan-out semaphore or the peer gate is scheduling, not the
         # peer being slow.
         try:
-            request = self.node.transport.request(address, codec.encode(msg))
-            if self.peer_deadline_s is not None:
-                body = await asyncio.wait_for(request, self.peer_deadline_s)
+            frame = codec.encode(msg)
+            if self.peer_deadline_s is None:
+                body = await self.node.transport.request(address, frame)
             else:
-                body = await request
+                async with asyncio.timeout(self.peer_deadline_s):
+                    body = await self.node.transport.request(address, frame)
             reply = codec.decode(body)
-        except asyncio.TimeoutError:
-            self.obs.counter(
-                "client",
-                "peer_deadline_timeouts_total",
-                "RPCs abandoned at the per-peer deadline",
-            ).inc()
+        except TimeoutError:
+            self._c_deadline.inc()
             self.node._record_contact(pid, address, ok=False)
             return None
         except (TransportError, CodecError):

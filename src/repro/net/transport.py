@@ -231,10 +231,9 @@ class TcpTransport(Transport):
             return conn
         host, port = self._split(address)
         try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.open_connection(host, port), self.config.connect_timeout_s
-            )
-        except (OSError, asyncio.TimeoutError) as exc:
+            async with asyncio.timeout(self.config.connect_timeout_s):
+                reader, writer = await asyncio.open_connection(host, port)
+        except (OSError, TimeoutError) as exc:
             raise RetryableTransportError(
                 f"cannot connect to {address}: {exc}"
             ) from exc
@@ -304,36 +303,39 @@ class TcpTransport(Transport):
 
     async def _attempt(self, address: str, body: bytes) -> bytes:
         """One try of one RPC over the cached connection to ``address``."""
-        reader, writer, lock = await self._connection(address)
+        conn = await self._connection(address)
+        reader, writer, lock = conn
         async with lock:
+            # A connection is reusable only once this request's reply has
+            # been read off it.  Any other exit — framing violated, socket
+            # error, timeout, or the caller cancelled between write and
+            # reply — leaves it unusable: the reply would be read by the
+            # next request to this peer.
+            replied = False
             try:
                 _write_frame(writer, body)
                 await writer.drain()
                 if self.registry is not None:
-                    self.registry.counter(
-                        "transport", "bytes_sent_total", "frame-body bytes written"
-                    ).inc(len(body))
-                return await asyncio.wait_for(
-                    _read_frame(reader, self.config.max_frame_bytes),
-                    self.config.request_timeout_s,
-                )
+                    self._c_bytes_sent.inc(len(body))
+                async with asyncio.timeout(self.config.request_timeout_s):
+                    reply = await _read_frame(reader, self.config.max_frame_bytes)
+                replied = True
+                return reply
             except TransportError:
-                self._drop(address)  # framing violated; connection unusable
-                raise
-            except (
-                OSError,
-                asyncio.TimeoutError,
-                asyncio.IncompleteReadError,
-            ) as exc:
-                self._drop(address)
+                raise  # framing violated: retrying a protocol error cannot help
+            except (OSError, TimeoutError, asyncio.IncompleteReadError) as exc:
                 raise RetryableTransportError(
                     f"request to {address} failed: {exc}"
                 ) from exc
+            finally:
+                if not replied:
+                    self._drop(address, conn)
 
-    def _drop(self, address: str) -> None:
-        conn = self._conns.pop(address, None)
-        if conn is not None:
-            conn[1].close()
+    def _drop(self, address: str, conn: tuple) -> None:
+        """Close ``conn``; forget it unless the cache has moved on."""
+        conn[1].close()
+        if self._conns.get(address) is conn:
+            del self._conns[address]
 
     async def close(self) -> None:
         """Close the server, inbound handlers, and cached connections."""
@@ -346,8 +348,8 @@ class TcpTransport(Transport):
         if self._client_tasks:
             await asyncio.gather(*self._client_tasks, return_exceptions=True)
         self._client_tasks.clear()
-        for address in list(self._conns):
-            self._drop(address)
+        for address, conn in list(self._conns.items()):
+            self._drop(address, conn)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from repro.ranking.vsm import (
 from repro.ranking.tfidf import CentralizedTFIDF, RankedDoc
 from repro.ranking.tfipf import (
     DistributedSearchResult,
+    SearchRun,
     TFIPFSearch,
     PeerBackend,
     rank_peers,
@@ -21,6 +22,7 @@ from repro.ranking.stopping import (
     FirstKStopping,
     NeverStop,
     StoppingPolicy,
+    StoppingState,
 )
 from repro.ranking.evaluation import (
     average_recall_precision,
@@ -36,6 +38,7 @@ __all__ = [
     "CentralizedTFIDF",
     "RankedDoc",
     "DistributedSearchResult",
+    "SearchRun",
     "TFIPFSearch",
     "PeerBackend",
     "rank_peers",
@@ -43,6 +46,7 @@ __all__ = [
     "FirstKStopping",
     "NeverStop",
     "StoppingPolicy",
+    "StoppingState",
     "average_recall_precision",
     "precision",
     "recall",

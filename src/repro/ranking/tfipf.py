@@ -9,9 +9,11 @@ The ranking problem is split in two:
    can inflate N_t slightly and rank a peer that lacks the term — exactly
    the approximation the paper accepts.
 
-2. **Selection** — contact peers in rank order (optionally in parallel
-   groups of m), merge their locally-scored documents (eq. 2 with IPF_t
-   substituted for IDF_t), and stop per the stopping policy.
+2. **Selection** — contact peers in rank order, merge their
+   locally-scored documents (eq. 2 with IPF_t substituted for IDF_t),
+   and stop per the stopping policy.  :class:`SearchRun` is that loop
+   without the I/O — the one copy of it: :class:`TFIPFSearch` drives it
+   in process, ``repro.net.client`` over the wire.
 
 The searcher is decoupled from the community through the tiny
 :class:`PeerBackend` protocol so it can run against the in-process
@@ -24,11 +26,18 @@ from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 from repro.bloom.filter import BloomFilter
-from repro.ranking.stopping import AdaptiveStopping, StoppingPolicy
+from repro.ranking.stopping import AdaptiveStopping, StoppingPolicy, StoppingState
 from repro.ranking.tfidf import RankedDoc
 from repro.ranking.vsm import inverse_peer_frequency
 
-__all__ = ["PeerBackend", "rank_peers", "compute_ipf", "TFIPFSearch", "DistributedSearchResult"]
+__all__ = [
+    "PeerBackend",
+    "rank_peers",
+    "compute_ipf",
+    "SearchRun",
+    "TFIPFSearch",
+    "DistributedSearchResult",
+]
 
 
 class PeerBackend(Protocol):
@@ -129,6 +138,98 @@ class DistributedSearchResult:
         return [r.doc_id for r in self.results]
 
 
+def _best(top: dict[str, float], k: int) -> list[tuple[str, float]]:
+    """The ``k`` best ``(doc_id, score)`` of ``top`` (ties break on doc id)."""
+    return sorted(top.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+
+
+def _merge(top: dict[str, float], returned: list[RankedDoc], k: int) -> bool:
+    """Merge ``returned`` into ``top`` (trimmed to k); return whether any
+    returned document made it into the new top-k."""
+    if not returned:
+        return False
+    for doc in returned:
+        existing = top.get(doc.doc_id)
+        if existing is None or doc.score > existing:
+            top[doc.doc_id] = doc.score
+    if len(top) > k:
+        keep = _best(top, k)
+        kept_ids = {d for d, _ in keep}
+        contributed = any(doc.doc_id in kept_ids for doc in returned)
+        top.clear()
+        top.update(keep)
+        return contributed
+    return True
+
+
+class SearchRun:
+    """The Section 5.2 contact loop for one search, without the I/O.
+
+    A driver asks :meth:`next_wave` which peers to contact now, contacts
+    them (one after another in process, concurrently over a network) and
+    hands their answers to :meth:`feed`; an empty wave ends the search.
+
+    A wave is the next ``max(group_size, state.committed())`` peers of the
+    ranking.  The committed ones are those the one-at-a-time search would
+    contact whatever they answer, and answers are merged and observed in
+    rank order, so the stop can only fall on a wave's last peer: with
+    ``group_size`` 1, ``contacted`` and the results are exactly those of
+    the sequential algorithm, in fewer rounds and not one more message.
+    A larger ``group_size`` speculates at least that many per wave — the
+    paper's parallel variant, which may overshoot the stopping point.
+    """
+
+    def __init__(
+        self,
+        ranking: Sequence[tuple[int, float]],
+        k: int,
+        state: StoppingState,
+        group_size: int = 1,
+    ) -> None:
+        if k <= 0:
+            raise ValueError("k must be positive")
+        self.ranking = ranking
+        self.k = k
+        self.state = state
+        self.group_size = group_size
+        #: peers whose answers have been fed, in rank order.
+        self.contacted: list[int] = []
+        #: waves fed so far: the sequential round trips a network driver paid.
+        self.waves = 0
+        self._top: dict[str, float] = {}
+        self._wave: list[int] = []
+
+    def next_wave(self) -> list[int]:
+        """Peer ids to contact now; empty once the policy stops the search
+        or the ranking is exhausted."""
+        if self.state.should_stop():
+            return []
+        start = len(self.contacted)
+        size = max(self.group_size, self.state.committed())
+        self._wave = [pid for pid, _relevance in self.ranking[start : start + size]]
+        return self._wave
+
+    def feed(self, responses: Sequence[list[RankedDoc]]) -> None:
+        """The answers of the wave :meth:`next_wave` last returned, in its
+        order (an unreachable peer answers with an empty list)."""
+        if len(responses) != len(self._wave):
+            raise ValueError("one response per peer of the wave")
+        for pid, returned in zip(self._wave, responses):
+            self.contacted.append(pid)
+            contributed = _merge(self._top, returned, self.k)
+            self.state.observe(contributed, len(self._top))
+        self.waves += 1
+
+    @property
+    def stopped_early(self) -> bool:
+        """Whether the policy ended the search with ranked peers left."""
+        return len(self.contacted) < len(self.ranking) and self.state.should_stop()
+
+    def results(self) -> list[RankedDoc]:
+        """The merged top-k so far, best first (ties break on doc id)."""
+        return [RankedDoc(d, s) for d, s in _best(self._top, self.k)]
+
+
 class TFIPFSearch:
     """The full Section 5.2 algorithm: rank peers, contact adaptively."""
 
@@ -147,60 +248,19 @@ class TFIPFSearch:
     def search(self, terms: Sequence[str], k: int) -> DistributedSearchResult:
         """Retrieve the top-``k`` documents for ``terms``.
 
-        Contacts peers in eq. 3 order, in groups of ``group_size``; after
-        each group, merges the returned documents into the running top-k
-        and consults the stopping policy once per peer in the group (a
-        group may overshoot the stopping point — the paper's stated
-        trade-off of the parallel variant).
+        Drives one :class:`SearchRun` synchronously: in process a wave's
+        peers are simply asked one after another.
         """
-        if k <= 0:
-            raise ValueError("k must be positive")
         ranking, ipf = rank_peers(terms, self.backend)
         community_size = len(self.backend.online_peer_ids())
-        self.stopping.reset(community_size, k)
-
-        top: dict[str, float] = {}
-        contacted: list[int] = []
-        for start in range(0, len(ranking), self.group_size):
-            group = ranking[start : start + self.group_size]
-            # The whole group is contacted in parallel — possibly past the
-            # stopping point, the trade-off Section 5.2 accepts for
-            # latency; responses are then merged in rank order.
-            responses = [
-                (pid, self.backend.query_peer(pid, terms, ipf, k))
-                for pid, _relevance in group
-            ]
-            for pid, returned in responses:
-                contacted.append(pid)
-                contributed = self._merge(top, returned, k)
-                self.stopping.observe(contributed, len(top))
-            if self.stopping.should_stop():
-                break
-
-        ordered = sorted(top.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+        run = SearchRun(
+            ranking, k, self.stopping.begin(community_size, k), self.group_size
+        )
+        while wave := run.next_wave():
+            run.feed([self.backend.query_peer(pid, terms, ipf, k) for pid in wave])
         return DistributedSearchResult(
-            results=[RankedDoc(d, s) for d, s in ordered],
-            peers_contacted=contacted,
+            results=run.results(),
+            peers_contacted=run.contacted,
             peer_ranking=ranking,
             ipf=ipf,
         )
-
-    @staticmethod
-    def _merge(top: dict[str, float], returned: list[RankedDoc], k: int) -> bool:
-        """Merge ``returned`` into ``top`` (trimmed to k); return whether any
-        returned document made it into the new top-k."""
-        if not returned:
-            return False
-        for doc in returned:
-            existing = top.get(doc.doc_id)
-            if existing is None or doc.score > existing:
-                top[doc.doc_id] = doc.score
-        if len(top) > k:
-            # Trim to the k best (ties break on doc id).
-            keep = sorted(top.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
-            kept_ids = {d for d, _ in keep}
-            contributed = any(doc.doc_id in kept_ids for doc in returned)
-            top.clear()
-            top.update(keep)
-            return contributed
-        return True

@@ -125,6 +125,11 @@ class ResultCache:
         self._c_misses = obs.counter(
             "serve", "result_cache_misses_total", "cache lookups not answered"
         )
+        self._c_rechecks = obs.counter(
+            "serve",
+            "result_cache_rechecks_total",
+            "post-queue second lookups that still found nothing",
+        )
         self._c_stale = obs.counter(
             "serve",
             "result_cache_stale_total",
@@ -138,18 +143,23 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: Hashable, generation: int) -> Any | None:
-        """The cached result for ``key`` at ``generation``, or None."""
+    def get(self, key: Hashable, generation: int, *, recheck: bool = False) -> Any | None:
+        """The cached result for ``key`` at ``generation``, or None.
+
+        ``recheck`` marks a second look for a query whose miss is already
+        counted (it queued for admission meanwhile): failing again counts
+        as a re-check, not as another miss."""
+        c_unanswered = self._c_rechecks if recheck else self._c_misses
         entry = self._entries.get(key)
         if entry is None:
-            self._c_misses.inc()
+            c_unanswered.inc()
             return None
         gen, result = entry
         if gen != generation:
             del self._entries[key]
             self._g_size.set(len(self._entries))
             self._c_stale.inc()
-            self._c_misses.inc()
+            c_unanswered.inc()
             return None
         self._entries.move_to_end(key)
         self._c_hits.inc()

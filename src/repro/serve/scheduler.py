@@ -203,6 +203,9 @@ class QueryScheduler:
         self._g_queued.set(self._queued)
         enqueued_at = self.node.clock()
         dequeued = False
+        # A free slot is taken without yielding to the loop, so nothing
+        # can have changed since the lookup above.
+        waits = self._slots.locked()
         try:
             async with self._slots:
                 self._queued -= 1
@@ -215,14 +218,15 @@ class QueryScheduler:
                         "deadline exceeded while queued", self.retry_after()
                     )
                 self._c_admitted.inc()
-                # An identical query may have landed while we queued; the
-                # re-check also re-fingerprints, so a directory change
-                # during the wait is honored.
-                generation = directory_generation(self.node)
-                cached = self.cache.get(key, generation)
-                if cached is not None:
-                    self._c_completed.inc()
-                    return cached
+                if waits:
+                    # An identical query may have landed while we queued;
+                    # the re-check also re-fingerprints, so a directory
+                    # change during the wait is honored.
+                    generation = directory_generation(self.node)
+                    cached = self.cache.get(key, generation, recheck=True)
+                    if cached is not None:
+                        self._c_completed.inc()
+                        return cached
                 self._inflight += 1
                 self._g_inflight.set(self._inflight)
                 try:

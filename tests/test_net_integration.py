@@ -10,11 +10,13 @@ The two acceptance scenarios of the network layer:
 """
 
 import asyncio
+import random
 
 from repro.core.community import InProcessCommunity
 from repro.net.client import NetworkSearchClient
 from repro.net.node import NetworkPeer
 from repro.net.transport import LoopbackNetwork
+from repro.obs import Registry
 from repro.text.document import Document
 
 CORPUS = [
@@ -171,6 +173,99 @@ def test_query_replies_heal_offline_entries_and_stale_outcomes_are_ignored():
             # Evidence about the current address still lands.
             nodes[0]._record_contact(1, entry.address, ok=True)
             assert entry.online
+        finally:
+            for node in nodes:
+                await node.stop()
+
+    asyncio.run(scenario())
+
+
+WORDS = [
+    "gossip", "bloom", "rumor", "filter", "peer", "rank",
+    "chord", "digest", "replica", "shard", "index", "query",
+]
+
+
+async def _wide_community(net: LoopbackNetwork, n: int) -> list[NetworkPeer]:
+    """``n`` converged loopback nodes, four seeded six-word documents each."""
+    rng = random.Random(7)
+    nodes = [
+        NetworkPeer(pid, "peer", pid, transport=net.transport(), seed=pid)
+        for pid in range(n)
+    ]
+    for node in nodes:
+        await node.start()
+        for d in range(4):
+            text = " ".join(rng.choices(WORDS, k=6))
+            node.publish(Document(f"d{node.peer_id}-{d}", text))
+    for node in nodes[1:]:
+        await node.join(nodes[0].address)
+    await _converge(nodes, max_rounds=60)
+    return nodes
+
+
+def test_concurrent_searches_return_their_serial_answers():
+    """Eq. 4's streak belongs to one search: eight searches in flight on
+    one client must each stop where they would have stopped alone."""
+    queries = [f"{a} {b}" for a, b in zip(WORDS[:8], WORDS[4:])]
+
+    async def scenario():
+        net = LoopbackNetwork(latency_s=0.001)  # searches interleave per hop
+        nodes = await _wide_community(net, 16)
+        client = NetworkSearchClient(nodes[0])
+        try:
+            serial = [await client.ranked_search(q, k=5) for q in queries]
+            together = await asyncio.gather(
+                *(client.ranked_search(q, k=5) for q in queries)
+            )
+        finally:
+            for node in nodes:
+                await node.stop()
+        # The test is vacuous unless the stopping rule is doing the work.
+        assert any(len(r.peers_contacted) < len(r.peer_ranking) for r in serial)
+        for query, alone, shared in zip(queries, serial, together):
+            assert shared.peers_contacted == alone.peers_contacted, query
+            assert shared.results == alone.results, query
+
+    asyncio.run(scenario())
+
+
+def test_a_member_without_an_address_is_not_a_candidate():
+    """A filter rumor can overtake its member's JOIN: the entry then has
+    a filter and no address.  Ranking it would book a contact nobody can
+    make against eq. 4's streak (and lose the peers behind it)."""
+    query = "gossip bloom peers"
+
+    async def scenario():
+        net = LoopbackNetwork()
+        nodes = [
+            NetworkPeer(
+                pid, "peer", pid, transport=net.transport(), seed=pid, registry=Registry()
+            )
+            for pid in range(3)
+        ]
+        for node in nodes:
+            await node.start()
+        _publish_corpus(nodes)
+        await nodes[1].join(nodes[0].address)
+        await nodes[2].join(nodes[0].address)
+        await _converge(nodes)
+        querier = nodes[0]
+        client = NetworkSearchClient(querier)
+        try:
+            full = await client.ranked_search(query, k=4)
+            assert 1 in full.peers_contacted
+            address, querier.peer.directory[1].address = (
+                querier.peer.directory[1].address, "",
+            )
+            blind = await client.ranked_search(query, k=4)
+            assert 1 not in [pid for pid, _r in blind.peer_ranking]
+            assert 1 not in blind.peers_contacted
+            assert querier.obs.value("client", "unaddressed_candidates_total") == 1
+            # The JOIN record arrives: the member is a candidate again.
+            querier.peer.directory[1].address = address
+            healed = await client.ranked_search(query, k=4)
+            assert healed.results == full.results
         finally:
             for node in nodes:
                 await node.stop()

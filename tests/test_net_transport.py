@@ -276,3 +276,59 @@ def test_tcp_deadline_cuts_retries_short():
             await client.close()
 
     asyncio.run(scenario())
+
+
+def test_tcp_cancelled_request_does_not_leave_its_reply_for_the_next():
+    """A request abandoned between write and reply (a caller's deadline)
+    must take its connection with it: the late reply would otherwise be
+    read as the answer to the next request to that peer."""
+
+    async def handler(body: bytes) -> bytes:
+        if body == b"slow":
+            await asyncio.sleep(0.2)
+        return b"reply-to-" + body
+
+    async def scenario():
+        server = TcpTransport()
+        address = await server.serve("127.0.0.1:0", handler)
+        client = TcpTransport()
+        try:
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(client.request(address, b"slow"), 0.05)
+            assert address not in client._conns
+            assert await client.request(address, b"fast") == b"reply-to-fast"
+            assert client.retried_requests == 0
+            # The same under the deadline form the search client uses.
+            with pytest.raises(TimeoutError):
+                async with asyncio.timeout(0.05):
+                    await client.request(address, b"slow")
+            assert await client.request(address, b"fast") == b"reply-to-fast"
+        finally:
+            await client.close()
+            await server.close()
+
+    asyncio.run(scenario())
+
+
+def test_tcp_reply_timeout_drops_the_connection_and_retries():
+    async def handler(body: bytes) -> bytes:
+        await asyncio.sleep(0.3)
+        return b"late"
+
+    async def scenario():
+        server = TcpTransport()
+        address = await server.serve("127.0.0.1:0", handler)
+        client = TcpTransport(
+            NetConfig(request_timeout_s=0.05, request_retries=1, retry_backoff_s=0.01)
+        )
+        try:
+            with pytest.raises(TransportError, match="failed"):
+                await client.request(address, b"x")
+            assert client.retried_requests == 1
+            assert client.failed_requests == 1
+            assert address not in client._conns
+        finally:
+            await client.close()
+            await server.close()
+
+    asyncio.run(scenario())

@@ -252,6 +252,13 @@ def test_partialview_community_bounds_filters_and_answers_searches():
         assert got_docs == want_docs
         assert len(got_docs) == 8
 
+        # A member whose address has not arrived yet is no candidate in
+        # this id list either (nobody could contact it).
+        nodes[2].peer.directory[5].address = ""
+        blind = await pv_client.ranked_search("shared corpus", k=8)
+        assert 5 not in [pid for pid, _r in blind.peer_ranking]
+        assert nodes[2].obs.value("client", "unaddressed_candidates_total") == 1
+
         for node in [*nodes, flat]:
             await node.stop()
 

@@ -30,58 +30,71 @@ class TestEquation4:
 
 class TestAdaptiveStopping:
     def test_does_not_stop_before_k_retrieved(self):
-        policy = AdaptiveStopping()
-        policy.reset(community_size=300, k=10)
+        state = AdaptiveStopping().begin(community_size=300, k=10)
         # Lots of unproductive peers but still fewer than k docs: keep going.
         for _ in range(20):
-            policy.observe(contributed=False, total_retrieved=5)
-        assert not policy.should_stop()
+            state.observe(contributed=False, total_retrieved=5)
+        assert not state.should_stop()
 
     def test_stops_after_p_unproductive(self):
-        policy = AdaptiveStopping()
-        policy.reset(community_size=0, k=10)  # p = 2
-        policy.observe(contributed=True, total_retrieved=10)
-        assert not policy.should_stop()
-        policy.observe(contributed=False, total_retrieved=10)
-        assert not policy.should_stop()
-        policy.observe(contributed=False, total_retrieved=10)
-        assert policy.should_stop()
+        state = AdaptiveStopping().begin(community_size=0, k=10)  # p = 2
+        state.observe(contributed=True, total_retrieved=10)
+        assert not state.should_stop()
+        state.observe(contributed=False, total_retrieved=10)
+        assert not state.should_stop()
+        state.observe(contributed=False, total_retrieved=10)
+        assert state.should_stop()
 
     def test_contribution_resets_streak(self):
-        policy = AdaptiveStopping()
-        policy.reset(community_size=0, k=1)  # p = 2
-        policy.observe(contributed=False, total_retrieved=1)
-        policy.observe(contributed=True, total_retrieved=1)
-        policy.observe(contributed=False, total_retrieved=1)
-        assert not policy.should_stop()
+        state = AdaptiveStopping().begin(community_size=0, k=1)  # p = 2
+        state.observe(contributed=False, total_retrieved=1)
+        state.observe(contributed=True, total_retrieved=1)
+        state.observe(contributed=False, total_retrieved=1)
+        assert not state.should_stop()
 
     def test_p_property(self):
-        policy = AdaptiveStopping()
-        policy.reset(community_size=600, k=100)
-        assert policy.p == 2 + 2 + 4
+        assert AdaptiveStopping().begin(community_size=600, k=100).p == 2 + 2 + 4
 
-    def test_reset_clears_state(self):
+    def test_each_search_gets_its_own_state(self):
         policy = AdaptiveStopping()
-        policy.reset(0, 1)
-        policy.observe(False, 1)
-        policy.observe(False, 1)
-        assert policy.should_stop()
-        policy.reset(0, 1)
-        assert not policy.should_stop()
+        first = policy.begin(0, 1)
+        first.observe(False, 1)
+        first.observe(False, 1)
+        assert first.should_stop()
+        # A search begun meanwhile (or afterwards) shares none of it.
+        assert not policy.begin(0, 1).should_stop()
+
+    def test_committed_is_the_rest_of_the_streak(self):
+        state = AdaptiveStopping().begin(community_size=600, k=10)  # p = 4
+        # Before k documents: the peer that completes them, then p misses.
+        assert state.committed() == 5
+        state.observe(True, 4)
+        state.observe(False, 4)
+        assert state.committed() == 5
+        state.observe(True, 10)
+        assert state.committed() == 4
+        state.observe(False, 10)
+        state.observe(False, 10)
+        assert state.committed() == 2
+        state.observe(True, 10)
+        assert state.committed() == 4
+        for _ in range(3):
+            state.observe(False, 10)
+        assert state.committed() == 1 and not state.should_stop()
 
 
 class TestBaselines:
     def test_first_k_stops_at_k(self):
-        policy = FirstKStopping()
-        policy.reset(community_size=100, k=5)
-        policy.observe(True, 4)
-        assert not policy.should_stop()
-        policy.observe(True, 5)
-        assert policy.should_stop()
+        state = FirstKStopping().begin(community_size=100, k=5)
+        state.observe(True, 4)
+        assert not state.should_stop()
+        assert state.committed() == 1
+        state.observe(True, 5)
+        assert state.should_stop()
 
     def test_never_stop(self):
-        policy = NeverStop()
-        policy.reset(100, 5)
+        state = NeverStop().begin(100, 5)
         for _ in range(1000):
-            policy.observe(False, 10_000)
-        assert not policy.should_stop()
+            state.observe(False, 10_000)
+        assert not state.should_stop()
+        assert state.committed() >= 10_000

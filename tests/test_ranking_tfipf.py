@@ -3,11 +3,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bloom.filter import BloomFilter
 from repro.ranking.stopping import AdaptiveStopping, FirstKStopping, NeverStop
 from repro.ranking.tfidf import RankedDoc
-from repro.ranking.tfipf import TFIPFSearch, compute_ipf, rank_peers
+from repro.ranking.tfipf import SearchRun, TFIPFSearch, compute_ipf, rank_peers
 
 
 class StubBackend:
@@ -125,6 +127,115 @@ class TestSearchLoop:
         result = search.search(["nothing-has-this"], k=5)
         assert result.results == []
         assert result.peers_contacted == []
+
+
+def sequential_reference(ranking, answers, k, state):
+    """Section 5.2 one peer at a time — the loop as it ran before waves,
+    kept here as the reference the wave schedule must reproduce."""
+    top: dict[str, float] = {}
+    contacted = []
+    for pid, _relevance in ranking:
+        contacted.append(pid)
+        returned = answers[pid]
+        for doc in returned:
+            if doc.doc_id not in top or doc.score > top[doc.doc_id]:
+                top[doc.doc_id] = doc.score
+        top = dict(sorted(top.items(), key=lambda kv: (-kv[1], kv[0]))[:k])
+        state.observe(any(doc.doc_id in top for doc in returned), len(top))
+        if state.should_stop():
+            break
+    return contacted, [RankedDoc(d, s) for d, s in top.items()]
+
+
+POLICIES = {
+    "adaptive": AdaptiveStopping,
+    "first-k": FirstKStopping,
+    "never": NeverStop,
+}
+
+#: few doc ids and few scores, so peers return duplicates and ties.
+_answers = st.lists(
+    st.builds(
+        RankedDoc,
+        st.integers(0, 30).map("d{}".format),
+        st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+    ),
+    max_size=6,
+    unique_by=lambda doc: doc.doc_id,
+)
+
+
+class TestWaveSchedule:
+    @given(
+        answers=st.lists(_answers, max_size=40),
+        k=st.integers(1, 12),
+        community_size=st.integers(0, 2000),
+        policy=st.sampled_from(sorted(POLICIES)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_waves_reproduce_the_sequential_search(
+        self, answers, k, community_size, policy
+    ):
+        ranking = [(pid, float(len(answers) - pid)) for pid in range(len(answers))]
+        expected_contacts, expected_results = sequential_reference(
+            ranking, answers, k, POLICIES[policy]().begin(community_size, k)
+        )
+        run = SearchRun(ranking, k, POLICIES[policy]().begin(community_size, k))
+        sizes = []
+        while wave := run.next_wave():
+            # Checked when the wave is handed out — before any answer
+            # could excuse it: no message the reference did not send.
+            assert set(wave) <= set(expected_contacts)
+            sizes.append(len(wave))
+            run.feed([answers[pid] for pid in wave])
+        assert run.contacted == expected_contacts
+        assert run.results() == expected_results
+        assert sum(sizes) == len(expected_contacts)
+        assert run.waves == len(sizes)
+        assert run.stopped_early == (len(expected_contacts) < len(ranking))
+
+    @given(
+        answers=st.lists(_answers, max_size=40),
+        k=st.integers(1, 12),
+        group_size=st.integers(2, 8),
+        policy=st.sampled_from(sorted(POLICIES)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_group_size_is_a_floor_under_the_wave(self, answers, k, group_size, policy):
+        ranking = [(pid, float(len(answers) - pid)) for pid in range(len(answers))]
+        sequential, _ = sequential_reference(
+            ranking, answers, k, POLICIES[policy]().begin(0, k)
+        )
+        run = SearchRun(ranking, k, POLICIES[policy]().begin(0, k), group_size)
+        while wave := run.next_wave():
+            left = len(ranking) - len(run.contacted)
+            assert len(wave) >= min(group_size, left)
+            run.feed([answers[pid] for pid in wave])
+        # Speculation may overshoot the stopping point, never fall short.
+        assert run.contacted[: len(sequential)] == sequential
+
+    def test_three_committed_contacts_cost_one_round(self):
+        # p = 2 and nothing held yet: eq. 4 is committed to p + 1 peers —
+        # the one that completes the k documents and a whole streak after.
+        ranking = [(pid, 10.0 - pid) for pid in range(10)]
+        answers = {0: [RankedDoc("a", 1.0), RankedDoc("b", 0.5)]}
+        run = SearchRun(ranking, 2, AdaptiveStopping().begin(10, 2))
+        waves = []
+        while wave := run.next_wave():
+            waves.append(wave)
+            run.feed([answers.get(pid, []) for pid in wave])
+        assert waves == [[0, 1, 2]]
+        assert run.stopped_early
+
+    def test_feed_wants_one_response_per_peer(self):
+        run = SearchRun([(0, 1.0), (1, 0.5)], 1, NeverStop())
+        assert run.next_wave() == [0, 1]
+        with pytest.raises(ValueError):
+            run.feed([[]])
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            SearchRun([], 0, NeverStop())
 
 
 class TestEvaluationMetrics:

@@ -204,6 +204,44 @@ def test_queued_twin_query_is_answered_from_cache():
     asyncio.run(scenario())
 
 
+def test_a_miss_is_counted_and_fingerprinted_once(monkeypatch):
+    """A query that takes a free slot cannot have been overtaken (no
+    await in between): one generation fold, one miss.  Only a query that
+    really queued looks again, and that look is a re-check, not a miss."""
+    import repro.serve.scheduler as scheduler_module
+
+    folds = 0
+    fold = scheduler_module.directory_generation
+
+    def counted(node):
+        nonlocal folds
+        folds += 1
+        return fold(node)
+
+    monkeypatch.setattr(scheduler_module, "directory_generation", counted)
+
+    async def scenario():
+        node, sched = await _solo_scheduler(ServeConfig(max_concurrent=1))
+        await sched.ranked("gossip protocols", k=5)
+        assert folds == 1
+        assert node.obs.value("serve", "result_cache_misses_total") == 1
+        assert node.obs.value("serve", "result_cache_rechecks_total") == 0
+
+        release = _block_searches(sched)
+        running = asyncio.ensure_future(sched.ranked("bloom"))
+        await asyncio.sleep(0)
+        queued = asyncio.ensure_future(sched.ranked("ranking"))
+        await asyncio.sleep(0)
+        release.set()
+        await asyncio.gather(running, queued)
+        assert folds == 1 + 1 + 2  # only the queued one folded twice
+        assert node.obs.value("serve", "result_cache_misses_total") == 3
+        assert node.obs.value("serve", "result_cache_rechecks_total") == 1
+        await node.stop()
+
+    asyncio.run(scenario())
+
+
 # -- PeerGate -----------------------------------------------------------------
 
 
