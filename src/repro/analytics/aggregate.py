@@ -34,8 +34,8 @@ from collections import Counter
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.constants import AnalyticsConfig
-from repro.gossip.messages import MessageSizer
 from repro.gossip.wire import (
+    SKETCH_ENTRY,
     SketchEntry,
     SketchExchange,
     SketchReply,
@@ -266,7 +266,7 @@ class AnalyticsPlane:
         self.sketch.entries[entry.origin] = entry
         self._c_refreshes.inc()
         self._g_origins.set(len(self.sketch))
-        self._g_entry_bytes.set(MessageSizer.sketch_entry_bytes(entry))
+        self._g_entry_bytes.set(SKETCH_ENTRY.width(entry, 0))
         return True
 
     # -- gossip-round maintenance ------------------------------------------

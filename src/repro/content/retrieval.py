@@ -120,7 +120,7 @@ class ContentClient:
                 request = self.transport.request(address, codec.encode(msg))
                 body = await asyncio.wait_for(request, self.request_timeout_s)
                 return codec.decode(body)
-            except (asyncio.TimeoutError, TransportError, CodecError):
+            except (TimeoutError, TransportError, CodecError):
                 return None
 
     # -- manifest resolution ------------------------------------------------

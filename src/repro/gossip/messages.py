@@ -23,52 +23,13 @@ Message inventory
 ``join_request``     header + joiner's own peer record + Bloom filter
 ``join_snapshot``    header + (48 B + Bloom filter) per known member
 
-The serve inventory (persistent queries over the wire,
-:data:`repro.gossip.wire.SERVE_MESSAGES`) is priced here too so the
-2x model-vs-codec envelope covers it, but it stays outside the Table-2
-gossip accounting: ``model_size`` dispatches on it, the per-exchange
-gossip helpers above never see it.
-
-``subscribe_request``  header + id (8 B) + terms + notify address + time
-``subscribe_ack``      header + id + verdict byte + message
-``notify``             header + id + origin (4 B) + doc id + document
-``unsubscribe``        header + id
-
-The partial-view inventory (:data:`repro.gossip.wire.PARTIALVIEW_MESSAGES`)
-is priced the same way — covered by the 2x envelope, outside Table 2:
-
-``shard_summary_request``   header + flag byte + 4 B per shard id +
-                            12 B per advertised (shard, token) pair
-``shard_summary_reply``     header + (17 B + bloom-or-diff) per summary
-                            entry + (48 B + bloom) per full member entry
-``view_exchange``           header + want (2 B) + 48 B per record
-``shard_match_query``       header + shard (4 B) + terms
-``shard_match_response``    header + shard (4 B) + 12 B per (pid, mask)
-
-The content inventory (:data:`repro.gossip.wire.CONTENT_MESSAGES`) —
-chunked transfers and replication pushes — is priced the same way,
-covered by the 2x envelope, outside Table 2.  A manifest prices as
-doc id + 16 B of fixed fields + 32 B digest + 4 B per chunk CRC:
-
-``manifest_request``   header + doc id
-``manifest_reply``     header + flag byte + manifest + holder addresses
-``chunk_request``      header + doc id + index (4 B) + offset (4 B)
-``chunk_reply``        header + flag + doc id + 12 B meta + chunk bytes
-``manifest_push``      header + manifest
-``manifest_ack``       header + doc id + flag + 4 B per missing index
-``chunk_push``         header + doc id + index (4 B) + chunk bytes
-
-The analytics inventory (:data:`repro.gossip.wire.ANALYTICS_MESSAGES`) —
-gossiped frequent-term sketches and browse RPCs — is priced the same
-way, covered by the 2x envelope, outside Table 2.  A sketch entry prices
-as 12 B of fixed fields plus (2 B + term + 8 B count) per counter:
-
-``sketch_exchange``    header + sketch entries + 12 B per digest version
-``sketch_reply``       header + sketch entries + 12 B per digest version
-``top_terms_request``  header + k (2 B)
-``top_terms_reply``    header + origin count (4 B) + per-term entries
-``browse_request``     header + path + k (2 B)
-``browse_response``    header + flag + path + generation (8 B) + entries
+Every other message type (:data:`repro.gossip.wire.ROWS` lists all 43:
+the serve, partial-view, content and analytics inventories plus the
+search RPCs) is priced by :meth:`MessageSizer.model_size` as the header
+plus a width walk over the row's field layout — each field at its wire
+width, a member record at the flat 48 B above — so the 2x
+model-vs-codec envelope covers them too.  They stay outside the Table-2
+gossip accounting: the per-exchange helpers below never see them.
 """
 
 from __future__ import annotations
@@ -138,331 +99,21 @@ class MessageSizer:
             self.config.peer_summary_bytes + bf_bytes_per_member
         )
 
-    # -- serve inventory (persistent queries; outside Table 2) --------------
-
-    _SUB_ID_BYTES = 8
-
-    def subscribe_request(self, terms_bytes: int, address_bytes: int) -> int:
-        """A client posts a standing query to a serving node."""
-        return (
-            self.config.header_bytes
-            + self._SUB_ID_BYTES
-            + terms_bytes
-            + 2 + address_bytes
-            + 8  # created_at
-        )
-
-    def subscribe_ack(self, message_bytes: int) -> int:
-        """The serving node's verdict on a subscription."""
-        return self.config.header_bytes + self._SUB_ID_BYTES + 1 + 2 + message_bytes
-
-    def notify(self, doc_id_bytes: int, text_bytes: int) -> int:
-        """One upcall: a matching document pushed to the subscriber."""
-        return (
-            self.config.header_bytes
-            + self._SUB_ID_BYTES
-            + 4  # origin peer id
-            + 2 + doc_id_bytes
-            + 4 + text_bytes
-        )
-
-    def unsubscribe(self) -> int:
-        """Deregister a standing query by id."""
-        return self.config.header_bytes + self._SUB_ID_BYTES
-
-    # -- partial-view inventory (sharded directory; outside Table 2) --------
-
-    _SHARD_ID_BYTES = 4
-    _SUMMARY_META_BYTES = 17  # shard + member_count + version + diff flag
-    _MATCH_HIT_BYTES = 12  # pid + u64 term bitmask
-    _KNOWN_TOKEN_BYTES = 12  # shard id + u64 summary token
-
-    def shard_summary_request(self, num_shards: int, num_known: int = 0) -> int:
-        """Ask a peer for shard summaries (and maybe member entries),
-        advertising known summary tokens so the reply can send diffs."""
-        return (
-            self.config.header_bytes
-            + 1
-            + self._SHARD_ID_BYTES * num_shards
-            + self._KNOWN_TOKEN_BYTES * num_known
-        )
-
-    def shard_summary_reply(
-        self, summary_blob_bytes: list[int], member_blob_bytes: list[int]
-    ) -> int:
-        """Per-shard summaries plus requested full member entries."""
-        return (
-            self.config.header_bytes
-            + sum(self._SUMMARY_META_BYTES + b for b in summary_blob_bytes)
-            + sum(self.config.peer_summary_bytes + b for b in member_blob_bytes)
-        )
-
-    def view_exchange(self, num_records: int) -> int:
-        """A bounded random sample of membership records."""
-        return (
-            self.config.header_bytes
-            + 2
-            + self.config.peer_summary_bytes * num_records
-        )
-
-    def shard_match_query(self, terms_bytes: int) -> int:
-        """Fine-grained candidate query against one shard's member."""
-        return self.config.header_bytes + self._SHARD_ID_BYTES + terms_bytes
-
-    def shard_match_response(self, num_hits: int) -> int:
-        """Per-peer term-hit bitmasks for one shard."""
-        return (
-            self.config.header_bytes
-            + self._SHARD_ID_BYTES
-            + self._MATCH_HIT_BYTES * num_hits
-        )
-
-    # -- content inventory (chunked transfers; outside Table 2) -------------
-
-    _CHUNK_INDEX_BYTES = 4
-    _CHUNK_OFFSET_BYTES = 4
-    _DIGEST_LEN_BYTES = 32  # SHA-256 of the whole document
-    _CRC_BYTES = 4
-
-    def _manifest_bytes(self, doc_id_bytes: int, num_chunks: int) -> int:
-        # doc id + origin (4) + total_size (8) + chunk_size (4) + digest
-        # + one CRC-32 per chunk.
-        return (
-            2 + doc_id_bytes
-            + 4 + 8 + 4
-            + self._DIGEST_LEN_BYTES
-            + self._CRC_BYTES * num_chunks
-        )
-
-    def manifest_request(self, doc_id_bytes: int) -> int:
-        """Ask a peer for a document's manifest."""
-        return self.config.header_bytes + 2 + doc_id_bytes
-
-    def manifest_reply(
-        self, doc_id_bytes: int, num_chunks: int, holder_bytes: int
-    ) -> int:
-        """The manifest plus the replica addresses holding the chunks."""
-        return (
-            self.config.header_bytes
-            + 1
-            + self._manifest_bytes(doc_id_bytes, num_chunks)
-            + holder_bytes
-        )
-
-    def chunk_request(self, doc_id_bytes: int) -> int:
-        """Fetch one chunk, resumable from a byte offset."""
-        return (
-            self.config.header_bytes
-            + 2 + doc_id_bytes
-            + self._CHUNK_INDEX_BYTES
-            + self._CHUNK_OFFSET_BYTES
-        )
-
-    def chunk_reply(self, doc_id_bytes: int, data_bytes: int) -> int:
-        """One chunk's bytes from the requested offset."""
-        return (
-            self.config.header_bytes
-            + 1
-            + 2 + doc_id_bytes
-            + self._CHUNK_INDEX_BYTES
-            + self._CHUNK_OFFSET_BYTES
-            + 4  # total chunk length
-            + data_bytes
-        )
-
-    def manifest_push(self, doc_id_bytes: int, num_chunks: int) -> int:
-        """A holder offers a document to a ring successor."""
-        return self.config.header_bytes + self._manifest_bytes(
-            doc_id_bytes, num_chunks
-        )
-
-    def manifest_ack(self, doc_id_bytes: int, num_missing: int) -> int:
-        """The successor's verdict plus the chunk indices it still needs."""
-        return (
-            self.config.header_bytes
-            + 2 + doc_id_bytes
-            + 1
-            + self._CRC_BYTES * num_missing
-        )
-
-    def chunk_push(self, doc_id_bytes: int, data_bytes: int) -> int:
-        """Ship one chunk to a successor."""
-        return (
-            self.config.header_bytes
-            + 2 + doc_id_bytes
-            + self._CHUNK_INDEX_BYTES
-            + data_bytes
-        )
-
-    # -- analytics inventory (frequent-term mining; outside Table 2) --------
-
-    _SKETCH_META_BYTES = 12  # origin (4) + epoch (8)
-    _SKETCH_VERSION_BYTES = 12  # origin (4) + epoch (8)
-    _COUNTER_BYTES = 8  # one u64 term/doc count
-
-    @classmethod
-    def sketch_entry_bytes(cls, entry: wire.SketchEntry) -> int:
-        """Model size of one per-origin sketch entry."""
-        return (
-            cls._SKETCH_META_BYTES
-            + sum(
-                2 + len(term.encode("utf-8")) + cls._COUNTER_BYTES
-                for term, _ in entry.terms
-            )
-            + sum(
-                2 + len(doc.encode("utf-8")) + cls._COUNTER_BYTES
-                for doc, _ in entry.docs
-            )
-        )
-
-    def sketch_exchange(self, entries_bytes: int, num_versions: int) -> int:
-        """Push-pull sketch exchange: entries plus an (origin, epoch) digest."""
-        return (
-            self.config.header_bytes
-            + entries_bytes
-            + self._SKETCH_VERSION_BYTES * num_versions
-        )
-
-    def sketch_reply(self, entries_bytes: int, num_versions: int) -> int:
-        """The responder's missing entries plus its own digest."""
-        return self.sketch_exchange(entries_bytes, num_versions)
-
-    def top_terms_request(self) -> int:
-        """Poll a node's converged community top-k estimate."""
-        return self.config.header_bytes + 2
-
-    def top_terms_reply(self, terms_bytes: int) -> int:
-        """The node's current top-k terms with estimated counts."""
-        return self.config.header_bytes + 4 + terms_bytes
-
-    def browse_request(self, path_bytes: int) -> int:
-        """List one namespace directory, popularity-ranked."""
-        return self.config.header_bytes + 2 + path_bytes + 2
-
-    def browse_response(self, path_bytes: int, entries_bytes: int) -> int:
-        """A popularity-ordered listing plus its directory generation."""
-        return self.config.header_bytes + 1 + 2 + path_bytes + 8 + entries_bytes
-
-    # -- shared-inventory dispatch ------------------------------------------
-
     def model_size(self, msg: object) -> int:
-        """Table-2 model size for one :mod:`repro.gossip.wire` message.
+        """Model size of one :mod:`repro.gossip.wire` message.
 
         This is the bridge between the two views of the inventory: the
         real codec encodes the message's contents, this method prices the
         same object under the simulator's byte model, and the validation
-        suite holds the two within a factor of two of each other.
+        suite holds the two within a factor of two of each other.  The
+        ten Table-2 types go through the by-count methods above; the rest
+        are the header plus the width of their row's layout.
         """
-        if isinstance(msg, wire.RumorPush):
-            return self.rumor_push(len(msg.rids))
-        if isinstance(msg, wire.RumorReply):
-            return self.rumor_reply(len(msg.needed), len(msg.piggyback))
-        if isinstance(msg, wire.RumorData):
-            return self.rumor_data(sum(len(r.payload) for r in msg.rumors))
-        if isinstance(msg, wire.AERequest):
-            return self.ae_request()
-        if isinstance(msg, wire.AENothing):
-            return self.ae_nothing()
-        if isinstance(msg, wire.AERecent):
-            return self.ae_recent(len(msg.rids))
-        if isinstance(msg, wire.AESummary):
-            return self.ae_summary(len(msg.entries))
-        if isinstance(msg, wire.PullRequest):
-            return self.pull_request(len(msg.rids))
-        if isinstance(msg, wire.JoinRequest):
-            return self.join_request(len(msg.bloom))
-        if isinstance(msg, wire.JoinSnapshot):
-            # Per-member filters may differ in size; sum them exactly
-            # rather than assuming the uniform-size special case.
-            return self.config.header_bytes + sum(
-                self.config.peer_summary_bytes + len(entry.bloom)
-                for entry in msg.entries
-            )
-        if isinstance(msg, wire.SubscribeRequest):
-            return self.subscribe_request(
-                sum(2 + len(t.encode("utf-8")) for t in msg.terms) + 2,
-                len(msg.notify_address.encode("utf-8")),
-            )
-        if isinstance(msg, wire.SubscribeAck):
-            return self.subscribe_ack(len(msg.message.encode("utf-8")))
-        if isinstance(msg, wire.Notify):
-            return self.notify(
-                len(msg.doc_id.encode("utf-8")), len(msg.text.encode("utf-8"))
-            )
-        if isinstance(msg, wire.Unsubscribe):
-            return self.unsubscribe()
-        if isinstance(msg, wire.ShardSummaryRequest):
-            return self.shard_summary_request(len(msg.shards), len(msg.known))
-        if isinstance(msg, wire.ShardSummaryReply):
-            return self.shard_summary_reply(
-                [len(entry.bloom) for entry in msg.entries],
-                [len(member.bloom) for member in msg.members],
-            )
-        if isinstance(msg, wire.ViewExchange):
-            return self.view_exchange(len(msg.records))
-        if isinstance(msg, wire.ShardMatchQuery):
-            return self.shard_match_query(
-                sum(2 + len(t.encode("utf-8")) for t in msg.terms) + 2
-            )
-        if isinstance(msg, wire.ShardMatchResponse):
-            return self.shard_match_response(len(msg.hits))
-        if isinstance(msg, wire.ManifestRequest):
-            return self.manifest_request(len(msg.doc_id.encode("utf-8")))
-        if isinstance(msg, wire.ManifestReply):
-            holder_bytes = sum(
-                2 + len(h.encode("utf-8")) for h in msg.holders
-            ) + 4
-            if msg.manifest is None:
-                return self.config.header_bytes + 1 + holder_bytes
-            return self.manifest_reply(
-                len(msg.manifest.doc_id.encode("utf-8")),
-                msg.manifest.num_chunks,
-                holder_bytes,
-            )
-        if isinstance(msg, wire.ChunkRequest):
-            return self.chunk_request(len(msg.doc_id.encode("utf-8")))
-        if isinstance(msg, wire.ChunkReply):
-            return self.chunk_reply(len(msg.doc_id.encode("utf-8")), len(msg.data))
-        if isinstance(msg, wire.ManifestPush):
-            return self.manifest_push(
-                len(msg.manifest.doc_id.encode("utf-8")),
-                msg.manifest.num_chunks,
-            )
-        if isinstance(msg, wire.ManifestAck):
-            return self.manifest_ack(
-                len(msg.doc_id.encode("utf-8")), len(msg.missing)
-            )
-        if isinstance(msg, wire.ChunkPush):
-            return self.chunk_push(len(msg.doc_id.encode("utf-8")), len(msg.data))
-        if isinstance(msg, wire.SketchExchange):
-            return self.sketch_exchange(
-                sum(self.sketch_entry_bytes(e) for e in msg.entries),
-                len(msg.versions),
-            )
-        if isinstance(msg, wire.SketchReply):
-            return self.sketch_reply(
-                sum(self.sketch_entry_bytes(e) for e in msg.entries),
-                len(msg.versions),
-            )
-        if isinstance(msg, wire.TopTermsRequest):
-            return self.top_terms_request()
-        if isinstance(msg, wire.TopTermsReply):
-            return self.top_terms_reply(
-                sum(
-                    2 + len(term.encode("utf-8")) + self._COUNTER_BYTES
-                    for term, _ in msg.entries
-                )
-            )
-        if isinstance(msg, wire.BrowseRequest):
-            return self.browse_request(len(msg.path.encode("utf-8")))
-        if isinstance(msg, wire.BrowseResponse):
-            return self.browse_response(
-                len(msg.path.encode("utf-8")),
-                sum(
-                    2 + len(doc.encode("utf-8"))
-                    + 2 + len(link.encode("utf-8"))
-                    + 8
-                    for doc, link, _ in msg.entries
-                ),
-            )
-        raise TypeError(f"not a gossip wire message: {type(msg).__name__}")
+        row = wire.ROW_OF.get(type(msg))
+        if row is None:
+            raise TypeError(f"not a gossip wire message: {type(msg).__name__}")
+        if row.table2 is not None:
+            return row.table2(self, msg)
+        return self.config.header_bytes + row.body.width(
+            msg, self.config.peer_summary_bytes
+        )

@@ -1,13 +1,20 @@
-"""Message *contents* for the gossip protocol: the shared wire inventory.
+"""The wire inventory: every message's dataclass and its one schema row.
 
 The simulator costs messages with :class:`~repro.gossip.messages.MessageSizer`
 (Table 2's byte model) while the real network layer (:mod:`repro.net`)
-encodes them into actual frames.  Both views work from the dataclasses in
-this module, so the inventory exists exactly once: every message type the
-sizer models is a class here, and the codec round-trips precisely these
-classes.  ``MessageSizer.model_size`` dispatches on them, and
-``tests/test_net_model_agreement.py`` asserts the codec's real encodings
-stay within 2x of the model for the whole inventory.
+encodes them into actual frames.  Both views work from this module, so
+the inventory exists exactly once: each message type is one dataclass
+plus one row of :data:`ROWS` — ``type byte, class, family, Table-2
+pricing, body layout`` in the field specs of :mod:`repro.gossip.schema`.
+Everything else is derived from the rows: :func:`repro.net.codec.encode`
+and ``decode``, the minimum sizes that guard every ``u32`` count, the
+``*_MESSAGES`` family tuples, the per-type byte-counter names of
+:class:`~repro.net.node.NetworkPeer`, ``MessageSizer.model_size`` for the
+types outside Table 2 (a width walk over the layout), and the random
+instances the round-trip and fuzz suites generate.
+``tests/test_net_model_agreement.py`` asserts the real encodings stay
+within 2x of the model for the whole inventory, and
+``tests/test_net_codec_golden.py`` pins every byte of them.
 
 The protocol exchanges (paper Section 3, mirrored from
 :mod:`repro.gossip.simpeer`) map onto request/response pairs:
@@ -99,13 +106,39 @@ browse plane built on them:
 
 Same 2x pricing envelope, grouped in :data:`ANALYTICS_MESSAGES`, outside
 the Table-2 gossip model.
+
+The remaining rows belong to no family and no byte counter: the
+**search RPCs** (exhaustive and ranked TF×IPF query, snippet fetch), the
+stats poll, the fleet control plane's publish injection, and the
+generic ``ErrorReply``.
 """
 
 from __future__ import annotations
 
+import re
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 from repro.gossip.rumor import RumorKind
+from repro.gossip.schema import (
+    BLOB,
+    BOOL,
+    DOC_TEXT,
+    F64,
+    RID,
+    TEXT,
+    U16,
+    U32,
+    U64,
+    Spec,
+    enum,
+    priced_as_summary,
+    record,
+    seq,
+    tup,
+    when,
+)
 
 __all__ = [
     "PeerRecord",
@@ -151,6 +184,31 @@ __all__ = [
     "BrowseRequest",
     "BrowseResponse",
     "ANALYTICS_MESSAGES",
+    "RankedQuery",
+    "RankedResponse",
+    "ExhaustiveQuery",
+    "ExhaustiveResponse",
+    "SnippetFetch",
+    "SnippetResponse",
+    "StatsRequest",
+    "StatsResponse",
+    "PublishRequest",
+    "PublishAck",
+    "ErrorReply",
+    "SHARD_MATCH_MAX_TERMS",
+    "PEER_RECORD",
+    "SKETCH_ENTRY",
+    "MEMBER_PAYLOAD",
+    "UPDATE_PAYLOAD",
+    "GOSSIP",
+    "SERVE",
+    "PARTIALVIEW",
+    "CONTENT",
+    "ANALYTICS",
+    "Row",
+    "ROWS",
+    "ROW_OF",
+    "ROW_AT",
 ]
 
 
@@ -279,21 +337,6 @@ class JoinSnapshot:
     rids: tuple[int, ...]
 
 
-#: The full gossip inventory, in protocol order — what the sizer models
-#: and the codec must round-trip.
-GOSSIP_MESSAGES: tuple[type, ...] = (
-    RumorPush,
-    RumorReply,
-    RumorData,
-    AERequest,
-    AENothing,
-    AERecent,
-    AESummary,
-    PullRequest,
-    JoinRequest,
-    JoinSnapshot,
-)
-
 
 # ---------------------------------------------------------------------------
 # serve inventory: persistent queries over the wire (paper Section 5.1)
@@ -348,15 +391,6 @@ class Unsubscribe:
 
     sub_id: int
 
-
-#: The serve inventory — persistent-query RPCs, priced by the sizer but
-#: deliberately NOT part of the Table-2 gossip model.
-SERVE_MESSAGES: tuple[type, ...] = (
-    SubscribeRequest,
-    SubscribeAck,
-    Notify,
-    Unsubscribe,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -450,16 +484,6 @@ class ShardMatchResponse:
     shard: int
     hits: tuple[tuple[int, int], ...]
 
-
-#: The partial-view inventory — sharded-directory RPCs, priced by the
-#: sizer but NOT part of the Table-2 gossip model.
-PARTIALVIEW_MESSAGES: tuple[type, ...] = (
-    ShardSummaryRequest,
-    ShardSummaryReply,
-    ViewExchange,
-    ShardMatchQuery,
-    ShardMatchResponse,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -574,18 +598,6 @@ class ChunkPush:
     data: bytes
 
 
-#: The content inventory — chunked transfer + replication RPCs, priced
-#: by the sizer but NOT part of the Table-2 gossip model.
-CONTENT_MESSAGES: tuple[type, ...] = (
-    ManifestRequest,
-    ManifestReply,
-    ChunkRequest,
-    ChunkReply,
-    ManifestPush,
-    ManifestAck,
-    ChunkPush,
-)
-
 
 # ---------------------------------------------------------------------------
 # analytics inventory: gossiped term/access sketches and the browse plane
@@ -679,13 +691,274 @@ class BrowseResponse:
     entries: tuple[tuple[str, str, int], ...]
 
 
-#: The analytics inventory — sketch gossip + browse RPCs, priced by the
-#: sizer but NOT part of the Table-2 gossip model.
-ANALYTICS_MESSAGES: tuple[type, ...] = (
-    SketchExchange,
-    SketchReply,
-    TopTermsRequest,
-    TopTermsReply,
-    BrowseRequest,
-    BrowseResponse,
+
+
+# ---------------------------------------------------------------------------
+# search, stats, publish and error RPCs (no family, no byte counters)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RankedQuery:
+    """Ask a peer for its local top-``k`` under eq. 2.
+
+    Carries the querier's IPF weights (computed from its replicated
+    directory) so the contacted peer scores with the *querier's* view —
+    exactly the Section 5.2 contract.
+    """
+
+    terms: tuple[str, ...]
+    ipf: tuple[tuple[str, float], ...]
+    k: int
+
+
+@dataclass(frozen=True)
+class RankedResponse:
+    """A peer's local top-k: ``(doc_id, score)`` pairs, best first."""
+
+    results: tuple[tuple[str, float], ...]
+
+
+@dataclass(frozen=True)
+class ExhaustiveQuery:
+    """Section 5.1 conjunctive search: all local docs containing every term."""
+
+    terms: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class ExhaustiveResponse:
+    """Sorted ids of the contacted peer's matching documents."""
+
+    doc_ids: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class SnippetFetch:
+    """Retrieve one document's content from its owner."""
+
+    doc_id: str
+
+
+@dataclass(frozen=True)
+class SnippetResponse:
+    """The fetched document (``found`` is False if the owner lacks it)."""
+
+    found: bool
+    doc_id: str
+    text: str
+
+
+@dataclass(frozen=True)
+class StatsRequest:
+    """Poll a peer's runtime metrics (the :mod:`repro.obs` registry)."""
+
+
+@dataclass(frozen=True)
+class StatsResponse:
+    """A peer's flattened metric samples.
+
+    ``samples`` is the registry's :meth:`~repro.obs.Registry.samples`
+    output — Prometheus-style ``(name, value)`` pairs, with histograms
+    flattened into their cumulative ``_bucket{le=...}``/``_sum``/
+    ``_count`` series — plus the responder's id and uptime so a remote
+    poller can rate-normalise counters.
+    """
+
+    peer_id: int
+    uptime_s: float
+    samples: tuple[tuple[str, float], ...]
+
+
+@dataclass(frozen=True)
+class PublishRequest:
+    """Inject one document into a live node (the fleet control plane).
+
+    The node publishes ``Document(doc_id, text)`` exactly as a local
+    publish would: WAL'd when durable, indexed, filter growth flushed as
+    a BF_UPDATE rumor.  Orchestrators use it to drive scripted publish
+    waves at exact scenario moments instead of guessing with timers.
+    """
+
+    doc_id: str
+    text: str
+
+
+@dataclass(frozen=True)
+class PublishAck:
+    """Outcome of a :class:`PublishRequest` at the publishing node."""
+
+    accepted: bool
+    doc_id: str
+    filter_version: int
+
+
+@dataclass(frozen=True)
+class ErrorReply:
+    """Remote-side failure report (malformed frame, unknown document...)."""
+
+    message: str
+
+
+# ---------------------------------------------------------------------------
+# the schema table: one row per message type
+# ---------------------------------------------------------------------------
+
+#: A shard-match response packs per-term hits into a u64 bitmask, so a
+#: shard-match query carries at most this many terms.
+SHARD_MATCH_MAX_TERMS = 64
+
+# Layouts shared between rows (components, not messages).  A member
+# record is modelled at Table 2's flat 48 B wherever it appears.
+PEER_RECORD = priced_as_summary(
+    record(PeerRecord, peer_id=U32, online=BOOL, filter_version=U32, address=TEXT)
 )
+_KIND = enum({RumorKind.JOIN: 1, RumorKind.REJOIN: 2, RumorKind.BF_UPDATE: 3}, "rumor kind")
+_RUMOR = record(WireRumor, rid=RID, kind=_KIND, origin=U32, created_at=F64, payload=BLOB)
+_SNAPSHOT_ENTRY = record(SnapshotEntry, record=PEER_RECORD, bloom=BLOB)
+_SUMMARY_ENTRY = record(
+    ShardSummaryEntry, shard=U32, member_count=U32, version=U64, bloom=BLOB, diff=BOOL
+)
+_MANIFEST = record(
+    ContentManifest,
+    doc_id=TEXT,
+    origin=U32,
+    total_size=U64,
+    chunk_size=U32,
+    digest=BLOB,
+    chunk_crcs=seq(U32),
+)
+_COUNTERS = seq(tup(TEXT, U64), U16)
+SKETCH_ENTRY = record(SketchEntry, origin=U32, epoch=U64, terms=_COUNTERS, docs=_COUNTERS)
+_RIDS = seq(RID)
+_RECORDS = seq(PEER_RECORD)
+_TERMS = seq(TEXT, U16)
+_SCORED = tup(TEXT, F64)  # (term, weight), (doc id, score), (metric, value)
+_VERSIONS = seq(tup(U32, U64))  # (origin, epoch), (shard, token), (pid, mask)
+
+#: What a ``WireRumor.payload`` holds, per kind: a JOIN/REJOIN carries the
+#: member's record + compressed Bloom filter, a BF_UPDATE the new filter
+#: version + Golomb-coded bit diff.
+MEMBER_PAYLOAD = tup(PEER_RECORD, BLOB)
+UPDATE_PAYLOAD = tup(U32, BLOB)
+
+GOSSIP = "gossip"
+SERVE = "serve"
+PARTIALVIEW = "partialview"
+CONTENT = "content"
+ANALYTICS = "analytics"
+
+
+class Row(NamedTuple):
+    """One message type, spelled once."""
+
+    type_byte: int
+    cls: type
+    #: which inventory (and which pair of node byte counters) the type
+    #: belongs to; ``None`` for the search/stats/publish/error RPCs.
+    family: str | None
+    #: the type's body layout — a :func:`~repro.gossip.schema.record`.
+    body: Spec
+    #: ``table2(sizer, msg)`` prices the ten types of the paper's Table 2
+    #: through the sizer's by-count methods (the model the simulator
+    #: runs on); ``None`` means "header + a width walk over ``body``".
+    table2: Callable[[Any, Any], int] | None
+    #: snake-cased class name, the stem of the per-type ``wire`` counters.
+    counter: str
+
+
+def _row(
+    type_byte: int,
+    cls: type,
+    family: str | None = None,
+    table2: Callable[[Any, Any], int] | None = None,
+    **layout: Spec,
+) -> Row:
+    counter = re.sub(r"(?<!^)(?=[A-Z])", "_", cls.__name__).lower()
+    return Row(type_byte, cls, family, record(cls, **layout), table2, counter)
+
+
+# fmt: off
+# A table, so one message per row: type byte, class, family, Table-2
+# pricing (gossip rows only); then the body layout in wire order.
+ROWS: tuple[Row, ...] = (
+    _row(1, RumorPush, GOSSIP, lambda s, m: s.rumor_push(len(m.rids)), rids=_RIDS),
+    _row(2, RumorReply, GOSSIP, lambda s, m: s.rumor_reply(len(m.needed), len(m.piggyback)),
+         needed=_RIDS, piggyback=_RIDS),
+    _row(3, RumorData, GOSSIP, lambda s, m: s.rumor_data(sum(len(r.payload) for r in m.rumors)),
+         rumors=seq(_RUMOR)),
+    _row(4, AERequest, GOSSIP, lambda s, m: s.ae_request(), digest=U64),
+    _row(5, AENothing, GOSSIP, lambda s, m: s.ae_nothing()),
+    _row(6, AERecent, GOSSIP, lambda s, m: s.ae_recent(len(m.rids)), rids=_RIDS, known_count=U32),
+    _row(7, AESummary, GOSSIP, lambda s, m: s.ae_summary(len(m.entries)),
+         entries=_RECORDS, rids=_RIDS),
+    _row(8, PullRequest, GOSSIP, lambda s, m: s.pull_request(len(m.rids)), rids=_RIDS),
+    _row(9, JoinRequest, GOSSIP, lambda s, m: s.join_request(len(m.bloom)),
+         record=PEER_RECORD, bloom=BLOB, rid=RID, created_at=F64),
+    # Per-member filters may differ in size: sum them exactly rather than
+    # assuming join_snapshot's uniform-size special case.
+    _row(10, JoinSnapshot, GOSSIP,
+         lambda s, m: s.config.header_bytes
+         + sum(s.config.peer_summary_bytes + len(e.bloom) for e in m.entries),
+         entries=seq(_SNAPSHOT_ENTRY), rids=_RIDS),
+    _row(16, RankedQuery, terms=_TERMS, ipf=seq(_SCORED, U16), k=U16),
+    _row(17, RankedResponse, results=seq(_SCORED)),
+    _row(18, ExhaustiveQuery, terms=_TERMS),
+    _row(19, ExhaustiveResponse, doc_ids=seq(TEXT)),
+    _row(20, SnippetFetch, doc_id=TEXT),
+    _row(21, SnippetResponse, found=BOOL, doc_id=TEXT, text=DOC_TEXT),
+    _row(22, StatsRequest),
+    _row(23, StatsResponse, peer_id=U32, uptime_s=F64, samples=seq(_SCORED)),
+    _row(24, SubscribeRequest, SERVE,
+         sub_id=U64, terms=_TERMS, notify_address=TEXT, created_at=F64),
+    _row(25, SubscribeAck, SERVE, sub_id=U64, accepted=BOOL, message=TEXT),
+    _row(26, Notify, SERVE, sub_id=U64, origin=U32, doc_id=TEXT, text=DOC_TEXT),
+    _row(27, Unsubscribe, SERVE, sub_id=U64),
+    _row(28, PublishRequest, doc_id=TEXT, text=DOC_TEXT),
+    _row(29, PublishAck, accepted=BOOL, doc_id=TEXT, filter_version=U32),
+    _row(31, ErrorReply, message=TEXT),
+    _row(32, ShardSummaryRequest, PARTIALVIEW, shards=seq(U32), want_members=BOOL, known=_VERSIONS),
+    _row(33, ShardSummaryReply, PARTIALVIEW,
+         entries=seq(_SUMMARY_ENTRY), members=seq(_SNAPSHOT_ENTRY)),
+    _row(34, ViewExchange, PARTIALVIEW, records=_RECORDS, want=U16),
+    _row(35, ShardMatchQuery, PARTIALVIEW,
+         shard=U32, terms=seq(TEXT, U16, max_items=SHARD_MATCH_MAX_TERMS, what="shard-match")),
+    _row(36, ShardMatchResponse, PARTIALVIEW, shard=U32, hits=_VERSIONS),
+    _row(37, ManifestRequest, CONTENT, doc_id=TEXT),
+    _row(38, ManifestReply, CONTENT, found=BOOL,
+         manifest=when("found", _MANIFEST, "found ManifestReply carries no manifest"),
+         holders=seq(TEXT)),
+    _row(39, ChunkRequest, CONTENT, doc_id=TEXT, index=U32, offset=U32),
+    _row(40, ChunkReply, CONTENT,
+         found=BOOL, doc_id=TEXT, index=U32, offset=U32, total=U32, data=BLOB),
+    _row(41, ManifestPush, CONTENT, manifest=_MANIFEST),
+    _row(42, ManifestAck, CONTENT, doc_id=TEXT, accepted=BOOL, missing=seq(U32)),
+    _row(43, ChunkPush, CONTENT, doc_id=TEXT, index=U32, data=BLOB),
+    _row(44, SketchExchange, ANALYTICS, entries=seq(SKETCH_ENTRY), versions=_VERSIONS),
+    _row(45, SketchReply, ANALYTICS, entries=seq(SKETCH_ENTRY), versions=_VERSIONS),
+    _row(46, TopTermsRequest, ANALYTICS, k=U16),
+    _row(47, TopTermsReply, ANALYTICS, origin_count=U32, entries=seq(tup(TEXT, U64))),
+    _row(48, BrowseRequest, ANALYTICS, path=TEXT, k=U16),
+    _row(49, BrowseResponse, ANALYTICS,
+         found=BOOL, path=TEXT, generation=U64, entries=seq(tup(TEXT, TEXT, U64))),
+)
+# fmt: on
+
+#: The two lookups the codec, the sizer and the node dispatch through.
+ROW_OF: dict[type, Row] = {row.cls: row for row in ROWS}
+ROW_AT: dict[int, Row] = {row.type_byte: row for row in ROWS}
+
+
+def _family(family: str) -> tuple[type, ...]:
+    return tuple(row.cls for row in ROWS if row.family == family)
+
+
+#: The full gossip inventory, in protocol order — exactly the paper's
+#: Table 2, what the simulator's cost model covers.
+GOSSIP_MESSAGES = _family(GOSSIP)
+#: The other inventories are priced by the sizer (to the same 2x
+#: envelope) but deliberately NOT part of the Table-2 gossip model.
+SERVE_MESSAGES = _family(SERVE)
+PARTIALVIEW_MESSAGES = _family(PARTIALVIEW)
+CONTENT_MESSAGES = _family(CONTENT)
+ANALYTICS_MESSAGES = _family(ANALYTICS)

@@ -1,17 +1,16 @@
 """Versioned binary wire format for PlanetP messages.
 
-Every frame body is ``version byte + type byte + struct-packed fields``
-(big-endian throughout, no external serializer).  The transport layer adds
-a 4-byte length prefix; this module deals only in frame bodies.
+Every frame body is ``version byte + type byte + the message's fields``
+(big-endian throughout, no external serializer).  The transport layer
+adds a 4-byte length prefix; this module deals only in frame bodies.
 
-Two message families share the format:
-
-* the **gossip inventory** of :mod:`repro.gossip.wire` — the same objects
-  the simulator prices with :class:`~repro.gossip.messages.MessageSizer`,
-  so the cost model and the real encoding can be cross-checked; and
-* the **search RPCs** defined here — exhaustive (conjunctive) query,
-  ranked TF×IPF query carrying the caller's IPF weights, and snippet
-  fetch — plus a generic error reply.
+What the fields are is not written here: each message type is one
+dataclass and one row of :data:`repro.gossip.wire.ROWS`, and
+:func:`encode` / :func:`decode` walk that row's layout.  The same rows
+give :class:`~repro.gossip.messages.MessageSizer` its model sizes, so
+the cost model and the real encoding can be cross-checked.  The search,
+stats, publish and error dataclasses are re-exported here for the
+callers that speak the wire.
 
 Field conventions: rumor ids travel as 6-byte big-endian integers
 (Table 2's id-digest size), short strings as ``u16`` length + UTF-8,
@@ -20,50 +19,26 @@ document text and byte blobs as ``u32`` length + raw bytes.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
-
 from repro.constants import NET_CODEC_VERSION
-from repro.gossip.rumor import RumorKind
+from repro.gossip.schema import CodecError, pack, unpack
 from repro.gossip.wire import (
-    AENothing,
-    AERecent,
-    AERequest,
-    AESummary,
-    BrowseRequest,
-    BrowseResponse,
-    ChunkPush,
-    ChunkReply,
-    ChunkRequest,
-    ContentManifest,
-    JoinRequest,
-    JoinSnapshot,
-    ManifestAck,
-    ManifestPush,
-    ManifestReply,
-    ManifestRequest,
-    Notify,
+    MEMBER_PAYLOAD,
+    ROW_AT,
+    ROW_OF,
+    SHARD_MATCH_MAX_TERMS,
+    UPDATE_PAYLOAD,
+    ErrorReply,
+    ExhaustiveQuery,
+    ExhaustiveResponse,
     PeerRecord,
-    PullRequest,
-    RumorData,
-    RumorPush,
-    RumorReply,
-    ShardMatchQuery,
-    ShardMatchResponse,
-    ShardSummaryEntry,
-    ShardSummaryReply,
-    ShardSummaryRequest,
-    SketchEntry,
-    SketchExchange,
-    SketchReply,
-    SnapshotEntry,
-    SubscribeAck,
-    SubscribeRequest,
-    TopTermsRequest,
-    TopTermsReply,
-    Unsubscribe,
-    ViewExchange,
-    WireRumor,
+    PublishAck,
+    PublishRequest,
+    RankedQuery,
+    RankedResponse,
+    SnippetFetch,
+    SnippetResponse,
+    StatsRequest,
+    StatsResponse,
 )
 
 __all__ = [
@@ -89,854 +64,26 @@ __all__ = [
 ]
 
 
-class CodecError(ValueError):
-    """A frame could not be encoded or decoded."""
-
-
-# ---------------------------------------------------------------------------
-# search RPCs (the non-gossip half of the inventory)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RankedQuery:
-    """Ask a peer for its local top-``k`` under eq. 2.
-
-    Carries the querier's IPF weights (computed from its replicated
-    directory) so the contacted peer scores with the *querier's* view —
-    exactly the Section 5.2 contract.
-    """
-
-    terms: tuple[str, ...]
-    ipf: tuple[tuple[str, float], ...]
-    k: int
-
-
-@dataclass(frozen=True)
-class RankedResponse:
-    """A peer's local top-k: ``(doc_id, score)`` pairs, best first."""
-
-    results: tuple[tuple[str, float], ...]
-
-
-@dataclass(frozen=True)
-class ExhaustiveQuery:
-    """Section 5.1 conjunctive search: all local docs containing every term."""
-
-    terms: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ExhaustiveResponse:
-    """Sorted ids of the contacted peer's matching documents."""
-
-    doc_ids: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class SnippetFetch:
-    """Retrieve one document's content from its owner."""
-
-    doc_id: str
-
-
-@dataclass(frozen=True)
-class SnippetResponse:
-    """The fetched document (``found`` is False if the owner lacks it)."""
-
-    found: bool
-    doc_id: str
-    text: str
-
-
-@dataclass(frozen=True)
-class StatsRequest:
-    """Poll a peer's runtime metrics (the :mod:`repro.obs` registry)."""
-
-
-@dataclass(frozen=True)
-class StatsResponse:
-    """A peer's flattened metric samples.
-
-    ``samples`` is the registry's :meth:`~repro.obs.Registry.samples`
-    output — Prometheus-style ``(name, value)`` pairs, with histograms
-    flattened into their cumulative ``_bucket{le=...}``/``_sum``/
-    ``_count`` series — plus the responder's id and uptime so a remote
-    poller can rate-normalise counters.
-    """
-
-    peer_id: int
-    uptime_s: float
-    samples: tuple[tuple[str, float], ...]
-
-
-@dataclass(frozen=True)
-class PublishRequest:
-    """Inject one document into a live node (the fleet control plane).
-
-    The node publishes ``Document(doc_id, text)`` exactly as a local
-    publish would: WAL'd when durable, indexed, filter growth flushed as
-    a BF_UPDATE rumor.  Orchestrators use it to drive scripted publish
-    waves at exact scenario moments instead of guessing with timers.
-    """
-
-    doc_id: str
-    text: str
-
-
-@dataclass(frozen=True)
-class PublishAck:
-    """Outcome of a :class:`PublishRequest` at the publishing node."""
-
-    accepted: bool
-    doc_id: str
-    filter_version: int
-
-
-@dataclass(frozen=True)
-class ErrorReply:
-    """Remote-side failure report (malformed frame, unknown document...)."""
-
-    message: str
-
-
-# ---------------------------------------------------------------------------
-# primitives
-# ---------------------------------------------------------------------------
-
-_U8 = struct.Struct(">B")
-_U16 = struct.Struct(">H")
-_U32 = struct.Struct(">I")
-_U64 = struct.Struct(">Q")
-_F64 = struct.Struct(">d")
-
-_RID_BYTES = 6  # Table 2's 6-byte rumor-id digest
-_RID_MAX = 1 << (8 * _RID_BYTES)
-
-#: Minimum encoded sizes, used to reject forged item counts up front.
-_RECORD_MIN_BYTES = 4 + 1 + 4 + 2  # peer_id + online + version + empty address
-_RUMOR_MIN_BYTES = _RID_BYTES + 1 + 4 + 8 + 4  # rid + kind + origin + time + blob
-
-_KIND_CODE = {RumorKind.JOIN: 1, RumorKind.REJOIN: 2, RumorKind.BF_UPDATE: 3}
-_CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
-
-#: A shard-match response packs per-term hits into a u64 bitmask, so a
-#: shard-match query carries at most this many terms.
-SHARD_MATCH_MAX_TERMS = 64
-
-#: Minimum encoded shard-summary entry: shard + member_count + version +
-#: empty bloom blob + diff flag.
-_SUMMARY_ENTRY_MIN_BYTES = 4 + 4 + 8 + 4 + 1
-
-#: One advertised (shard, summary token) pair in a summary request.
-_KNOWN_TOKEN_BYTES = 4 + 8
-
-#: A manifest's chunk-CRC list and an ack's missing-index list are both
-#: u32s; holder addresses are at least a u16 length prefix.
-_CRC_BYTES = 4
-_HOLDER_MIN_BYTES = 2
-
-#: Minimum encoded sketch entry: origin + epoch + two empty u16 lists.
-_SKETCH_ENTRY_MIN_BYTES = 4 + 8 + 2 + 2
-
-#: One (origin, epoch) pair of a sketch digest.
-_SKETCH_VERSION_BYTES = 4 + 8
-
-#: One top-terms entry: empty term string + u64 count.
-_TOP_TERM_MIN_BYTES = 2 + 8
-
-#: One browse listing entry: empty doc id + empty link + u64 popularity.
-_BROWSE_ENTRY_MIN_BYTES = 2 + 2 + 8
-
-
-class _Writer:
-    """Accumulates big-endian fields into a frame body."""
-
-    __slots__ = ("buf",)
-
-    def __init__(self) -> None:
-        self.buf = bytearray()
-
-    def u8(self, v: int) -> None:
-        self.buf += _U8.pack(v)
-
-    def u16(self, v: int) -> None:
-        self.buf += _U16.pack(v)
-
-    def u32(self, v: int) -> None:
-        self.buf += _U32.pack(v)
-
-    def u64(self, v: int) -> None:
-        self.buf += _U64.pack(v)
-
-    def f64(self, v: float) -> None:
-        self.buf += _F64.pack(v)
-
-    def rid(self, v: int) -> None:
-        if not 0 <= v < _RID_MAX:
-            raise CodecError(f"rumor id {v} does not fit in {_RID_BYTES} bytes")
-        self.buf += v.to_bytes(_RID_BYTES, "big")
-
-    def rids(self, rids: tuple[int, ...]) -> None:
-        self.u32(len(rids))
-        for r in rids:
-            self.rid(r)
-
-    def text(self, s: str) -> None:
-        raw = s.encode("utf-8")
-        if len(raw) > 0xFFFF:
-            raise CodecError("string field exceeds 64 KiB")
-        self.u16(len(raw))
-        self.buf += raw
-
-    def blob(self, b: bytes) -> None:
-        self.u32(len(b))
-        self.buf += b
-
-
-class _Reader:
-    """Reads big-endian fields from a frame body, checking bounds."""
-
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def _take(self, n: int) -> bytes:
-        end = self.pos + n
-        if end > len(self.data):
-            raise CodecError("truncated frame")
-        chunk = self.data[self.pos : end]
-        self.pos = end
-        return chunk
-
-    def u8(self) -> int:
-        return _U8.unpack(self._take(1))[0]
-
-    def u16(self) -> int:
-        return _U16.unpack(self._take(2))[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self._take(4))[0]
-
-    def u64(self) -> int:
-        return _U64.unpack(self._take(8))[0]
-
-    def f64(self) -> float:
-        return _F64.unpack(self._take(8))[0]
-
-    def rid(self) -> int:
-        return int.from_bytes(self._take(_RID_BYTES), "big")
-
-    def count(self, min_item_bytes: int) -> int:
-        """A u32 item count, rejected up front if even minimum-sized items
-        could not fit in the remaining bytes — so a forged count can never
-        drive a long decode loop or a large allocation."""
-        n = self.u32()
-        if n * min_item_bytes > len(self.data) - self.pos:
-            raise CodecError(f"count {n} exceeds remaining frame bytes")
-        return n
-
-    def rids(self) -> tuple[int, ...]:
-        return tuple(self.rid() for _ in range(self.count(_RID_BYTES)))
-
-    def text(self) -> str:
-        try:
-            return self._take(self.u16()).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"invalid UTF-8 in string field: {exc}") from exc
-
-    def blob(self) -> bytes:
-        return self._take(self.u32())
-
-    def done(self) -> None:
-        if self.pos != len(self.data):
-            raise CodecError("trailing bytes after message body")
-
-
-def _w_record(w: _Writer, rec: PeerRecord) -> None:
-    w.u32(rec.peer_id)
-    w.u8(1 if rec.online else 0)
-    w.u32(rec.filter_version)
-    w.text(rec.address)
-
-
-def _r_record(r: _Reader) -> PeerRecord:
-    peer_id = r.u32()
-    online = bool(r.u8())
-    version = r.u32()
-    address = r.text()
-    return PeerRecord(peer_id, address, online, version)
-
-
-def _w_rumor(w: _Writer, rumor: WireRumor) -> None:
-    w.rid(rumor.rid)
-    w.u8(_KIND_CODE[rumor.kind])
-    w.u32(rumor.origin)
-    w.f64(rumor.created_at)
-    w.blob(rumor.payload)
-
-
-def _r_rumor(r: _Reader) -> WireRumor:
-    rid = r.rid()
-    code = r.u8()
-    if code not in _CODE_KIND:
-        raise CodecError(f"unknown rumor kind code {code}")
-    origin = r.u32()
-    created_at = r.f64()
-    payload = r.blob()
-    return WireRumor(rid, _CODE_KIND[code], origin, created_at, payload)
-
-
-def _w_manifest(w: _Writer, m: ContentManifest) -> None:
-    w.text(m.doc_id)
-    w.u32(m.origin)
-    w.u64(m.total_size)
-    w.u32(m.chunk_size)
-    w.blob(m.digest)
-    w.u32(len(m.chunk_crcs))
-    for crc in m.chunk_crcs:
-        w.u32(crc)
-
-
-def _r_manifest(r: _Reader) -> ContentManifest:
-    doc_id = r.text()
-    origin = r.u32()
-    total_size = r.u64()
-    chunk_size = r.u32()
-    digest = r.blob()
-    crcs = tuple(r.u32() for _ in range(r.count(_CRC_BYTES)))
-    return ContentManifest(doc_id, origin, total_size, chunk_size, digest, crcs)
-
-
-def _w_sketch_entry(w: _Writer, entry: SketchEntry) -> None:
-    w.u32(entry.origin)
-    w.u64(entry.epoch)
-    w.u16(len(entry.terms))
-    for term, count in entry.terms:
-        w.text(term)
-        w.u64(count)
-    w.u16(len(entry.docs))
-    for doc_id, count in entry.docs:
-        w.text(doc_id)
-        w.u64(count)
-
-
-def _r_sketch_entry(r: _Reader) -> SketchEntry:
-    origin = r.u32()
-    epoch = r.u64()
-    terms = tuple((r.text(), r.u64()) for _ in range(r.u16()))
-    docs = tuple((r.text(), r.u64()) for _ in range(r.u16()))
-    return SketchEntry(origin, epoch, terms, docs)
-
-
-def _w_sketch_versions(w: _Writer, versions: tuple[tuple[int, int], ...]) -> None:
-    w.u32(len(versions))
-    for origin, epoch in versions:
-        w.u32(origin)
-        w.u64(epoch)
-
-
-def _r_sketch_versions(r: _Reader) -> tuple[tuple[int, int], ...]:
-    return tuple(
-        (r.u32(), r.u64()) for _ in range(r.count(_SKETCH_VERSION_BYTES))
-    )
-
-
-# ---------------------------------------------------------------------------
-# per-type encoders/decoders
-# ---------------------------------------------------------------------------
-
-_T_RUMOR_PUSH = 1
-_T_RUMOR_REPLY = 2
-_T_RUMOR_DATA = 3
-_T_AE_REQUEST = 4
-_T_AE_NOTHING = 5
-_T_AE_RECENT = 6
-_T_AE_SUMMARY = 7
-_T_PULL_REQUEST = 8
-_T_JOIN_REQUEST = 9
-_T_JOIN_SNAPSHOT = 10
-_T_RANKED_QUERY = 16
-_T_RANKED_RESPONSE = 17
-_T_EXHAUSTIVE_QUERY = 18
-_T_EXHAUSTIVE_RESPONSE = 19
-_T_SNIPPET_FETCH = 20
-_T_SNIPPET_RESPONSE = 21
-_T_STATS_REQUEST = 22
-_T_STATS_RESPONSE = 23
-_T_SUBSCRIBE_REQUEST = 24
-_T_SUBSCRIBE_ACK = 25
-_T_NOTIFY = 26
-_T_UNSUBSCRIBE = 27
-_T_PUBLISH_REQUEST = 28
-_T_PUBLISH_ACK = 29
-_T_ERROR = 31
-_T_SHARD_SUMMARY_REQUEST = 32
-_T_SHARD_SUMMARY_REPLY = 33
-_T_VIEW_EXCHANGE = 34
-_T_SHARD_MATCH_QUERY = 35
-_T_SHARD_MATCH_RESPONSE = 36
-_T_MANIFEST_REQUEST = 37
-_T_MANIFEST_REPLY = 38
-_T_CHUNK_REQUEST = 39
-_T_CHUNK_REPLY = 40
-_T_MANIFEST_PUSH = 41
-_T_MANIFEST_ACK = 42
-_T_CHUNK_PUSH = 43
-_T_SKETCH_EXCHANGE = 44
-_T_SKETCH_REPLY = 45
-_T_TOP_TERMS_REQUEST = 46
-_T_TOP_TERMS_REPLY = 47
-_T_BROWSE_REQUEST = 48
-_T_BROWSE_RESPONSE = 49
-
-_TYPE_OF = {
-    RumorPush: _T_RUMOR_PUSH,
-    RumorReply: _T_RUMOR_REPLY,
-    RumorData: _T_RUMOR_DATA,
-    AERequest: _T_AE_REQUEST,
-    AENothing: _T_AE_NOTHING,
-    AERecent: _T_AE_RECENT,
-    AESummary: _T_AE_SUMMARY,
-    PullRequest: _T_PULL_REQUEST,
-    JoinRequest: _T_JOIN_REQUEST,
-    JoinSnapshot: _T_JOIN_SNAPSHOT,
-    RankedQuery: _T_RANKED_QUERY,
-    RankedResponse: _T_RANKED_RESPONSE,
-    ExhaustiveQuery: _T_EXHAUSTIVE_QUERY,
-    ExhaustiveResponse: _T_EXHAUSTIVE_RESPONSE,
-    SnippetFetch: _T_SNIPPET_FETCH,
-    SnippetResponse: _T_SNIPPET_RESPONSE,
-    StatsRequest: _T_STATS_REQUEST,
-    StatsResponse: _T_STATS_RESPONSE,
-    SubscribeRequest: _T_SUBSCRIBE_REQUEST,
-    SubscribeAck: _T_SUBSCRIBE_ACK,
-    Notify: _T_NOTIFY,
-    Unsubscribe: _T_UNSUBSCRIBE,
-    PublishRequest: _T_PUBLISH_REQUEST,
-    PublishAck: _T_PUBLISH_ACK,
-    ErrorReply: _T_ERROR,
-    ShardSummaryRequest: _T_SHARD_SUMMARY_REQUEST,
-    ShardSummaryReply: _T_SHARD_SUMMARY_REPLY,
-    ViewExchange: _T_VIEW_EXCHANGE,
-    ShardMatchQuery: _T_SHARD_MATCH_QUERY,
-    ShardMatchResponse: _T_SHARD_MATCH_RESPONSE,
-    ManifestRequest: _T_MANIFEST_REQUEST,
-    ManifestReply: _T_MANIFEST_REPLY,
-    ChunkRequest: _T_CHUNK_REQUEST,
-    ChunkReply: _T_CHUNK_REPLY,
-    ManifestPush: _T_MANIFEST_PUSH,
-    ManifestAck: _T_MANIFEST_ACK,
-    ChunkPush: _T_CHUNK_PUSH,
-    SketchExchange: _T_SKETCH_EXCHANGE,
-    SketchReply: _T_SKETCH_REPLY,
-    TopTermsRequest: _T_TOP_TERMS_REQUEST,
-    TopTermsReply: _T_TOP_TERMS_REPLY,
-    BrowseRequest: _T_BROWSE_REQUEST,
-    BrowseResponse: _T_BROWSE_RESPONSE,
-}
-
-
 def encode(msg: object, version: int = NET_CODEC_VERSION) -> bytes:
     """Encode any inventory message into a frame body."""
-    mtype = _TYPE_OF.get(type(msg))
-    if mtype is None:
+    row = ROW_OF.get(type(msg))
+    if row is None:
         raise CodecError(f"not a wire message: {type(msg).__name__}")
-    w = _Writer()
-    w.u8(version)
-    w.u8(mtype)
-    if isinstance(msg, RumorPush):
-        w.rids(msg.rids)
-    elif isinstance(msg, RumorReply):
-        w.rids(msg.needed)
-        w.rids(msg.piggyback)
-    elif isinstance(msg, RumorData):
-        w.u32(len(msg.rumors))
-        for rumor in msg.rumors:
-            _w_rumor(w, rumor)
-    elif isinstance(msg, AERequest):
-        w.u64(msg.digest)
-    elif isinstance(msg, AENothing):
-        pass
-    elif isinstance(msg, AERecent):
-        w.rids(msg.rids)
-        w.u32(msg.known_count)
-    elif isinstance(msg, AESummary):
-        w.u32(len(msg.entries))
-        for rec in msg.entries:
-            _w_record(w, rec)
-        w.rids(msg.rids)
-    elif isinstance(msg, PullRequest):
-        w.rids(msg.rids)
-    elif isinstance(msg, JoinRequest):
-        _w_record(w, msg.record)
-        w.blob(msg.bloom)
-        w.rid(msg.rid)
-        w.f64(msg.created_at)
-    elif isinstance(msg, JoinSnapshot):
-        w.u32(len(msg.entries))
-        for entry in msg.entries:
-            _w_record(w, entry.record)
-            w.blob(entry.bloom)
-        w.rids(msg.rids)
-    elif isinstance(msg, RankedQuery):
-        w.u16(len(msg.terms))
-        for t in msg.terms:
-            w.text(t)
-        w.u16(len(msg.ipf))
-        for term, weight in msg.ipf:
-            w.text(term)
-            w.f64(weight)
-        w.u16(msg.k)
-    elif isinstance(msg, RankedResponse):
-        w.u32(len(msg.results))
-        for doc_id, score in msg.results:
-            w.text(doc_id)
-            w.f64(score)
-    elif isinstance(msg, ExhaustiveQuery):
-        w.u16(len(msg.terms))
-        for t in msg.terms:
-            w.text(t)
-    elif isinstance(msg, ExhaustiveResponse):
-        w.u32(len(msg.doc_ids))
-        for doc_id in msg.doc_ids:
-            w.text(doc_id)
-    elif isinstance(msg, SnippetFetch):
-        w.text(msg.doc_id)
-    elif isinstance(msg, SnippetResponse):
-        w.u8(1 if msg.found else 0)
-        w.text(msg.doc_id)
-        w.blob(msg.text.encode("utf-8"))
-    elif isinstance(msg, StatsRequest):
-        pass
-    elif isinstance(msg, StatsResponse):
-        w.u32(msg.peer_id)
-        w.f64(msg.uptime_s)
-        w.u32(len(msg.samples))
-        for name, value in msg.samples:
-            w.text(name)
-            w.f64(value)
-    elif isinstance(msg, SubscribeRequest):
-        w.u64(msg.sub_id)
-        w.u16(len(msg.terms))
-        for t in msg.terms:
-            w.text(t)
-        w.text(msg.notify_address)
-        w.f64(msg.created_at)
-    elif isinstance(msg, SubscribeAck):
-        w.u64(msg.sub_id)
-        w.u8(1 if msg.accepted else 0)
-        w.text(msg.message)
-    elif isinstance(msg, Notify):
-        w.u64(msg.sub_id)
-        w.u32(msg.origin)
-        w.text(msg.doc_id)
-        w.blob(msg.text.encode("utf-8"))
-    elif isinstance(msg, Unsubscribe):
-        w.u64(msg.sub_id)
-    elif isinstance(msg, PublishRequest):
-        w.text(msg.doc_id)
-        w.blob(msg.text.encode("utf-8"))
-    elif isinstance(msg, PublishAck):
-        w.u8(1 if msg.accepted else 0)
-        w.text(msg.doc_id)
-        w.u32(msg.filter_version)
-    elif isinstance(msg, ErrorReply):
-        w.text(msg.message)
-    elif isinstance(msg, ShardSummaryRequest):
-        w.u32(len(msg.shards))
-        for shard in msg.shards:
-            w.u32(shard)
-        w.u8(1 if msg.want_members else 0)
-        w.u32(len(msg.known))
-        for shard, token in msg.known:
-            w.u32(shard)
-            w.u64(token)
-    elif isinstance(msg, ShardSummaryReply):
-        w.u32(len(msg.entries))
-        for entry in msg.entries:
-            w.u32(entry.shard)
-            w.u32(entry.member_count)
-            w.u64(entry.version)
-            w.blob(entry.bloom)
-            w.u8(1 if entry.diff else 0)
-        w.u32(len(msg.members))
-        for member in msg.members:
-            _w_record(w, member.record)
-            w.blob(member.bloom)
-    elif isinstance(msg, ViewExchange):
-        w.u32(len(msg.records))
-        for rec in msg.records:
-            _w_record(w, rec)
-        w.u16(msg.want)
-    elif isinstance(msg, ShardMatchQuery):
-        if len(msg.terms) > SHARD_MATCH_MAX_TERMS:
-            raise CodecError(
-                f"shard-match query exceeds {SHARD_MATCH_MAX_TERMS} terms"
-            )
-        w.u32(msg.shard)
-        w.u16(len(msg.terms))
-        for t in msg.terms:
-            w.text(t)
-    elif isinstance(msg, ShardMatchResponse):
-        w.u32(msg.shard)
-        w.u32(len(msg.hits))
-        for pid, mask in msg.hits:
-            w.u32(pid)
-            w.u64(mask)
-    elif isinstance(msg, ManifestRequest):
-        w.text(msg.doc_id)
-    elif isinstance(msg, ManifestReply):
-        w.u8(1 if msg.found else 0)
-        if msg.found:
-            if msg.manifest is None:
-                raise CodecError("found ManifestReply carries no manifest")
-            _w_manifest(w, msg.manifest)
-        w.u32(len(msg.holders))
-        for holder in msg.holders:
-            w.text(holder)
-    elif isinstance(msg, ChunkRequest):
-        w.text(msg.doc_id)
-        w.u32(msg.index)
-        w.u32(msg.offset)
-    elif isinstance(msg, ChunkReply):
-        w.u8(1 if msg.found else 0)
-        w.text(msg.doc_id)
-        w.u32(msg.index)
-        w.u32(msg.offset)
-        w.u32(msg.total)
-        w.blob(msg.data)
-    elif isinstance(msg, ManifestPush):
-        _w_manifest(w, msg.manifest)
-    elif isinstance(msg, ManifestAck):
-        w.text(msg.doc_id)
-        w.u8(1 if msg.accepted else 0)
-        w.u32(len(msg.missing))
-        for index in msg.missing:
-            w.u32(index)
-    elif isinstance(msg, ChunkPush):
-        w.text(msg.doc_id)
-        w.u32(msg.index)
-        w.blob(msg.data)
-    elif isinstance(msg, SketchExchange):
-        w.u32(len(msg.entries))
-        for entry in msg.entries:
-            _w_sketch_entry(w, entry)
-        _w_sketch_versions(w, msg.versions)
-    elif isinstance(msg, SketchReply):
-        w.u32(len(msg.entries))
-        for entry in msg.entries:
-            _w_sketch_entry(w, entry)
-        _w_sketch_versions(w, msg.versions)
-    elif isinstance(msg, TopTermsRequest):
-        w.u16(msg.k)
-    elif isinstance(msg, TopTermsReply):
-        w.u32(msg.origin_count)
-        w.u32(len(msg.entries))
-        for term, count in msg.entries:
-            w.text(term)
-            w.u64(count)
-    elif isinstance(msg, BrowseRequest):
-        w.text(msg.path)
-        w.u16(msg.k)
-    elif isinstance(msg, BrowseResponse):
-        w.u8(1 if msg.found else 0)
-        w.text(msg.path)
-        w.u64(msg.generation)
-        w.u32(len(msg.entries))
-        for doc_id, link, score in msg.entries:
-            w.text(doc_id)
-            w.text(link)
-            w.u64(score)
-    return bytes(w.buf)
+    return pack(row.body, msg, bytes((version, row.type_byte)))
 
 
 def decode(body: bytes) -> object:
     """Decode a frame body into its inventory message."""
-    r = _Reader(body)
-    version = r.u8()
-    if version != NET_CODEC_VERSION:
-        raise CodecError(f"unsupported wire version {version}")
-    mtype = r.u8()
-    if mtype == _T_RUMOR_PUSH:
-        msg: object = RumorPush(r.rids())
-    elif mtype == _T_RUMOR_REPLY:
-        msg = RumorReply(r.rids(), r.rids())
-    elif mtype == _T_RUMOR_DATA:
-        msg = RumorData(tuple(_r_rumor(r) for _ in range(r.count(_RUMOR_MIN_BYTES))))
-    elif mtype == _T_AE_REQUEST:
-        msg = AERequest(r.u64())
-    elif mtype == _T_AE_NOTHING:
-        msg = AENothing()
-    elif mtype == _T_AE_RECENT:
-        msg = AERecent(r.rids(), r.u32())
-    elif mtype == _T_AE_SUMMARY:
-        entries = tuple(_r_record(r) for _ in range(r.count(_RECORD_MIN_BYTES)))
-        msg = AESummary(entries, r.rids())
-    elif mtype == _T_PULL_REQUEST:
-        msg = PullRequest(r.rids())
-    elif mtype == _T_JOIN_REQUEST:
-        record = _r_record(r)
-        bloom = r.blob()
-        rid = r.rid()
-        created_at = r.f64()
-        msg = JoinRequest(record, bloom, rid, created_at)
-    elif mtype == _T_JOIN_SNAPSHOT:
-        snap = tuple(
-            SnapshotEntry(_r_record(r), r.blob())
-            for _ in range(r.count(_RECORD_MIN_BYTES + 4))
-        )
-        msg = JoinSnapshot(snap, r.rids())
-    elif mtype == _T_RANKED_QUERY:
-        terms = tuple(r.text() for _ in range(r.u16()))
-        ipf = tuple((r.text(), r.f64()) for _ in range(r.u16()))
-        msg = RankedQuery(terms, ipf, r.u16())
-    elif mtype == _T_RANKED_RESPONSE:
-        msg = RankedResponse(tuple((r.text(), r.f64()) for _ in range(r.count(10))))
-    elif mtype == _T_EXHAUSTIVE_QUERY:
-        msg = ExhaustiveQuery(tuple(r.text() for _ in range(r.u16())))
-    elif mtype == _T_EXHAUSTIVE_RESPONSE:
-        msg = ExhaustiveResponse(tuple(r.text() for _ in range(r.count(2))))
-    elif mtype == _T_SNIPPET_FETCH:
-        msg = SnippetFetch(r.text())
-    elif mtype == _T_SNIPPET_RESPONSE:
-        found = bool(r.u8())
-        doc_id = r.text()
-        try:
-            text = r.blob().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"invalid UTF-8 in document text: {exc}") from exc
-        msg = SnippetResponse(found, doc_id, text)
-    elif mtype == _T_STATS_REQUEST:
-        msg = StatsRequest()
-    elif mtype == _T_STATS_RESPONSE:
-        peer_id = r.u32()
-        uptime_s = r.f64()
-        samples = tuple((r.text(), r.f64()) for _ in range(r.count(10)))
-        msg = StatsResponse(peer_id, uptime_s, samples)
-    elif mtype == _T_SUBSCRIBE_REQUEST:
-        sub_id = r.u64()
-        terms = tuple(r.text() for _ in range(r.u16()))
-        notify_address = r.text()
-        created_at = r.f64()
-        msg = SubscribeRequest(sub_id, terms, notify_address, created_at)
-    elif mtype == _T_SUBSCRIBE_ACK:
-        msg = SubscribeAck(r.u64(), bool(r.u8()), r.text())
-    elif mtype == _T_NOTIFY:
-        sub_id = r.u64()
-        origin = r.u32()
-        doc_id = r.text()
-        try:
-            text = r.blob().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"invalid UTF-8 in document text: {exc}") from exc
-        msg = Notify(sub_id, origin, doc_id, text)
-    elif mtype == _T_UNSUBSCRIBE:
-        msg = Unsubscribe(r.u64())
-    elif mtype == _T_PUBLISH_REQUEST:
-        doc_id = r.text()
-        try:
-            text = r.blob().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"invalid UTF-8 in document text: {exc}") from exc
-        msg = PublishRequest(doc_id, text)
-    elif mtype == _T_PUBLISH_ACK:
-        msg = PublishAck(bool(r.u8()), r.text(), r.u32())
-    elif mtype == _T_ERROR:
-        msg = ErrorReply(r.text())
-    elif mtype == _T_SHARD_SUMMARY_REQUEST:
-        shards = tuple(r.u32() for _ in range(r.count(4)))
-        want_members = bool(r.u8())
-        known = tuple(
-            (r.u32(), r.u64()) for _ in range(r.count(_KNOWN_TOKEN_BYTES))
-        )
-        msg = ShardSummaryRequest(shards, want_members, known)
-    elif mtype == _T_SHARD_SUMMARY_REPLY:
-        summaries = tuple(
-            ShardSummaryEntry(r.u32(), r.u32(), r.u64(), r.blob(), bool(r.u8()))
-            for _ in range(r.count(_SUMMARY_ENTRY_MIN_BYTES))
-        )
-        members = tuple(
-            SnapshotEntry(_r_record(r), r.blob())
-            for _ in range(r.count(_RECORD_MIN_BYTES + 4))
-        )
-        msg = ShardSummaryReply(summaries, members)
-    elif mtype == _T_VIEW_EXCHANGE:
-        records = tuple(_r_record(r) for _ in range(r.count(_RECORD_MIN_BYTES)))
-        msg = ViewExchange(records, r.u16())
-    elif mtype == _T_SHARD_MATCH_QUERY:
-        shard = r.u32()
-        num_terms = r.u16()
-        if num_terms > SHARD_MATCH_MAX_TERMS:
-            raise CodecError(
-                f"shard-match term count {num_terms} exceeds "
-                f"{SHARD_MATCH_MAX_TERMS}"
-            )
-        msg = ShardMatchQuery(shard, tuple(r.text() for _ in range(num_terms)))
-    elif mtype == _T_SHARD_MATCH_RESPONSE:
-        shard = r.u32()
-        hits = tuple((r.u32(), r.u64()) for _ in range(r.count(12)))
-        msg = ShardMatchResponse(shard, hits)
-    elif mtype == _T_MANIFEST_REQUEST:
-        msg = ManifestRequest(r.text())
-    elif mtype == _T_MANIFEST_REPLY:
-        found = bool(r.u8())
-        manifest = _r_manifest(r) if found else None
-        holders = tuple(r.text() for _ in range(r.count(_HOLDER_MIN_BYTES)))
-        msg = ManifestReply(found, manifest, holders)
-    elif mtype == _T_CHUNK_REQUEST:
-        msg = ChunkRequest(r.text(), r.u32(), r.u32())
-    elif mtype == _T_CHUNK_REPLY:
-        found = bool(r.u8())
-        doc_id = r.text()
-        index = r.u32()
-        offset = r.u32()
-        total = r.u32()
-        msg = ChunkReply(found, doc_id, index, offset, total, r.blob())
-    elif mtype == _T_MANIFEST_PUSH:
-        msg = ManifestPush(_r_manifest(r))
-    elif mtype == _T_MANIFEST_ACK:
-        doc_id = r.text()
-        accepted = bool(r.u8())
-        missing = tuple(r.u32() for _ in range(r.count(_CRC_BYTES)))
-        msg = ManifestAck(doc_id, accepted, missing)
-    elif mtype == _T_CHUNK_PUSH:
-        msg = ChunkPush(r.text(), r.u32(), r.blob())
-    elif mtype == _T_SKETCH_EXCHANGE:
-        entries = tuple(
-            _r_sketch_entry(r) for _ in range(r.count(_SKETCH_ENTRY_MIN_BYTES))
-        )
-        msg = SketchExchange(entries, _r_sketch_versions(r))
-    elif mtype == _T_SKETCH_REPLY:
-        entries = tuple(
-            _r_sketch_entry(r) for _ in range(r.count(_SKETCH_ENTRY_MIN_BYTES))
-        )
-        msg = SketchReply(entries, _r_sketch_versions(r))
-    elif mtype == _T_TOP_TERMS_REQUEST:
-        msg = TopTermsRequest(r.u16())
-    elif mtype == _T_TOP_TERMS_REPLY:
-        origin_count = r.u32()
-        terms = tuple(
-            (r.text(), r.u64()) for _ in range(r.count(_TOP_TERM_MIN_BYTES))
-        )
-        msg = TopTermsReply(origin_count, terms)
-    elif mtype == _T_BROWSE_REQUEST:
-        msg = BrowseRequest(r.text(), r.u16())
-    elif mtype == _T_BROWSE_RESPONSE:
-        found = bool(r.u8())
-        path = r.text()
-        generation = r.u64()
-        listing = tuple(
-            (r.text(), r.text(), r.u64())
-            for _ in range(r.count(_BROWSE_ENTRY_MIN_BYTES))
-        )
-        msg = BrowseResponse(found, path, generation, listing)
-    else:
-        raise CodecError(f"unknown message type byte {mtype}")
-    r.done()
-    return msg
+    if not body:
+        raise CodecError("truncated frame")
+    if body[0] != NET_CODEC_VERSION:
+        raise CodecError(f"unsupported wire version {body[0]}")
+    if len(body) < 2:
+        raise CodecError("truncated frame")
+    row = ROW_AT.get(body[1])
+    if row is None:
+        raise CodecError(f"unknown message type byte {body[1]}")
+    return unpack(row.body, body, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -946,33 +93,19 @@ def decode(body: bytes) -> object:
 
 def encode_member_payload(record: PeerRecord, bloom: bytes) -> bytes:
     """JOIN/REJOIN payload: the member's record + compressed Bloom filter."""
-    w = _Writer()
-    _w_record(w, record)
-    w.blob(bloom)
-    return bytes(w.buf)
+    return pack(MEMBER_PAYLOAD, (record, bloom))
 
 
 def decode_member_payload(payload: bytes) -> tuple[PeerRecord, bytes]:
     """Inverse of :func:`encode_member_payload`."""
-    r = _Reader(payload)
-    record = _r_record(r)
-    bloom = r.blob()
-    r.done()
-    return record, bloom
+    return unpack(MEMBER_PAYLOAD, payload)
 
 
 def encode_update_payload(filter_version: int, diff: bytes) -> bytes:
     """BF_UPDATE payload: new filter version + Golomb-coded bit diff."""
-    w = _Writer()
-    w.u32(filter_version)
-    w.blob(diff)
-    return bytes(w.buf)
+    return pack(UPDATE_PAYLOAD, (filter_version, diff))
 
 
 def decode_update_payload(payload: bytes) -> tuple[int, bytes]:
     """Inverse of :func:`encode_update_payload`."""
-    r = _Reader(payload)
-    version = r.u32()
-    diff = r.blob()
-    r.done()
-    return version, diff
+    return unpack(UPDATE_PAYLOAD, payload)

@@ -36,12 +36,11 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import re
 import struct
 import time
 from collections import deque
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -64,10 +63,11 @@ from repro.gossip.messages import MessageSizer
 from repro.gossip.partialview import PartialView
 from repro.gossip.rumor import RumorKind
 from repro.gossip.wire import (
-    ANALYTICS_MESSAGES,
-    CONTENT_MESSAGES,
-    GOSSIP_MESSAGES,
-    PARTIALVIEW_MESSAGES,
+    ANALYTICS,
+    CONTENT,
+    GOSSIP,
+    PARTIALVIEW,
+    ROW_OF,
     AENothing,
     AERecent,
     AERequest,
@@ -235,51 +235,31 @@ class NetworkPeer:
         self._g_known = self.obs.gauge(
             "node", "known_rumors", "distinct rumor ids seen"
         )
-        self._c_real_bytes = self.obs.counter(
-            "node",
-            "gossip_real_bytes_total",
-            "encoded gossip bytes (requests sent + replies served)",
-        )
-        self._c_model_bytes = self.obs.counter(
-            "node",
-            "gossip_model_bytes_total",
-            "Table-2 model prediction for the same gossip messages",
-        )
+        #: (real, model) byte counters per accounted inventory family.
+        #: Gossip is the paper's Table-2 inventory; the others are outside
+        #: the flat gossip totals (which must stay exactly the paper's
+        #: model) but measured the same way and held to the same envelope.
+        #: Serve frames and the search RPCs are not accounted.
+        self._family_bytes: dict[str | None, tuple[Counter, Counter]] = {
+            family: (
+                self.obs.counter(
+                    "node",
+                    f"{family}_real_bytes_total",
+                    f"encoded {family} bytes (requests sent + replies served)",
+                ),
+                self.obs.counter(
+                    "node",
+                    f"{family}_model_bytes_total",
+                    f"sizer (Table-2 model) prediction for the same {family} messages",
+                ),
+            )
+            for family in (GOSSIP, PARTIALVIEW, CONTENT, ANALYTICS)
+        }
         #: sharded partial-view state (None = flat full-replication mode).
         self.pview: PartialView | None = (
             PartialView(peer_id, partial_view, self.bloom_config)
             if partial_view is not None
             else None
-        )
-        self._c_pv_real_bytes = self.obs.counter(
-            "node",
-            "partialview_real_bytes_total",
-            "encoded partial-view maintenance/fan-out bytes",
-        )
-        self._c_pv_model_bytes = self.obs.counter(
-            "node",
-            "partialview_model_bytes_total",
-            "sizer prediction for the same partial-view messages",
-        )
-        self._c_content_real_bytes = self.obs.counter(
-            "node",
-            "content_real_bytes_total",
-            "encoded content-plane transfer/replication bytes",
-        )
-        self._c_content_model_bytes = self.obs.counter(
-            "node",
-            "content_model_bytes_total",
-            "sizer prediction for the same content messages",
-        )
-        self._c_analytics_real_bytes = self.obs.counter(
-            "node",
-            "analytics_real_bytes_total",
-            "encoded analytics-plane sketch/browse bytes",
-        )
-        self._c_analytics_model_bytes = self.obs.counter(
-            "node",
-            "analytics_model_bytes_total",
-            "sizer prediction for the same analytics messages",
         )
         #: per-wire-type real/model/message counters (the "wire" component
         #: of the stats export), cached by message class — the accounting
@@ -351,6 +331,7 @@ class NetworkPeer:
         #: (repro.analytics); off by default — a node pays nothing for
         #: analytics unless explicitly configured.
         self.analytics = AnalyticsPlane(self, analytics_config)
+        self._dispatch_table = self._handlers()
 
     # ------------------------------------------------------------------
     # observability
@@ -369,27 +350,17 @@ class NetworkPeer:
         a live node — their ratio is the model-agreement envelope the
         validation suite pins to [0.5, 2.0].
         """
-        if isinstance(msg, GOSSIP_MESSAGES):
-            pair = (self._c_real_bytes, self._c_model_bytes)
-        elif isinstance(msg, PARTIALVIEW_MESSAGES):
-            # Outside the Table-2 gossip totals (the flat model must stay
-            # exactly the paper's inventory) but measured the same way.
-            pair = (self._c_pv_real_bytes, self._c_pv_model_bytes)
-        elif isinstance(msg, CONTENT_MESSAGES):
-            # Content transfer is likewise outside the gossip model but
-            # pinned to the same real-vs-model agreement envelope.
-            pair = (self._c_content_real_bytes, self._c_content_model_bytes)
-        elif isinstance(msg, ANALYTICS_MESSAGES):
-            pair = (self._c_analytics_real_bytes, self._c_analytics_model_bytes)
-        else:
+        row = ROW_OF.get(type(msg))
+        pair = self._family_bytes.get(row.family) if row is not None else None
+        if pair is None:
             return
         model = self._sizer.model_size(msg)
         pair[0].inc(len(body))
         pair[1].inc(model)
-        trio = self._wire_counters.get(type(msg))
+        trio = self._wire_counters.get(row.cls)
         if trio is None:
-            name = re.sub(r"(?<!^)(?=[A-Z])", "_", type(msg).__name__).lower()
-            trio = self._wire_counters[type(msg)] = (
+            name = row.counter
+            trio = self._wire_counters[row.cls] = (
                 self.obs.counter(
                     "wire", f"{name}_real_bytes_total", f"encoded {name} bytes"
                 ),
@@ -548,6 +519,19 @@ class NetworkPeer:
             self.address or f"{self._host}:{self._port}",
             True,
             self.peer.store.filter_version,
+        )
+
+    @staticmethod
+    def _record_of(pid: int, entry: PeerEntry) -> PeerRecord:
+        """A directory row as a wire record.
+
+        Placeholder entries (seen via a rumor id only) carry the
+        ``filter_version=-1`` sentinel, which does not fit the u32 wire
+        field; clamp to 0 — receivers merge with ``max()``, so this never
+        regresses a version they already know.
+        """
+        return PeerRecord(
+            pid, entry.address, entry.online, max(0, entry.filter_version)
         )
 
     async def start(self) -> str:
@@ -1209,11 +1193,7 @@ class NetworkPeer:
         if len(pids) > take:
             idx = self.rng.permutation(len(pids))[:take]
             pids = [pids[int(i)] for i in idx]
-        for pid in pids:
-            entry = self.peer.directory[pid]
-            records.append(
-                PeerRecord(pid, entry.address, entry.online, max(0, entry.filter_version))
-            )
+        records.extend(self._record_of(pid, self.peer.directory[pid]) for pid in pids)
         return tuple(records)
 
     def _on_shard_summaries(self, msg: ShardSummaryRequest) -> object:
@@ -1312,10 +1292,11 @@ class NetworkPeer:
                 continue
             if pview.shard_of(pid) not in shards:
                 continue
-            record = PeerRecord(
-                pid, entry.address, entry.online, max(0, entry.filter_version)
+            members.append(
+                SnapshotEntry(
+                    self._record_of(pid, entry), entry.bloom_filter.to_compressed()
+                )
             )
-            members.append(SnapshotEntry(record, entry.bloom_filter.to_compressed()))
         return tuple(members)
 
     def _on_view_exchange(self, msg: ViewExchange) -> ViewExchange:
@@ -1354,94 +1335,114 @@ class NetworkPeer:
             return codec.encode(ErrorReply(f"bad frame: {exc}"))
         try:
             reply = await self._dispatch(msg)
+            frame = codec.encode(reply)
         except Exception as exc:  # noqa: BLE001 - never kill the server loop
+            # Includes a reply that does not fit its wire fields
+            # (CodecError): the caller gets an answer, not a dead socket.
             reply = ErrorReply(f"{type(exc).__name__}: {exc}")
-        frame = codec.encode(reply)
+            frame = codec.encode(reply)
         self._account_gossip(reply, frame)
         return frame
 
-    async def _dispatch(self, msg: object) -> object:
-        if isinstance(msg, RumorPush):
-            return self._on_rumor_push(msg)
-        if isinstance(msg, RumorData):
-            for rumor in msg.rumors:
-                self._learn_rumor(rumor, make_hot=True)
-            return AENothing()
-        if isinstance(msg, AERequest):
-            if msg.digest == self.digest:
-                return AENothing()
-            return AERecent(tuple(self.recent_learned), len(self.known))
-        if isinstance(msg, PullRequest):
-            return self._on_pull(msg)
-        if isinstance(msg, JoinRequest):
-            return self._on_join(msg)
-        if isinstance(msg, RankedQuery):
-            docs = score_local_documents(
-                self.peer.store.index, list(msg.terms), dict(msg.ipf), msg.k
-            )
-            return RankedResponse(tuple((d.doc_id, d.score) for d in docs))
-        if isinstance(msg, ExhaustiveQuery):
-            return ExhaustiveResponse(
-                tuple(exhaustive_local_match(self.peer.store.index, list(msg.terms)))
-            )
-        if isinstance(msg, SnippetFetch):
-            try:
-                doc = self.peer.store.get(msg.doc_id)
-            except KeyError:
-                return SnippetResponse(False, msg.doc_id, "")
-            self.analytics.record_access(doc.doc_id)
-            return SnippetResponse(True, doc.doc_id, doc.text)
-        if isinstance(msg, StatsRequest):
-            return self.stats_response()
-        if isinstance(msg, PublishRequest):
-            # The fleet control plane: a remotely injected document takes
-            # the exact local-publish path (WAL when durable, index,
-            # filter flush + BF_UPDATE rumor) and is acked only after it.
-            if msg.doc_id in self.peer.store:
-                return PublishAck(False, msg.doc_id, self.peer.store.filter_version)
-            self.publish(Document(msg.doc_id, msg.text))
-            self._count(
-                "remote_publishes_total", 1, "documents injected via PublishRequest"
-            )
-            return PublishAck(True, msg.doc_id, self.peer.store.filter_version)
-        if isinstance(msg, SubscribeRequest):
-            return await self.subscriptions.handle_subscribe(msg)
-        if isinstance(msg, Unsubscribe):
-            return self.subscriptions.handle_unsubscribe(msg)
-        if isinstance(msg, ShardSummaryRequest):
-            return self._on_shard_summaries(msg)
-        if isinstance(msg, ViewExchange):
-            return self._on_view_exchange(msg)
-        if isinstance(msg, ShardMatchQuery):
-            return self._on_shard_match(msg)
-        if isinstance(msg, ManifestRequest):
-            reply = self.content.on_manifest_request(msg)
-            if getattr(reply, "found", False):
-                # A manifest fetch is the start of a content retrieval —
-                # count it as one community read of the document.
-                self.analytics.record_access(msg.doc_id)
-            return reply
-        if isinstance(msg, ChunkRequest):
-            return self.content.on_chunk_request(msg)
-        if isinstance(msg, ManifestPush):
-            return self.content.on_manifest_push(msg)
-        if isinstance(msg, ChunkPush):
-            return self.content.on_chunk_push(msg)
-        if isinstance(msg, SketchExchange):
-            if not self.analytics.enabled:
-                return ErrorReply("analytics plane is off")
-            return self.analytics.on_exchange(msg)
-        if isinstance(msg, TopTermsRequest):
-            if not self.analytics.enabled:
-                return ErrorReply("analytics plane is off")
-            return self.analytics.on_top_terms(msg)
-        if isinstance(msg, BrowseRequest):
-            if not self.analytics.enabled:
-                return ErrorReply("analytics plane is off")
-            from repro.analytics.browse import local_listing
+    def _handlers(self) -> dict[type, Callable[[Any], Any]]:
+        """Message class -> handler, built once per node.  A handler
+        returns the reply, or a coroutine that resolves to it."""
 
-            return local_listing(self, msg)
-        return ErrorReply(f"unexpected message {type(msg).__name__}")
+        def analytics_only(handler: Callable[[Any], Any]) -> Callable[[Any], Any]:
+            def gated(msg: Any) -> Any:
+                if not self.analytics.enabled:
+                    return ErrorReply("analytics plane is off")
+                return handler(msg)
+
+            return gated
+
+        return {
+            RumorPush: self._on_rumor_push,
+            RumorData: self._on_rumor_data,
+            AERequest: self._on_ae_request,
+            PullRequest: self._on_pull,
+            JoinRequest: self._on_join,
+            RankedQuery: self._on_ranked_query,
+            ExhaustiveQuery: self._on_exhaustive_query,
+            SnippetFetch: self._on_snippet_fetch,
+            StatsRequest: lambda msg: self.stats_response(),
+            PublishRequest: self._on_publish,
+            SubscribeRequest: self.subscriptions.handle_subscribe,
+            Unsubscribe: self.subscriptions.handle_unsubscribe,
+            ShardSummaryRequest: self._on_shard_summaries,
+            ViewExchange: self._on_view_exchange,
+            ShardMatchQuery: self._on_shard_match,
+            ManifestRequest: self._on_manifest_request,
+            ChunkRequest: self.content.on_chunk_request,
+            ManifestPush: self.content.on_manifest_push,
+            ChunkPush: self.content.on_chunk_push,
+            SketchExchange: analytics_only(self.analytics.on_exchange),
+            TopTermsRequest: analytics_only(self.analytics.on_top_terms),
+            BrowseRequest: analytics_only(self._on_browse),
+        }
+
+    async def _dispatch(self, msg: object) -> object:
+        handler = self._dispatch_table.get(type(msg))
+        if handler is None:
+            return ErrorReply(f"unexpected message {type(msg).__name__}")
+        reply = handler(msg)
+        if asyncio.iscoroutine(reply):
+            reply = await reply
+        return reply
+
+    def _on_rumor_data(self, msg: RumorData) -> AENothing:
+        for rumor in msg.rumors:
+            self._learn_rumor(rumor, make_hot=True)
+        return AENothing()
+
+    def _on_ae_request(self, msg: AERequest) -> object:
+        if msg.digest == self.digest:
+            return AENothing()
+        return AERecent(tuple(self.recent_learned), len(self.known))
+
+    def _on_ranked_query(self, msg: RankedQuery) -> RankedResponse:
+        docs = score_local_documents(
+            self.peer.store.index, list(msg.terms), dict(msg.ipf), msg.k
+        )
+        return RankedResponse(tuple((d.doc_id, d.score) for d in docs))
+
+    def _on_exhaustive_query(self, msg: ExhaustiveQuery) -> ExhaustiveResponse:
+        return ExhaustiveResponse(
+            tuple(exhaustive_local_match(self.peer.store.index, list(msg.terms)))
+        )
+
+    def _on_snippet_fetch(self, msg: SnippetFetch) -> SnippetResponse:
+        try:
+            doc = self.peer.store.get(msg.doc_id)
+        except KeyError:
+            return SnippetResponse(False, msg.doc_id, "")
+        self.analytics.record_access(doc.doc_id)
+        return SnippetResponse(True, doc.doc_id, doc.text)
+
+    def _on_publish(self, msg: PublishRequest) -> PublishAck:
+        # The fleet control plane: a remotely injected document takes
+        # the exact local-publish path (WAL when durable, index,
+        # filter flush + BF_UPDATE rumor) and is acked only after it.
+        if msg.doc_id in self.peer.store:
+            return PublishAck(False, msg.doc_id, self.peer.store.filter_version)
+        self.publish(Document(msg.doc_id, msg.text))
+        self._count(
+            "remote_publishes_total", 1, "documents injected via PublishRequest"
+        )
+        return PublishAck(True, msg.doc_id, self.peer.store.filter_version)
+
+    def _on_manifest_request(self, msg: ManifestRequest) -> object:
+        reply = self.content.on_manifest_request(msg)
+        if getattr(reply, "found", False):
+            # A manifest fetch is the start of a content retrieval —
+            # count it as one community read of the document.
+            self.analytics.record_access(msg.doc_id)
+        return reply
+
+    def _on_browse(self, msg: BrowseRequest) -> object:
+        from repro.analytics.browse import local_listing
+
+        return local_listing(self, msg)
 
     def _on_rumor_push(self, msg: RumorPush) -> RumorReply:
         needed = tuple(rid for rid in msg.rids if rid not in self.known)
@@ -1455,12 +1456,8 @@ class NetworkPeer:
 
     def _on_pull(self, msg: PullRequest) -> object:
         if not msg.rids:  # empty pull = full directory summary request
-            # Placeholder entries (seen via a rumor id only) carry the
-            # filter_version=-1 sentinel, which does not fit the u32 wire
-            # field; clamp to 0 — receivers merge with max(), so this
-            # never regresses a version they already know.
             records = tuple(
-                PeerRecord(pid, e.address, e.online, max(0, e.filter_version))
+                self._record_of(pid, e)
                 for pid, e in sorted(self.peer.directory.items())
             )
             return AESummary(records, tuple(sorted(self.known)))
@@ -1484,9 +1481,7 @@ class NetworkPeer:
                 record = self._own_record()
                 bloom = self.peer.store.bloom_filter.to_compressed()
             else:
-                record = PeerRecord(
-                    pid, entry.address, entry.online, max(0, entry.filter_version)
-                )
+                record = self._record_of(pid, entry)
                 bloom = (
                     entry.bloom_filter.to_compressed()
                     if entry.bloom_filter is not None

@@ -7,11 +7,7 @@ import pytest
 from repro.constants import NET_CODEC_VERSION
 from repro.gossip.rumor import RumorKind
 from repro.gossip.wire import (
-    ANALYTICS_MESSAGES,
-    CONTENT_MESSAGES,
-    GOSSIP_MESSAGES,
-    PARTIALVIEW_MESSAGES,
-    SERVE_MESSAGES,
+    ROWS,
     AENothing,
     AERecent,
     AERequest,
@@ -184,29 +180,22 @@ def test_roundtrip(msg):
     assert decode(body) == msg
 
 
-def test_every_gossip_type_is_covered():
-    tested = {type(m) for m in MESSAGES}
-    assert set(GOSSIP_MESSAGES) <= tested
+def test_every_row_is_covered():
+    assert {type(m) for m in MESSAGES} == {row.cls for row in ROWS}
 
 
-def test_every_serve_type_is_covered():
-    tested = {type(m) for m in MESSAGES}
-    assert set(SERVE_MESSAGES) <= tested
+def _family_is_covered(family):
+    def test():
+        tested = {type(m) for m in MESSAGES}
+        assert {row.cls for row in ROWS if row.family == family} <= tested
+
+    return test
 
 
-def test_every_partialview_type_is_covered():
-    tested = {type(m) for m in MESSAGES}
-    assert set(PARTIALVIEW_MESSAGES) <= tested
-
-
-def test_every_content_type_is_covered():
-    tested = {type(m) for m in MESSAGES}
-    assert set(CONTENT_MESSAGES) <= tested
-
-
-def test_every_analytics_type_is_covered():
-    tested = {type(m) for m in MESSAGES}
-    assert set(ANALYTICS_MESSAGES) <= tested
+# One test per family the table names (test_every_gossip_type_is_covered,
+# ...), so a failure says which inventory lost its canonical instance.
+for _family in sorted({row.family for row in ROWS} - {None}):
+    globals()[f"test_every_{_family}_type_is_covered"] = _family_is_covered(_family)
 
 
 def test_found_manifest_reply_requires_a_manifest():

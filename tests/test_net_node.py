@@ -9,9 +9,18 @@ import asyncio
 import pytest
 
 from repro.constants import GossipConfig
-from repro.gossip.wire import AENothing, RumorPush, RumorReply
+from repro.gossip.wire import (
+    ROW_OF,
+    AENothing,
+    AERecent,
+    BrowseRequest,
+    RumorPush,
+    RumorReply,
+    SketchExchange,
+    TopTermsRequest,
+)
 from repro.net import codec
-from repro.net.codec import ErrorReply
+from repro.net.codec import ErrorReply, StatsRequest
 from repro.net.node import NetworkPeer
 from repro.net.transport import LoopbackNetwork
 from repro.text.document import Document
@@ -174,6 +183,38 @@ def test_server_replies_error_on_garbage_and_unexpected_messages():
         body = await client.request(address, codec.encode(RumorReply((), ())))
         assert isinstance(codec.decode(body), ErrorReply)
         await a.stop()
+
+    asyncio.run(scenario())
+
+
+def test_unencodable_reply_is_answered_with_an_error_not_a_dead_socket():
+    # A handler whose reply does not fit its wire fields (here a negative
+    # u32) used to raise out of _serve after dispatch; the caller must
+    # get an ErrorReply instead.
+    async def scenario():
+        net = LoopbackNetwork()
+        a = _node(net, 0)
+        address = await a.start()
+        a._dispatch_table[StatsRequest] = lambda msg: AERecent((), -1)
+        body = await net.transport().request(address, codec.encode(StatsRequest()))
+        reply = codec.decode(body)
+        assert isinstance(reply, ErrorReply)
+        assert "CodecError" in reply.message and "does not fit" in reply.message
+        await a.stop()
+
+    asyncio.run(scenario())
+
+
+def test_dispatch_table_covers_requests_and_gates_analytics():
+    async def scenario():
+        a = _node(LoopbackNetwork(), 0)
+        assert set(a._dispatch_table) <= set(ROW_OF)
+        # Replies are never dispatched: they answer "unexpected message".
+        reply = await a._dispatch(RumorReply((), ()))
+        assert reply == ErrorReply("unexpected message RumorReply")
+        assert not a.analytics.enabled
+        for request in (SketchExchange((), ()), TopTermsRequest(5), BrowseRequest("/", 5)):
+            assert await a._dispatch(request) == ErrorReply("analytics plane is off")
 
     asyncio.run(scenario())
 

@@ -13,33 +13,9 @@ import pytest
 from repro.bloom.compress import compress_filter, decompress_filter
 from repro.bloom.filter import BloomFilter
 from repro.bloom.golomb import GolombDecoder, GolombEncoder
-from repro.gossip.rumor import RumorKind
-from repro.gossip.wire import (
-    AENothing,
-    AERecent,
-    AERequest,
-    AESummary,
-    JoinRequest,
-    JoinSnapshot,
-    PeerRecord,
-    PullRequest,
-    RumorData,
-    RumorPush,
-    RumorReply,
-    SnapshotEntry,
-    WireRumor,
-)
-from repro.net.codec import (
-    ErrorReply,
-    ExhaustiveQuery,
-    ExhaustiveResponse,
-    RankedQuery,
-    RankedResponse,
-    SnippetFetch,
-    SnippetResponse,
-    decode,
-    encode,
-)
+from repro.gossip.schema import Spec
+from repro.gossip.wire import ROWS
+from repro.net.codec import RankedQuery, decode, encode
 
 pytestmark = pytest.mark.chaos
 
@@ -112,85 +88,50 @@ def test_bloom_compress_roundtrip_extremes():
 # ---------------------------------------------------------------------------
 
 
-def _rid(rng: random.Random) -> int:
-    return (rng.randrange(0, 1 << 16) << 32) | rng.randrange(0, 1 << 32)
-
-
-def _rids(rng: random.Random) -> tuple:
-    return tuple(_rid(rng) for _ in range(rng.randrange(0, 20)))
+_ALPHABET = string.printable + "éèüßλ中文"
+_INT_BITS = {"u8": 8, "u16": 16, "u32": 32, "u64": 64, "rid": 48}
 
 
 def _text(rng: random.Random) -> str:
-    alphabet = string.printable + "éèüßλ中文"
-    return "".join(rng.choices(alphabet, k=rng.randrange(0, 40)))
+    return "".join(rng.choices(_ALPHABET, k=rng.randrange(0, 40)))
 
 
-def _record(rng: random.Random) -> PeerRecord:
-    return PeerRecord(
-        rng.randrange(0, 1 << 16),
-        _text(rng),
-        rng.random() < 0.5,
-        rng.randrange(0, 1 << 32),
-    )
-
-
-def _rumor(rng: random.Random) -> WireRumor:
-    return WireRumor(
-        _rid(rng),
-        rng.choice(list(RumorKind)),
-        rng.randrange(0, 1 << 16),
-        round(rng.uniform(0.0, 1e9), 6),
-        rng.randbytes(rng.randrange(0, 64)),
-    )
-
-
-def _score(rng: random.Random) -> float:
-    # Exactly representable in f32, since RankedResponse carries f32 scores.
-    return float(rng.randrange(0, 1 << 16)) / 256.0
+def random_value(spec: Spec, rng: random.Random):
+    """A random value of ``spec``'s type, built by walking its structure —
+    so every row of the wire table is generated without a per-type builder."""
+    kind, parts = spec.kind, spec.parts
+    if kind in _INT_BITS:
+        return rng.randrange(0, 1 << _INT_BITS[kind])
+    if kind == "f64":  # arbitrary doubles ride the wire exactly
+        return rng.choice([0.0, round(rng.uniform(0.0, 1e9), 6), rng.uniform(-50.0, 50.0)])
+    if kind == "bool":
+        return rng.random() < 0.5
+    if kind in ("text", "doctext"):
+        return _text(rng)
+    if kind == "blob":
+        return rng.randbytes(rng.randrange(0, 64))
+    if kind == "enum":
+        return rng.choice(parts[0])
+    if kind == "seq":
+        item = parts[0]  # 0-8 items: under every max_items cap in the table
+        return tuple(random_value(item, rng) for _ in range(rng.randrange(0, 9)))
+    if kind == "tup":
+        return tuple(random_value(item, rng) for item in parts)
+    assert kind == "record", kind
+    cls, layout = parts
+    values = {}
+    for name, field in layout:
+        if field.kind == "when":  # present iff the earlier flag field is set
+            flag, field = field.parts
+            if not values[flag]:
+                values[name] = None
+                continue
+        values[name] = random_value(field, rng)
+    return cls(**values)
 
 
 def _random_message(rng: random.Random):
-    builders = [
-        lambda: RumorPush(_rids(rng)),
-        lambda: RumorReply(_rids(rng), _rids(rng)),
-        lambda: RumorData(tuple(_rumor(rng) for _ in range(rng.randrange(0, 8)))),
-        lambda: AERequest(rng.randrange(0, 1 << 64)),
-        lambda: AENothing(),
-        lambda: AERecent(_rids(rng), rng.randrange(0, 1 << 32)),
-        lambda: AESummary(
-            tuple(_record(rng) for _ in range(rng.randrange(0, 8))), _rids(rng)
-        ),
-        lambda: PullRequest(_rids(rng)),
-        lambda: JoinRequest(
-            _record(rng),
-            rng.randbytes(rng.randrange(0, 64)),
-            _rid(rng),
-            round(rng.uniform(0.0, 1e9), 6),
-        ),
-        lambda: JoinSnapshot(
-            tuple(
-                SnapshotEntry(_record(rng), rng.randbytes(rng.randrange(0, 32)))
-                for _ in range(rng.randrange(0, 6))
-            ),
-            _rids(rng),
-        ),
-        lambda: RankedQuery(
-            tuple(_text(rng) for _ in range(rng.randrange(0, 6))),
-            tuple((_text(rng), _score(rng)) for _ in range(rng.randrange(0, 6))),
-            rng.randrange(0, 1 << 16),
-        ),
-        lambda: RankedResponse(
-            tuple((_text(rng), _score(rng)) for _ in range(rng.randrange(0, 10)))
-        ),
-        lambda: ExhaustiveQuery(tuple(_text(rng) for _ in range(rng.randrange(0, 8)))),
-        lambda: ExhaustiveResponse(
-            tuple(_text(rng) for _ in range(rng.randrange(0, 10)))
-        ),
-        lambda: SnippetFetch(_text(rng)),
-        lambda: SnippetResponse(rng.random() < 0.5, _text(rng), _text(rng)),
-        lambda: ErrorReply(_text(rng)),
-    ]
-    return rng.choice(builders)()
+    return random_value(rng.choice(ROWS).body, rng)
 
 
 def test_codec_roundtrip_random_messages():
@@ -199,6 +140,27 @@ def test_codec_roundtrip_random_messages():
         msg = _random_message(rng)
         back = decode(encode(msg))
         assert back == msg, f"seed={SEED} case={case} type={type(msg).__name__}"
+
+
+@pytest.mark.parametrize("row", ROWS, ids=lambda row: row.cls.__name__)
+def test_every_row_roundtrips_and_is_priced_at_its_width(row):
+    # The width walk (the model size of the non-Table-2 types) and the
+    # minimum size (the u32-count guard) come from the same layout as the
+    # encoding: apart from member records, which the model prices flat,
+    # width is exactly the encoded length; no body is under min_bytes.
+    rng = random.Random(f"{SEED}-{row.cls.__name__}")
+    for case in range(CASES // 4):
+        msg = random_value(row.body, rng)
+        frame = encode(msg)
+        context = f"seed={SEED} case={case}"
+        assert decode(frame) == msg, context
+        body_bytes = len(frame) - 2  # minus version and type bytes
+        assert body_bytes >= row.body.min_bytes, context
+        width = row.body.width(msg, 0)
+        if row.body.width(msg, 1) == width:  # no member record inside
+            assert width == body_bytes, context
+        else:
+            assert width < body_bytes, context
 
 
 def test_ranked_query_ipf_precision_survives_f64():
