@@ -20,12 +20,13 @@ drives protocol behaviour:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "DirectoryView",
+    "RumorKnowledge",
     "digest_of_rids",
     "mix_rumor_id",
     "mix_rumor_ids",
@@ -97,8 +98,8 @@ def compose_generations(generations: Iterable[int]) -> int:
 def mix_rumor_id(rid: int) -> int:
     """SplitMix-style scramble so XOR digests don't cancel structurally.
 
-    Shared by the simulation's :class:`DirectoryView` and the real
-    network node so their incremental directory digests are comparable.
+    One function behind every :class:`RumorKnowledge`, so a simulated
+    and a real directory digest are comparable.
     """
     x = (rid + 1) * _MIX & _MASK
     x ^= x >> 31
@@ -137,46 +138,32 @@ def digest_of_rids(rids: Sequence[int]) -> int:
     return int(np.bitwise_xor.reduce(mix_rumor_ids(rid_list)))
 
 
-_mix = mix_rumor_id
+class RumorKnowledge:
+    """The rumor ids a peer has learned, plus their O(1) XOR digest.
 
+    The information state :class:`~repro.gossip.core.GossipCore` reasons
+    over.  A socket node's core holds a bare one; the simulator's
+    :class:`DirectoryView` *is* one, with membership beside it.
+    """
 
-class DirectoryView:
-    """One peer's directory replica (simulation form)."""
+    __slots__ = ("known", "digest")
 
-    __slots__ = (
-        "owner",
-        "known",
-        "digest",
-        "believes_online",
-        "member_count",
-        "offline_since",
-    )
-
-    def __init__(self, owner: int, num_peer_slots: int) -> None:
-        if num_peer_slots <= 0:
-            raise ValueError("num_peer_slots must be positive")
-        self.owner = owner
+    def __init__(self) -> None:
         self.known: set[int] = set()
         self.digest: int = 0
-        #: believes_online[p] — p is a known member believed reachable.
-        self.believes_online = np.zeros(num_peer_slots, dtype=bool)
-        self.member_count = 0
-        self.offline_since: dict[int, float] = {}
-
-    # -- rumor knowledge --------------------------------------------------------
 
     def learn(self, rid: int) -> bool:
         """Record rumor ``rid`` as known; returns False if already known."""
         if rid in self.known:
             return False
         self.known.add(rid)
-        self.digest ^= _mix(rid)
+        self.digest ^= mix_rumor_id(rid)
         return True
 
-    def learn_many(self, rids: Sequence[int]) -> list[int]:
+    def learn_many(self, rids: Iterable[int]) -> list[int]:
         """Batch :meth:`learn`; returns the newly-learned ids in order.
 
-        Anti-entropy pushes deliver whole missing sets at once, so the
+        Snapshots and checkpoints deliver whole id sets at once, so the
         digest is updated with one vectorized scramble + XOR-reduce
         instead of one :func:`mix_rumor_id` call per rumor.
         """
@@ -195,9 +182,26 @@ class DirectoryView:
         """Rumor ids in ``other_known`` that this peer lacks."""
         return other_known - self.known
 
-    def same_directory(self, other: "DirectoryView") -> bool:
+    def same_directory(self, other: RumorKnowledge) -> bool:
         """O(1) probabilistic equality via digests."""
         return self.digest == other.digest
+
+
+class DirectoryView(RumorKnowledge):
+    """One peer's directory replica (simulation form): what it knows
+    (:class:`RumorKnowledge`) plus who it believes is a reachable member."""
+
+    __slots__ = ("owner", "believes_online", "member_count", "offline_since")
+
+    def __init__(self, owner: int, num_peer_slots: int) -> None:
+        if num_peer_slots <= 0:
+            raise ValueError("num_peer_slots must be positive")
+        super().__init__()
+        self.owner = owner
+        #: believes_online[p] — p is a known member believed reachable.
+        self.believes_online = np.zeros(num_peer_slots, dtype=bool)
+        self.member_count = 0
+        self.offline_since: dict[int, float] = {}
 
     # -- membership -----------------------------------------------------------------
 
@@ -232,10 +236,14 @@ class DirectoryView:
             self.member_count -= 1
         return dead
 
-    def copy_membership_from(self, other: "DirectoryView") -> None:
+    def copy_membership_from(self, other: DirectoryView) -> None:
         """Bootstrap: adopt another peer's full directory snapshot."""
-        self.known = set(other.known)
-        self.digest = other.digest
+        self.learn_many(other.known)
+        self.adopt_members(other)
+
+    def adopt_members(self, other: DirectoryView) -> None:
+        """The membership half of a snapshot (a gossiping peer adopts the
+        knowledge half through its core, which also wants the window)."""
         self.believes_online[:] = other.believes_online
         self.member_count = other.member_count
         self.offline_since = dict(other.offline_since)

@@ -25,11 +25,6 @@ class IntervalPolicy:
         self.interval = config.base_interval_s
         self._no_news_count = 0
 
-    @property
-    def no_news_count(self) -> int:
-        """Consecutive same-directory contacts since the last slow-down."""
-        return self._no_news_count
-
     def record_no_news_contact(self) -> bool:
         """One contact found an identical directory (and we had no rumor).
 

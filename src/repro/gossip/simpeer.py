@@ -1,29 +1,17 @@
-"""The simulated gossiping peer: PlanetP's full Section 3 protocol.
+"""The simulated gossiping peer: the Section 3 protocol over byte counts.
 
-Each peer runs an independent gossip timer.  A round is either:
-
-* a **rumor round** (push): announce the ids of all actively-spread rumors
-  to a random target; the target replies with which it needs (plus the
-  partial-anti-entropy piggyback of recently retired rumor ids); the
-  sender ships the needed payloads.  Per-rumor counters stop a rumor's
-  spread after ``rumor_give_up_count`` consecutive targets already knew it
-  (Demers et al.'s counter variant).
-
-* an **anti-entropy round** (pull): every ``anti_entropy_period``-th round,
-  or whenever there is nothing to rumor.  The initiator sends its
-  directory digest; on mismatch the target first returns the ids of its
-  recently learned rumors (cheap — "message sizes are mostly proportional
-  to the number of changes being propagated"), and only if the initiator
-  is still inconsistent after pulling those does it request the full
-  directory summary, whose size is proportional to community size (the
-  cost the paper calls out for AE-only gossiping).
+:class:`GossipPeer` is the simulator's *driver* of
+:class:`~repro.gossip.core.GossipCore`, which holds the protocol's rules
+(rumor mongering with a give-up counter, two-level anti-entropy, the
+partial-AE piggyback, the adaptive interval).  The core decides what is
+pushed, needed, pulled and retired; this class turns each decision into
+a ``world.send`` of the modelled size on the peer's own gossip timer,
+picks targets, tracks liveness and T_Dead, and applies a learned rumor's
+effect on membership.
 
 The AE-only baseline (``config.anti_entropy_only``, the paper's LAN-AE
 curve) replaces every round with a *push* anti-entropy: the initiator
 ships its full summary unconditionally and the target pulls what it lacks.
-
-Information learned through any pull (partial or full anti-entropy) is
-*not* re-spread as a rumor; information learned through a rumor push is.
 
 Implementation notes
 --------------------
@@ -34,20 +22,22 @@ Implementation notes
 * Summaries/known-sets are read at delivery time rather than deep-copied
   at send time; state grows monotonically during an exchange so this only
   errs toward including a few extra ids, and it keeps N=5000 runs cheap.
+* ``_handle_*`` methods run only at online peers: the simulated network
+  drops a delivery whose target went offline while it was in flight.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.constants import GossipConfig, WireSizes
+from repro.constants import GossipConfig
+from repro.gossip.core import AE_PUSH, RUMOR, GossipCore
 from repro.gossip.directory import DirectoryView
 from repro.gossip.intervals import IntervalPolicy
 from repro.gossip.messages import MessageSizer
-from repro.gossip.rumor import Rumor, RumorKind, RumorRegistry
+from repro.gossip.rumor import Rumor, RumorKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.gossip.simulation import GossipSimulation
@@ -65,11 +55,7 @@ class GossipPeer:
         "sizer",
         "rng",
         "directory",
-        "hot",
-        "recent",
-        "recent_learned",
-        "intervals",
-        "round_counter",
+        "core",
         "online",
         "keys_shared",
         "_timer",
@@ -88,20 +74,28 @@ class GossipPeer:
         self.config: GossipConfig = world.config
         self.sizer: MessageSizer = world.sizer
         self.rng = rng
+        #: membership beliefs; its rumor-knowledge half is the core's state.
         self.directory = DirectoryView(pid, world.num_slots)
-        #: actively-spread rumors: rid -> consecutive already-knew count.
-        self.hot: dict[int, int] = {}
-        #: recently retired rumor ids for the partial-AE piggyback.
-        self.recent: deque[int] = deque(maxlen=self.config.partial_ae_recent)
-        #: recently learned rumor ids, offered as anti-entropy's first
-        #: (cheap) reconciliation level.
-        self.recent_learned: deque[int] = deque(maxlen=self.config.ae_recent_window)
-        self.intervals = IntervalPolicy(self.config)
-        self.round_counter = 0
+        self.core = GossipCore(self.config, self.directory)
         self.online = False
         self.keys_shared = keys_shared
         self._timer = None
         self._timer_time = float("inf")
+
+    @property
+    def hot(self) -> dict[int, int]:
+        """Actively-spread rumors: rid -> consecutive already-knew count."""
+        return self.core.hot
+
+    @property
+    def intervals(self) -> IntervalPolicy:
+        """The adaptive gossip interval."""
+        return self.core.intervals
+
+    @property
+    def round_counter(self) -> int:
+        """Rounds started so far."""
+        return self.core.round_counter
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -129,6 +123,14 @@ class GossipPeer:
         self._cancel_timer()
         self.world.notify_offline(self.pid)
 
+    def _mint(self, kind: RumorKind, payload_bytes: int) -> Rumor:
+        """Create a rumor of our own and start spreading it."""
+        rumor = self.world.registry.create(
+            kind, self.pid, payload_bytes, self.world.sim.now
+        )
+        self.core.learn(rumor.rid, make_hot=True)
+        return rumor
+
     def rejoin(self, new_keys: int = 0) -> Rumor:
         """Come back online, announcing a rejoin rumor.
 
@@ -139,20 +141,14 @@ class GossipPeer:
         payload = self.config.peer_summary_bytes
         if new_keys > 0:
             payload += self.world.wire.bloom_filter_bytes(new_keys)
-        rumor = self.world.registry.create(
-            RumorKind.REJOIN, self.pid, payload, self.world.sim.now
-        )
         self.online = True
         self.world.network.set_online(self.pid, True)
-        self.directory.learn(rumor.rid)
-        self.recent_learned.append(rumor.rid)
+        rumor = self._mint(RumorKind.REJOIN, payload)
         self.directory.mark_online(self.pid)
-        self.hot[rumor.rid] = 0
-        self.intervals.reset()
-        # Force the first round after a rejoin to be an anti-entropy round:
-        # the returning peer catches up on everything it missed while away
-        # before resuming normal rumoring.
-        self.round_counter = -1
+        # The returning peer catches up on everything it missed while away
+        # before resuming normal rumoring (the socket node's
+        # ``announce_rejoin`` does not force this — DESIGN, divergence iii).
+        self.core.force_anti_entropy()
         self._schedule_timer(float(self.rng.uniform(0.0, 2.0)))
         self.world.notify_online(self.pid)
         return rumor
@@ -170,14 +166,9 @@ class GossipPeer:
             if payload_bytes is not None
             else self.world.wire.bloom_filter_bytes(payload_keys)
         )
-        rumor = self.world.registry.create(
-            RumorKind.BF_UPDATE, self.pid, payload, self.world.sim.now
-        )
-        self.directory.learn(rumor.rid)
-        self.recent_learned.append(rumor.rid)
-        self.hot[rumor.rid] = 0
-        if self.intervals.reset():
-            self._reschedule_sooner()
+        interval = self.intervals.interval
+        rumor = self._mint(RumorKind.BF_UPDATE, payload)
+        self._sooner_if_reset(interval)
         return rumor
 
     # ------------------------------------------------------------------
@@ -193,16 +184,17 @@ class GossipPeer:
         Returns the minted join rumor.
         """
         bf_bytes = self.world.wire.bloom_filter_bytes(self.keys_shared)
-        payload = self.config.peer_summary_bytes + bf_bytes
-        rumor = self.world.registry.create(
-            RumorKind.JOIN, self.pid, payload, self.world.sim.now
-        )
         self.online = True
         self.world.network.set_online(self.pid, True)
-        self.directory.learn(rumor.rid)
-        self.recent_learned.append(rumor.rid)
+        rumor = self._mint(RumorKind.JOIN, self.config.peer_summary_bytes + bf_bytes)
         self.directory.add_member(self.pid)
-        self.hot[rumor.rid] = 0
+        self._send_join_request(bootstrap, rumor, on_complete)
+        return rumor
+
+    def _send_join_request(
+        self, bootstrap: int, rumor: Rumor, on_complete: Callable[[], None] | None
+    ) -> None:
+        bf_bytes = self.world.wire.bloom_filter_bytes(self.keys_shared)
         self.world.send(
             self.pid,
             bootstrap,
@@ -212,7 +204,6 @@ class GossipPeer:
             ),
             on_failed=lambda: self._join_bootstrap_failed(rumor, on_complete),
         )
-        return rumor
 
     def _join_bootstrap_failed(
         self, rumor: Rumor, on_complete: Callable[[], None] | None
@@ -226,30 +217,13 @@ class GossipPeer:
         if not candidates:
             return
         bootstrap = int(candidates[int(self.rng.integers(0, len(candidates)))])
-        bf_bytes = self.world.wire.bloom_filter_bytes(self.keys_shared)
-        self.world.send(
-            self.pid,
-            bootstrap,
-            self.sizer.join_request(bf_bytes),
-            lambda: self.world.peers[bootstrap]._handle_join_request(
-                self.pid, rumor.rid, on_complete
-            ),
-            on_failed=lambda: self._join_bootstrap_failed(rumor, on_complete),
-        )
+        self._send_join_request(bootstrap, rumor, on_complete)
 
     def _handle_join_request(
         self, joiner: int, join_rid: int, on_complete: Callable[[], None] | None
     ) -> None:
         """Bootstrap side: learn the join rumor, ship the directory snapshot."""
-        if not self.online:
-            return
-        if self.directory.learn(join_rid):
-            self._apply_rumor_effects(join_rid)
-            self.recent_learned.append(join_rid)
-            self.hot[join_rid] = 0
-            self.world.notify_learned(join_rid, self.pid)
-            if self.intervals.reset():
-                self._reschedule_sooner()
+        self._learn([join_rid], make_hot=True)
         per_member_bf = self.world.wire.bloom_filter_bytes(
             self.world.established_keys_per_peer
         )
@@ -259,24 +233,20 @@ class GossipPeer:
             joiner,
             size,
             lambda: self.world.peers[joiner]._handle_join_snapshot(
-                self.pid, join_rid, on_complete
+                self.pid, on_complete
             ),
         )
 
     def _handle_join_snapshot(
-        self, bootstrap: int, own_rid: int, on_complete: Callable[[], None] | None
+        self, bootstrap: int, on_complete: Callable[[], None] | None
     ) -> None:
         """Joiner side: adopt the snapshot and start gossiping."""
-        if not self.online:
-            return
-        donor_peer = self.world.peers[bootstrap]
-        self.directory.copy_membership_from(donor_peer.directory)
-        self.recent_learned.extend(donor_peer.recent_learned)
-        # The copy replaced our knowledge wholesale; restore our own rumor
-        # and self-membership (the donor may not have them yet).
-        if self.directory.learn(own_rid):
-            self.recent_learned.append(own_rid)
-        self.directory.add_member(self.pid)
+        donor = self.world.peers[bootstrap]
+        # The simulated snapshot carries the donor's recently-learned
+        # window; a wire ``JoinSnapshot`` does not (DESIGN, divergence ii).
+        self.core.adopt(donor.directory.known, recent=donor.core.recent_learned)
+        self.directory.adopt_members(donor.directory)
+        self.directory.add_member(self.pid)  # the donor may not list us yet
         self.world.notify_snapshot(self.pid, self.directory.known)
         self._schedule_timer(float(self.rng.uniform(0.0, 2.0)))
         if on_complete is not None:
@@ -306,17 +276,23 @@ class GossipPeer:
         if self._timer_time > target:
             self._schedule_timer(self.intervals.interval)
 
+    def _sooner_if_reset(self, interval_before: float) -> None:
+        """The core reset the interval during the last call: a simulated
+        timer can be pulled forward (the socket node's loop sleeps out the
+        old interval instead — DESIGN, divergence i)."""
+        if self.intervals.interval < interval_before:
+            self._reschedule_sooner()
+
     def _on_timer(self) -> None:
         self._timer = None
         self._timer_time = float("inf")
         if not self.online:
             return
-        self.round_counter += 1
+        mode, hot_ids = self.core.begin_round()
         self.directory.expire_dead(self.world.sim.now, self.config.t_dead_s)
-        hot_ids = list(self.hot)
-        if self.config.anti_entropy_only:
+        if mode == AE_PUSH:
             self._round_ae_push()
-        elif hot_ids and self.round_counter % self.config.anti_entropy_period != 0:
+        elif mode == RUMOR:
             self._round_rumor(hot_ids)
         else:
             self._round_ae_pull(had_hot=bool(hot_ids))
@@ -342,15 +318,9 @@ class GossipPeer:
         )
 
     def _handle_rumor_push(self, src: int, pushed_ids: list[int]) -> None:
-        if not self.online:
-            return
-        needed = [rid for rid in pushed_ids if not self.directory.knows(rid)]
-        piggy: list[int] = []
-        if self.config.use_partial_ae:
-            piggy = [rid for rid in self.recent if rid not in pushed_ids]
-        # Receiving a rumor message re-accelerates gossip (Section 3).
-        if self.intervals.reset():
-            self._reschedule_sooner()
+        interval = self.intervals.interval
+        needed, piggy = self.core.on_rumor_push(pushed_ids)
+        self._sooner_if_reset(interval)
         self.world.send(
             self.pid,
             src,
@@ -363,58 +333,32 @@ class GossipPeer:
     def _handle_rumor_reply(
         self, replier: int, pushed_ids: list[int], needed: list[int], piggy: list[int]
     ) -> None:
-        if not self.online:
-            return
-        needed_set = set(needed)
-        for rid in pushed_ids:
-            count = self.hot.get(rid)
-            if count is None:
-                continue  # retired while the exchange was in flight
-            if rid in needed_set:
-                self.hot[rid] = 0
-            else:
-                self.hot[rid] = count + 1
-                if self.hot[rid] >= self.config.rumor_give_up_count:
-                    self._retire(rid)
-        if needed:
-            payload = self.world.registry.payload_total(needed)
+        ship, pull = self.core.on_rumor_reply(pushed_ids, needed, piggy)
+        if ship:
+            payload = self.world.registry.payload_total(ship)
             self.world.send(
                 self.pid,
                 replier,
                 self.sizer.rumor_data(payload),
-                lambda: self.world.peers[replier]._handle_rumor_data(
-                    needed, make_hot=True
-                ),
+                lambda: self.world.peers[replier]._learn(ship, make_hot=True),
             )
-        if piggy:
-            missing = [rid for rid in piggy if not self.directory.knows(rid)]
-            if missing:
-                self._pull_from(replier, missing)
+        if pull:
+            self._pull_from(replier, pull)
 
-    def _retire(self, rid: int) -> None:
-        del self.hot[rid]
-        self.recent.append(rid)
-
-    def _handle_rumor_data(self, rids: list[int], make_hot: bool) -> None:
-        if not self.online:
-            return
-        fresh = self.directory.learn_many(rids)
-        for rid in fresh:
-            self._apply_rumor_effects(rid)
-            self.recent_learned.append(rid)
-            if make_hot:
-                self.hot[rid] = 0
+    def _learn(self, rids: list[int], make_hot: bool) -> None:
+        """Learn delivered rumors and apply their membership effects."""
+        interval = self.intervals.interval
+        for rid in rids:
+            if not self.core.learn(rid, make_hot):
+                continue
+            rumor = self.world.registry.get(rid)
+            if rumor.kind is RumorKind.JOIN:
+                self.directory.add_member(rumor.origin)
+            elif rumor.kind is RumorKind.REJOIN:
+                self.directory.mark_online(rumor.origin)
+            # BF_UPDATE changes a filter, not membership.
             self.world.notify_learned(rid, self.pid)
-        if fresh and self.intervals.reset():
-            self._reschedule_sooner()
-
-    def _apply_rumor_effects(self, rid: int) -> None:
-        rumor = self.world.registry.get(rid)
-        if rumor.kind is RumorKind.JOIN:
-            self.directory.add_member(rumor.origin)
-        elif rumor.kind is RumorKind.REJOIN:
-            self.directory.mark_online(rumor.origin)
-        # BF_UPDATE changes a filter, not membership.
+        self._sooner_if_reset(interval)
 
     # -- anti-entropy rounds --------------------------------------------------
 
@@ -434,21 +378,16 @@ class GossipPeer:
         )
 
     def _handle_ae_request(self, src: int, src_digest: int, src_had_hot: bool) -> None:
-        if not self.online:
-            return
-        if src_digest == self.directory.digest:
+        offer = self.core.on_ae_request(src_digest)
+        if offer is None:
             self.world.send(
                 self.pid,
                 src,
                 self.sizer.ae_nothing(),
-                lambda: self.world.peers[src]._handle_ae_nothing(src_had_hot),
+                lambda: self.world.peers[src].core.on_ae_nothing(src_had_hot),
             )
         else:
-            # First reconciliation level: offer recently learned ids only,
-            # plus our knowledge count so the requester can tell whether we
-            # might hold anything it lacks beyond the window.
-            recent = list(self.recent_learned)
-            count = len(self.directory.known)
+            recent, count = offer
             self.world.send(
                 self.pid,
                 src,
@@ -458,48 +397,35 @@ class GossipPeer:
                 ),
             )
 
-    def _handle_ae_nothing(self, had_hot: bool) -> None:
-        if not self.online:
-            return
-        if not had_hot:
-            self.intervals.record_no_news_contact()
-
     def _handle_ae_recent(
         self, summarizer: int, recent_ids: list[int], their_count: int
     ) -> None:
-        if not self.online:
-            return
-        missing = [rid for rid in recent_ids if not self.directory.knows(rid)]
-        if their_count <= len(self.directory.known) + len(missing):
-            # Pulling the missing recent ids (if any) fully explains the
-            # knowledge gap; no need for the expensive summary.
-            if missing:
-                self._pull_from(summarizer, missing)
-            return
-        # The target knows more than the recent window accounts for: we
-        # have diverged beyond it (long offline stretch, fresh join) —
-        # fall back to the full directory summary, whose pull covers the
-        # missing recents too.
-        self.world.send(
-            self.pid,
-            summarizer,
-            self.sizer.pull_request(0),
-            lambda: self.world.peers[summarizer]._handle_summary_request(self.pid),
-        )
+        need_summary, missing = self.core.on_ae_recent(recent_ids, their_count)
+        if need_summary:
+            self.world.send(
+                self.pid,
+                summarizer,
+                self.sizer.pull_request(0),
+                lambda: self.world.peers[summarizer]._send_summary(self.pid),
+            )
+        elif missing:
+            self._pull_from(summarizer, missing)
 
-    def _handle_summary_request(self, src: int) -> None:
-        if not self.online:
-            return
+    def _send_summary(
+        self, dst: int, on_failed: Callable[[], None] | None = None
+    ) -> None:
+        """Ship the full directory summary, sized by the community."""
         self.world.send(
             self.pid,
-            src,
+            dst,
             self.sizer.ae_summary(self.directory.member_count),
-            lambda: self.world.peers[src]._handle_ae_summary(self.pid),
+            lambda: self.world.peers[dst]._handle_ae_summary(self.pid),
+            on_failed,
         )
 
     def _handle_ae_summary(self, summarizer: int) -> None:
-        if not self.online:
-            return
+        """A full summary arrived (pulled, or pushed by the AE-only
+        baseline): pull whatever it lists that we lack."""
         missing = self.directory.missing_from(
             self.world.peers[summarizer].directory.known
         )
@@ -511,22 +437,8 @@ class GossipPeer:
     def _round_ae_push(self) -> None:
         """AE-only baseline: ship the full summary unconditionally."""
         target = self.world.selector.ae_target(self.directory, self.rng)
-        if target is None:
-            return
-        self.world.send(
-            self.pid,
-            target,
-            self.sizer.ae_summary(self.directory.member_count),
-            lambda: self.world.peers[target]._handle_ae_push(self.pid),
-            on_failed=lambda: self._contact_failed(target),
-        )
-
-    def _handle_ae_push(self, src: int) -> None:
-        if not self.online:
-            return
-        missing = self.directory.missing_from(self.world.peers[src].directory.known)
-        if missing:
-            self._pull_from(src, sorted(missing))
+        if target is not None:
+            self._send_summary(target, lambda: self._contact_failed(target))
 
     def _pull_from(self, holder: int, rids: list[int]) -> None:
         """Request specific rumor payloads (partial/full AE pull)."""
@@ -538,8 +450,6 @@ class GossipPeer:
         )
 
     def _handle_pull_request(self, requester: int, rids: list[int]) -> None:
-        if not self.online:
-            return
         have = [rid for rid in rids if self.directory.knows(rid)]
         if not have:
             return
@@ -548,9 +458,7 @@ class GossipPeer:
             self.pid,
             requester,
             self.sizer.rumor_data(payload),
-            lambda: self.world.peers[requester]._handle_rumor_data(
-                have, make_hot=False
-            ),
+            lambda: self.world.peers[requester]._learn(have, make_hot=False),
         )
 
     # -- failures ---------------------------------------------------------------

@@ -3,13 +3,12 @@
 Wraps the library peer (:class:`~repro.core.peer.PlanetPPeer` — data
 store, inverted index, Bloom filter, replicated directory) behind an
 asyncio server loop and runs the Section 3 gossip protocol over a real
-:class:`~repro.net.transport.Transport`.  Where the simulator's
-:class:`~repro.gossip.simpeer.GossipPeer` moves byte *counts*, this node
-moves the actual bytes: join rumors carry member records plus compressed
-Bloom filters, update rumors carry Golomb-coded filter diffs, and the
-anti-entropy digests are the same incremental XOR the simulator uses
-(:func:`~repro.gossip.directory.mix_rumor_id`), so a simulated and a real
-directory are directly comparable.
+:class:`~repro.net.transport.Transport`.  The protocol's decisions live
+in :class:`~repro.gossip.core.GossipCore`, the same object the
+simulator's :class:`~repro.gossip.simpeer.GossipPeer` drives; where that
+driver moves byte *counts*, this one moves the actual bytes: join rumors
+carry member records plus compressed Bloom filters, update rumors carry
+Golomb-coded filter diffs.
 
 Replica maintenance is monotone: filters only grow, diffs are sets of
 newly-set bits, and snapshots/records are merged by union — so rumors can
@@ -57,8 +56,7 @@ from repro.constants import (
 )
 from repro.core.peer import PeerEntry, PlanetPPeer
 from repro.core.search import exhaustive_local_match, score_local_documents
-from repro.gossip.directory import digest_of_rids, mix_rumor_id
-from repro.gossip.intervals import IntervalPolicy
+from repro.gossip.core import RUMOR, GossipCore
 from repro.gossip.messages import MessageSizer
 from repro.gossip.partialview import PartialView
 from repro.gossip.rumor import RumorKind
@@ -166,6 +164,11 @@ class NetworkPeer:
         if not 0 <= peer_id < 1 << 16:
             raise ValueError("peer_id must fit in 16 bits for rumor-id minting")
         self.config = gossip_config or GossipConfig()
+        if self.config.anti_entropy_only:
+            raise ValueError(
+                "anti_entropy_only is a simulator baseline (LAN-AE): the wire "
+                "has no anti-entropy push request"
+            )
         self.net_config = net_config or NetConfig()
         self.bloom_config = bloom_config or BloomConfig()
         self.analyzer = analyzer or Analyzer()
@@ -178,19 +181,10 @@ class NetworkPeer:
         )
         self.clock = clock
         self.rng = np.random.default_rng(peer_id if seed is None else seed)
-        #: rumor knowledge (the net-side DirectoryView): ids + XOR digest.
-        self.known: set[int] = set()
-        self.digest = 0
+        #: rumor knowledge and every Section 3 decision over it.
+        self.core = GossipCore(self.config)
         #: stored rumors by id — payloads kept so pulls can be served.
         self.rumors: dict[int, WireRumor] = {}
-        #: actively-spread rumors: rid -> consecutive already-knew count.
-        self.hot: dict[int, int] = {}
-        #: recently retired rumor ids for the partial-AE piggyback.
-        self.recent: deque[int] = deque(maxlen=self.config.partial_ae_recent)
-        #: recently learned ids, anti-entropy's cheap first level.
-        self.recent_learned: deque[int] = deque(maxlen=self.config.ae_recent_window)
-        self.intervals = IntervalPolicy(self.config)
-        self.round_counter = 0
         #: wall-clock time each believed-offline member was marked so.
         self.offline_since: dict[int, float] = {}
         #: consecutive failed contacts per member, feeding the backoff.
@@ -401,21 +395,18 @@ class NetworkPeer:
         for e in ckpt.entries:
             if e.peer_id == self.peer_id:
                 continue
-            bf: BloomFilter | None = None
-            if e.bloom:
-                try:
-                    bf = BloomFilter.from_compressed(
-                        e.bloom, num_hashes=self.bloom_config.num_hashes
-                    )
-                except ValueError:
-                    bf = None  # damaged replica: re-learned over gossip
+            bf = self._decode_filter(e.bloom)
             self.peer.directory[e.peer_id] = PeerEntry(
                 e.peer_id, e.address, e.online, bf, e.filter_version
             )
             if not e.online:
                 self.offline_since[e.peer_id] = now
             self.restored_members += 1
-        self.known.update(ckpt.known_rids)
+        # Adopting (one vectorized digest fold) leaves the digest
+        # bit-identical to the incrementally maintained one, so the first
+        # AE digest comparison with an unchanged community answers
+        # "nothing new" instead of triggering a full summary transfer.
+        self.core.adopt(ckpt.known_rids, recent=())
         # Resume minting rumor ids strictly after every id of the previous
         # life.  The gap covers rumors minted between the last checkpoint
         # write and the crash (unrecorded, but known to other members) —
@@ -428,11 +419,6 @@ class NetworkPeer:
         ]
         resume_at = max([ckpt.next_rid_seq, *(s + 1 for s in own_seqs)])
         self._rid_seq = max(self._rid_seq, resume_at + RID_RESTART_GAP)
-        # Recompute the anti-entropy digest from the restored id set; it
-        # is bit-identical to the incrementally maintained one, so the
-        # first AE digest comparison with an unchanged community answers
-        # "nothing new" instead of triggering a full summary transfer.
-        self.digest = digest_of_rids(list(self.known))
         staleness = max(0.0, time.time() - ckpt.written_at)
         self.obs.gauge(
             "store",
@@ -507,11 +493,42 @@ class NetworkPeer:
         """This node's community-wide peer id."""
         return self.peer.peer_id
 
+    @property
+    def known(self) -> set[int]:
+        """Every rumor id learned so far."""
+        return self.core.known
+
+    @property
+    def digest(self) -> int:
+        """XOR digest of :attr:`known`; equal digests = equal directories."""
+        return self.core.digest
+
+    @property
+    def hot(self) -> dict[int, int]:
+        """Actively-spread rumors: rid -> consecutive already-knew count."""
+        return self.core.hot
+
+    @property
+    def recent(self) -> deque[int]:
+        """Recently retired rumor ids (the partial-AE piggyback window)."""
+        return self.core.recent
+
+    @property
+    def round_counter(self) -> int:
+        """Gossip rounds started so far."""
+        return self.core.round_counter
+
     def _mint_rid(self) -> int:
         """Globally-unique 48-bit rumor id: 16-bit peer id + 32-bit seq."""
         seq = self._rid_seq
         self._rid_seq += 1
         return (self.peer_id << 32) | (seq & 0xFFFFFFFF)
+
+    def _mint(self, kind: RumorKind, payload: bytes) -> WireRumor:
+        """Create a rumor of our own and start spreading it."""
+        rumor = WireRumor(self._mint_rid(), kind, self.peer_id, self.clock(), payload)
+        self._learn_rumor(rumor, make_hot=True)
+        return rumor
 
     def _own_record(self) -> PeerRecord:
         return PeerRecord(
@@ -571,11 +588,12 @@ class NetworkPeer:
 
     async def _gossip_loop(self) -> None:
         # De-synchronize peers: first round fires inside one interval.
-        await asyncio.sleep(float(self.rng.uniform(0.0, self.intervals.interval)))
+        intervals = self.core.intervals
+        await asyncio.sleep(float(self.rng.uniform(0.0, intervals.interval)))
         while self.running:
             with contextlib.suppress(TransportError, CodecError):
                 await self.gossip_round()
-            await asyncio.sleep(self.intervals.interval)
+            await asyncio.sleep(intervals.interval)
 
     async def stop(self) -> None:
         """Graceful leave: stop gossiping and close the server.
@@ -614,14 +632,10 @@ class NetworkPeer:
         """
         record = self._own_record()
         bloom = self.peer.store.bloom_filter.to_compressed()
-        rid = self._mint_rid()
-        now = self.clock()
-        rumor = WireRumor(
-            rid, RumorKind.JOIN, self.peer_id, now,
-            codec.encode_member_payload(record, bloom),
+        rumor = self._mint(
+            RumorKind.JOIN, codec.encode_member_payload(record, bloom)
         )
-        self._learn_rumor(rumor, make_hot=True)
-        request = JoinRequest(record, bloom, rid, now)
+        request = JoinRequest(record, bloom, rumor.rid, rumor.created_at)
         frame = codec.encode(request)
         self._account_gossip(request, frame)
         body = await self.transport.request(bootstrap_address, frame)
@@ -639,23 +653,14 @@ class NetworkPeer:
         for entry in snapshot.entries:
             if entry.record.peer_id == self.peer_id:
                 continue
-            bf = (
-                BloomFilter.from_compressed(
-                    entry.bloom, num_hashes=self.bloom_config.num_hashes
-                )
-                if entry.bloom
-                else None
-            )
+            bf = self._decode_filter(entry.bloom)
             self._install_member(entry.record, bf, online=entry.record.online)
         # Adopt the known-id set so digests converge.  Payloads for these
         # historical rumors are not carried (current state came with the
         # entries); we simply cannot serve pulls for them — peers that
-        # stored them can.
-        for rid in snapshot.rids:
-            if rid not in self.known:
-                self.known.add(rid)
-                self.digest ^= mix_rumor_id(rid)
-                self.recent_learned.append(rid)
+        # stored them can.  The snapshot carries no recently-learned
+        # window either, so every adopted id enters ours, in wire order.
+        self.core.adopt(snapshot.rids)
 
     # ------------------------------------------------------------------
     # publishing
@@ -689,13 +694,9 @@ class NetworkPeer:
         payload = codec.encode_update_payload(
             self.peer.store.filter_version, diff.to_bytes()
         )
-        rumor = WireRumor(
-            self._mint_rid(), RumorKind.BF_UPDATE, self.peer_id, self.clock(), payload
-        )
         self._last_gossiped = current.copy()
         self._last_flushed = (current, current.version)
-        self._learn_rumor(rumor, make_hot=True)
-        return rumor
+        return self._mint(RumorKind.BF_UPDATE, payload)
 
     def announce_rejoin(self) -> WireRumor:
         """Mint a REJOIN rumor carrying our record and full filter
@@ -704,53 +705,69 @@ class NetworkPeer:
         payload = codec.encode_member_payload(
             self._own_record(), current.to_compressed()
         )
-        rumor = WireRumor(
-            self._mint_rid(), RumorKind.REJOIN, self.peer_id, self.clock(), payload
-        )
-        self._learn_rumor(rumor, make_hot=True)
         # The rumor carries the whole filter, so future BF_UPDATE diffs
         # only need to cover growth from here.
         self._last_gossiped = current.copy()
         self._last_flushed = (current, current.version)
-        return rumor
+        return self._mint(RumorKind.REJOIN, payload)
 
     # ------------------------------------------------------------------
     # rumor knowledge
     # ------------------------------------------------------------------
 
+    def _decode_filter(self, blob: bytes) -> BloomFilter | None:
+        """A peer-supplied compressed filter; None when absent or damaged
+        (the member is installed filterless and its replica is re-learned
+        over gossip)."""
+        if not blob:
+            return None
+        try:
+            return BloomFilter.from_compressed(
+                blob, num_hashes=self.bloom_config.num_hashes
+            )
+        except ValueError:
+            return None
+
     def _learn_rumor(self, rumor: WireRumor, make_hot: bool) -> bool:
-        if rumor.rid in self.known:
+        if rumor.rid in self.core.known:
             return False
-        self.known.add(rumor.rid)
-        self.digest ^= mix_rumor_id(rumor.rid)
+        mine = rumor.origin == self.peer_id
+        try:
+            # Our own rumors' effects are already local state: not decoded.
+            parsed = None if mine else self._decode_rumor(rumor)
+        except (ValueError, EOFError, struct.error):
+            # The frame decoded but the payload does not: drop it before
+            # the core records the id, so it is never stored or forwarded.
+            self._count(
+                "rumors_rejected_total", 1, "rumors dropped for a damaged payload"
+            )
+            return False
+        self.core.learn(rumor.rid, make_hot)
         self.rumors[rumor.rid] = rumor
-        self.recent_learned.append(rumor.rid)
-        self._apply_rumor(rumor)
-        if make_hot:
-            self.hot[rumor.rid] = 0
-        self.intervals.reset()
-        if rumor.origin == self.peer_id:
+        if mine:
             self._count("rumors_minted_total", 1, "rumors this node originated")
         else:
+            self._apply_rumor(rumor, parsed)
             self._count("rumors_learned_total", 1, "rumors learned from peers")
         return True
 
-    def _apply_rumor(self, rumor: WireRumor) -> None:
-        if rumor.origin == self.peer_id:
-            return
-        if rumor.kind in (RumorKind.JOIN, RumorKind.REJOIN):
-            record, bloom = codec.decode_member_payload(rumor.payload)
-            bf = (
-                BloomFilter.from_compressed(
-                    bloom, num_hashes=self.bloom_config.num_hashes
-                )
-                if bloom
-                else None
-            )
-            self._install_member(record, bf)
-        elif rumor.kind is RumorKind.BF_UPDATE:
+    def _decode_rumor(self, rumor: WireRumor) -> tuple:
+        """Parse a peer's rumor payload (raising on damage): ``(record,
+        filter)`` for JOIN/REJOIN, ``(version, diff)`` for BF_UPDATE."""
+        if rumor.kind is RumorKind.BF_UPDATE:
             version, blob = codec.decode_update_payload(rumor.payload)
             diff = BloomDiff.from_bytes(blob)
+            if diff.num_bits != self.bloom_config.num_bits:
+                raise ValueError("diff width does not match filter width")
+            return version, diff
+        record, bloom = codec.decode_member_payload(rumor.payload)
+        return record, self._decode_filter(bloom)
+
+    def _apply_rumor(self, rumor: WireRumor, parsed: tuple) -> None:
+        if rumor.kind is not RumorKind.BF_UPDATE:
+            self._install_member(*parsed)
+        else:
+            version, diff = parsed
             entry = self._ensure_entry(rumor.origin)
             if self.pview is not None and not self.pview.keeps_filter(rumor.origin):
                 # Dropped foreign filter: the diff still reaches the
@@ -826,12 +843,9 @@ class NetworkPeer:
 
     async def gossip_round(self) -> None:
         """Run one gossip round: rumor push, or periodic anti-entropy."""
-        self.round_counter += 1
+        mode, hot_ids = self.core.begin_round()
         self._expire_dead()
-        hot_ids = list(self.hot)
-        rumor_mode = bool(hot_ids) and (
-            self.round_counter % self.config.anti_entropy_period != 0
-        )
+        rumor_mode = mode == RUMOR
         self._count("gossip_rounds_total", 1, "gossip rounds initiated")
         self._g_hot.set(len(self.hot))
         self._g_directory.set(len(self.peer.directory))
@@ -893,30 +907,18 @@ class NetworkPeer:
         reply = await self._request_peer(target, RumorPush(tuple(hot_ids)))
         if not isinstance(reply, RumorReply):
             return
-        needed_set = set(reply.needed)
-        for rid in hot_ids:
-            count = self.hot.get(rid)
-            if count is None:
-                continue
-            if rid in needed_set:
-                self.hot[rid] = 0
-            else:
-                self.hot[rid] = count + 1
-                if self.hot[rid] >= self.config.rumor_give_up_count:
-                    del self.hot[rid]
-                    self.recent.append(rid)
-        if reply.needed:
-            have = tuple(
-                self.rumors[rid] for rid in reply.needed if rid in self.rumors
-            )
-            if have:
-                await self._request_peer(target, RumorData(have))
-        missing_piggy = [rid for rid in reply.piggyback if rid not in self.known]
-        if missing_piggy:
+        ship, pull = self.core.on_rumor_reply(
+            hot_ids, reply.needed, reply.piggyback
+        )
+        # Ids adopted from a snapshot have no stored payload to ship.
+        have = tuple(self.rumors[rid] for rid in ship if rid in self.rumors)
+        if have:
+            await self._request_peer(target, RumorData(have))
+        if pull:
             self._count(
                 "partial_ae_pulls_total", 1, "pulls triggered by AE piggybacks"
             )
-            await self._pull_from(target, missing_piggy)
+            await self._pull_from(target, pull)
 
     async def _ae_round(self, had_hot: bool) -> None:
         target = self._pick_target(include_offline=True)
@@ -925,27 +927,24 @@ class NetworkPeer:
         self.obs.emit("ae_triggered", peer=self.peer_id, target=target)
         reply = await self._request_peer(target, AERequest(self.digest))
         if isinstance(reply, AENothing):
-            if not had_hot:
-                self.intervals.record_no_news_contact()
+            self.core.on_ae_nothing(had_hot)
         elif isinstance(reply, AERecent):
-            missing = [rid for rid in reply.rids if rid not in self.known]
-            if reply.known_count <= len(self.known) + len(missing):
-                # The cheap level fully explains the gap.
-                if missing:
-                    await self._pull_from(target, missing)
-                return
-            # Diverged beyond the recent window: fetch the full summary.
-            self._count(
-                "ae_full_summaries_total", 1, "AE escalations to a full summary"
+            need_summary, missing = self.core.on_ae_recent(
+                reply.rids, reply.known_count
             )
-            summary = await self._request_peer(target, PullRequest(()))
-            if isinstance(summary, AESummary):
+            if need_summary:
+                self._count(
+                    "ae_full_summaries_total", 1, "AE escalations to a full summary"
+                )
+                summary = await self._request_peer(target, PullRequest(()))
+                if not isinstance(summary, AESummary):
+                    return
                 for record in summary.entries:
                     if record.peer_id != self.peer_id:
                         self._install_member(record, None, online=record.online)
-                missing = [rid for rid in summary.rids if rid not in self.known]
-                if missing:
-                    await self._pull_from(target, missing)
+                missing = self.core.missing(summary.rids)
+            if missing:
+                await self._pull_from(target, missing)
 
     async def _pull_from(self, target: int, rids: list[int]) -> None:
         reply = await self._request_peer(target, PullRequest(tuple(rids)))
@@ -1163,11 +1162,8 @@ class NetworkPeer:
                     diff, entry.member_count, entry.version
                 )
                 continue
-            try:
-                bf = BloomFilter.from_compressed(
-                    entry.bloom, num_hashes=self.bloom_config.num_hashes
-                )
-            except ValueError:
+            bf = self._decode_filter(entry.bloom)
+            if bf is None:
                 continue  # damaged summary: re-learned at the next refresh
             self.pview.summary_for(entry.shard).install(
                 bf, entry.member_count, entry.version
@@ -1175,14 +1171,7 @@ class NetworkPeer:
         for member in reply.members:
             if member.record.peer_id == self.peer_id:
                 continue
-            bf = None
-            if member.bloom:
-                try:
-                    bf = BloomFilter.from_compressed(
-                        member.bloom, num_hashes=self.bloom_config.num_hashes
-                    )
-                except ValueError:
-                    bf = None
+            bf = self._decode_filter(member.bloom)
             self._install_member(member.record, bf, online=member.record.online)
 
     def _sample_records(self, limit: int) -> tuple[PeerRecord, ...]:
@@ -1396,9 +1385,11 @@ class NetworkPeer:
         return AENothing()
 
     def _on_ae_request(self, msg: AERequest) -> object:
-        if msg.digest == self.digest:
+        offer = self.core.on_ae_request(msg.digest)
+        if offer is None:
             return AENothing()
-        return AERecent(tuple(self.recent_learned), len(self.known))
+        recent, count = offer
+        return AERecent(tuple(recent), count)
 
     def _on_ranked_query(self, msg: RankedQuery) -> RankedResponse:
         docs = score_local_documents(
@@ -1445,14 +1436,8 @@ class NetworkPeer:
         return local_listing(self, msg)
 
     def _on_rumor_push(self, msg: RumorPush) -> RumorReply:
-        needed = tuple(rid for rid in msg.rids if rid not in self.known)
-        piggy: tuple[int, ...] = ()
-        if self.config.use_partial_ae:
-            pushed = set(msg.rids)
-            piggy = tuple(rid for rid in self.recent if rid not in pushed)
-        # Receiving a rumor message re-accelerates gossip (Section 3).
-        self.intervals.reset()
-        return RumorReply(needed, piggy)
+        needed, piggyback = self.core.on_rumor_push(msg.rids)
+        return RumorReply(tuple(needed), tuple(piggyback))
 
     def _on_pull(self, msg: PullRequest) -> object:
         if not msg.rids:  # empty pull = full directory summary request

@@ -5,24 +5,31 @@ so each scenario is reproducible without real sockets.
 """
 
 import asyncio
+import struct
 
 import pytest
 
 from repro.constants import GossipConfig
+from repro.gossip.rumor import RumorKind
 from repro.gossip.wire import (
     ROW_OF,
     AENothing,
     AERecent,
     BrowseRequest,
+    JoinSnapshot,
+    PeerRecord,
     RumorPush,
     RumorReply,
     SketchExchange,
+    SnapshotEntry,
     TopTermsRequest,
+    WireRumor,
 )
 from repro.net import codec
 from repro.net.codec import ErrorReply, StatsRequest
 from repro.net.node import NetworkPeer
 from repro.net.transport import LoopbackNetwork
+from repro.obs import Registry
 from repro.text.document import Document
 
 
@@ -314,3 +321,66 @@ def test_stop_cancels_inflight_gossip_cleanly():
     asyncio.run(scenario())
     gc.collect()  # would emit "Task was destroyed" through the handler
     assert problems == []
+
+
+def test_anti_entropy_only_is_a_simulator_baseline():
+    with pytest.raises(ValueError, match="simulator baseline"):
+        NetworkPeer(0, gossip_config=GossipConfig(anti_entropy_only=True))
+
+
+def _undecodable_update(origin: int, rid: int) -> WireRumor:
+    """A BF_UPDATE whose frame decodes but whose diff does not: Golomb
+    parameter 0."""
+    diff = struct.pack(">III", 3, 0, 1 << 16) + b"\x00"
+    return WireRumor(
+        rid, RumorKind.BF_UPDATE, origin, 0.0, codec.encode_update_payload(1, diff)
+    )
+
+
+def test_undecodable_rumor_is_dropped_not_stored_and_gossip_goes_on():
+    async def scenario():
+        net = LoopbackNetwork()
+        registry = Registry()
+        a, b = _node(net, 0), _node(net, 1, registry=registry)
+        await a.start()
+        await b.start()
+        await b.join(a.address)
+        # A never decodes a rumor it claims to have minted itself, so this
+        # is how a poisoned rumor sits in a community: stored and served.
+        bad = _undecodable_update(a.peer_id, (a.peer_id << 32) | 999)
+        assert a._learn_rumor(bad, make_hot=False)
+        for _ in range(6):
+            await b.gossip_round()  # anti-entropy with A pulls the bad rumor
+        assert bad.rid not in b.known and bad.rid not in b.rumors
+        assert registry.value("node", "rumors_rejected_total") >= 1
+        # Pushed rather than pulled, it is rejected just the same.
+        assert not b._learn_rumor(bad, make_hot=True)
+        assert bad.rid not in b.hot
+        await a.stop()
+        await b.stop()
+
+    asyncio.run(scenario())
+
+
+def test_damaged_filter_from_a_peer_installs_the_member_filterless():
+    async def scenario():
+        net = LoopbackNetwork()
+        b = _node(net, 1)
+        await b.start()
+        snapshot = JoinSnapshot(
+            (SnapshotEntry(PeerRecord(9, "peer:9", True, 1), b"\x00\x01damaged"),), ()
+        )
+
+        async def bootstrap(body: bytes) -> bytes:
+            return codec.encode(snapshot)
+
+        address = await net.transport().serve("bootstrap:0", bootstrap)
+        await b.join(address)  # the damaged replica is re-learned over gossip
+        assert b.members() == [1, 9] and b.replica_of(9) is None
+        # The same blob inside a JOIN rumor: member installed, no filter.
+        payload = codec.encode_member_payload(PeerRecord(8, "peer:8", True, 1), b"\x07")
+        assert b._learn_rumor(WireRumor(8 << 32, RumorKind.JOIN, 8, 0.0, payload), True)
+        assert b.members() == [1, 8, 9] and b.replica_of(8) is None
+        await b.stop()
+
+    asyncio.run(scenario())
