@@ -31,11 +31,14 @@ are dropped alongside their directory rows at T_Dead.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
+from repro.analytics.browse import local_listing
 from repro.constants import AnalyticsConfig
 from repro.gossip.wire import (
     SKETCH_ENTRY,
+    BrowseRequest,
+    ErrorReply,
     SketchEntry,
     SketchExchange,
     SketchReply,
@@ -190,7 +193,9 @@ class AnalyticsPlane:
 
     Opt-in (``enabled`` is False when constructed without a config): the
     flat gossip plane's Table-2 accounting must stay exactly the paper's
-    inventory, so a node pays nothing for analytics unless asked.
+    inventory, so a node pays nothing for analytics unless asked.  The
+    plane registers its three request types on the node behind one
+    "analytics plane is off" gate, and its round hook only when enabled.
     """
 
     def __init__(self, node: NetworkPeer, config: AnalyticsConfig | None) -> None:
@@ -216,6 +221,24 @@ class AnalyticsPlane:
         self._g_entry_bytes = self._obs.gauge(
             "analytics", "own_entry_bytes", "model size of this node's entry"
         )
+        for cls, handler in (
+            (SketchExchange, self.on_exchange),
+            (TopTermsRequest, self.on_top_terms),
+            (BrowseRequest, lambda msg: local_listing(node, msg)),
+        ):
+            node.add_handler(cls, self._gated(handler))
+        if self.enabled:
+            node.add_round_hook(self.maintenance_round)
+
+    def _gated(self, handler: Callable[[Any], Any]) -> Callable[[Any], Any]:
+        """``handler``, answering an error while the plane is off."""
+
+        def serve(msg: Any) -> Any:
+            if not self.enabled:
+                return ErrorReply("analytics plane is off")
+            return handler(msg)
+
+        return serve
 
     # -- local summary ------------------------------------------------------
 
@@ -272,21 +295,18 @@ class AnalyticsPlane:
     # -- gossip-round maintenance ------------------------------------------
 
     async def maintenance_round(self) -> None:
-        """One push-pull exchange per gossip round (when enabled)."""
-        if not self.enabled:
-            return
+        """One push-pull exchange per gossip round (the round hook an
+        enabled plane registers)."""
         if self.node.round_counter % self.config.refresh_every_rounds == 0:
             self.refresh_local()
-        target = self.node._pick_target()
+        target = self.node.pick_target()
         if target is None:
             return
         # Digest-only opener: our own entry is covered by the versions
         # digest, so a converged community trades ~12 bytes per origin
         # per round, never entries.  The responder answers with what we
         # lack, and the push-back below ships what *it* lacks.
-        reply = await self.node._request_peer(
-            target, SketchExchange((), self.sketch.versions())
-        )
+        reply = await self.node.request_peer(target, SketchExchange((), self.sketch.versions()))
         if not isinstance(reply, SketchReply):
             return
         self._c_exchanges.inc()
@@ -298,7 +318,7 @@ class AnalyticsPlane:
         ahead = self.sketch.entries_ahead_of(reply.versions)
         ahead = [e for e in ahead if e not in reply.entries]
         if ahead:
-            await self.node._request_peer(
+            await self.node.request_peer(
                 target,
                 SketchExchange(
                     tuple(ahead[: self.config.exchange_entries]), ()

@@ -34,9 +34,9 @@ from typing import TYPE_CHECKING
 
 from repro.analytics.popularity import PopularityIndex
 from repro.core.search import exhaustive_local_match
+from repro.gossip.directory import directory_generation
 from repro.gossip.wire import BrowseRequest, BrowseResponse
 from repro.pfs.namespace import SemanticNamespace
-from repro.serve.cache import directory_generation
 
 if TYPE_CHECKING:
     from repro.net.node import NetworkPeer

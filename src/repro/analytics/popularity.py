@@ -17,9 +17,10 @@ nodes once the sketch has converged.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from repro.analytics.aggregate import TermSketch
+if TYPE_CHECKING:  # the plane (aggregate) serves browse, which ranks here
+    from repro.analytics.aggregate import TermSketch
 
 __all__ = ["PopularityIndex"]
 

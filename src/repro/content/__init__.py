@@ -13,7 +13,7 @@ NetworkPeer` and the shared wire inventory
                    garbage-collects orphaned copies after handoff.
 ``ContentClient``  the retrieval half: resolve doc id → manifest →
                    replica set, download chunks with bounded per-peer
-                   in-flight (:class:`~repro.serve.scheduler.PeerGate`),
+                   in-flight (:class:`~repro.net.transport.PeerGate`),
                    resume from the last verified byte offset, and fall
                    back across replicas on timeout.
 ``replica_ring``   the deterministic placement everyone agrees on:

@@ -49,7 +49,7 @@ from repro.gossip.wire import (
 )
 from repro.store.chunkstore import ChunkStore, ContentNotFound
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if TYPE_CHECKING:  # pragma: no cover - the node imports this module
     from repro.net.node import NetworkPeer
 
 __all__ = ["ContentPlane", "replica_ring"]
@@ -80,7 +80,11 @@ def replica_ring(member_ids: list[int], points_per_member: int = 32) -> Consiste
 
 
 class ContentPlane:
-    """One node's half of the content protocol (see module docstring)."""
+    """One node's half of the content protocol (see module docstring).
+
+    Registers its four request types on the node's dispatch, and — when
+    replicating (k > 0) — :meth:`maintenance_round` as a round hook.
+    """
 
     def __init__(self, node: NetworkPeer, config: ContentConfig, store: ChunkStore) -> None:
         self.node = node
@@ -139,6 +143,12 @@ class ContentPlane:
             "(== docs_held at the replication fixed point)",
         )
         self._update_gauges()
+        node.add_handler(ManifestRequest, self.on_manifest_request)
+        node.add_handler(ChunkRequest, self.on_chunk_request)
+        node.add_handler(ManifestPush, self.on_manifest_push)
+        node.add_handler(ChunkPush, self.on_chunk_push)
+        if self.active:
+            node.add_round_hook(self.maintenance_round)
 
     # -- placement ----------------------------------------------------------
 
@@ -286,7 +296,7 @@ class ContentPlane:
         node = self.node
         doc_id = manifest.doc_id
         self._c_pushes.inc()
-        ack = await node._request_peer(pid, ManifestPush(manifest))
+        ack = await node.request_peer(pid, ManifestPush(manifest))
         if not isinstance(ack, ManifestAck) or not ack.accepted:
             self._c_push_failures.inc()
             return False
@@ -298,7 +308,7 @@ class ContentPlane:
                 self._c_push_failures.inc()
                 return False
             self._c_chunk_pushes.inc()
-            ack = await node._request_peer(pid, ChunkPush(doc_id, index, data))
+            ack = await node.request_peer(pid, ChunkPush(doc_id, index, data))
             if not isinstance(ack, ManifestAck) or not ack.accepted:
                 self._c_push_failures.inc()
                 return False
@@ -345,6 +355,9 @@ class ContentPlane:
             # client can hop to the replica set through any member.
             return ManifestReply(False, None, holders)
         self._c_serve_manifest.inc()
+        # A manifest fetch is the start of a content retrieval — count it
+        # as one community read of the document.
+        self.node.analytics.record_access(msg.doc_id)
         return ManifestReply(True, manifest, holders)
 
     def on_chunk_request(self, msg: ChunkRequest) -> ChunkReply:

@@ -10,7 +10,7 @@ the replica set even when the first peers asked hold nothing.
 
 Downloads are paced and fault-tolerant:
 
-* per-peer in-flight is bounded by a :class:`~repro.serve.scheduler.
+* per-peer in-flight is bounded by a :class:`~repro.net.transport.
   PeerGate` (addresses hash to gate keys), with an overall
   ``max_parallel_chunks`` cap on top;
 * every RPC runs under ``request_timeout_s``; a slow or dead replica
@@ -32,7 +32,6 @@ import asyncio
 import hashlib
 import zlib
 from collections.abc import Sequence
-from typing import Protocol
 
 from repro.bloom.hashing import fnv1a_64
 from repro.gossip.wire import (
@@ -43,21 +42,12 @@ from repro.gossip.wire import (
     ManifestRequest,
 )
 from repro.net import codec
-from repro.net.codec import CodecError
-from repro.net.transport import TransportError
+from repro.net.codec import CodecError, TransportLike
+from repro.net.transport import PeerGate, TransportError
 from repro.obs import Registry, global_registry
-from repro.serve.scheduler import PeerGate
 from repro.store.chunkstore import ContentNotFound, chunk_bounds
 
 __all__ = ["ContentClient", "TransportLike"]
-
-
-class TransportLike(Protocol):
-    """Anything that can round-trip a frame to an address."""
-
-    async def request(self, address: str, body: bytes) -> bytes:
-        """Send ``body`` to ``address``; return the reply frame."""
-        ...
 
 
 class ContentClient:
@@ -117,9 +107,8 @@ class ContentClient:
         """One bounded, gated RPC; None on timeout/transport/codec error."""
         async with self.gate.slot(self._gate_key(address)):
             try:
-                request = self.transport.request(address, codec.encode(msg))
-                body = await asyncio.wait_for(request, self.request_timeout_s)
-                return codec.decode(body)
+                call = codec.call(self.transport, address, msg)
+                return await asyncio.wait_for(call, self.request_timeout_s)
             except (TimeoutError, TransportError, CodecError):
                 return None
 

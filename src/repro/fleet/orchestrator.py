@@ -219,12 +219,9 @@ class Fleet:
             return None
         async with self._scrape_gate:
             try:
-                body = await self.transport.request(
-                    address, codec.encode(StatsRequest())
-                )
+                reply = await codec.call(self.transport, address, StatsRequest())
             except TransportError:
                 return None
-        reply = codec.decode(body)
         if not isinstance(reply, StatsResponse):
             return None
         return dict(reply.samples)
@@ -273,10 +270,8 @@ class Fleet:
 
     async def publish(self, pid: int, doc: Document) -> PublishAck:
         """Inject ``doc`` at node ``pid``; raises unless acked accepted."""
-        body = await self.transport.request(
-            self.addresses[pid], codec.encode(PublishRequest(doc.doc_id, doc.text))
-        )
-        reply = codec.decode(body)
+        msg = PublishRequest(doc.doc_id, doc.text)
+        reply = await codec.call(self.transport, self.addresses[pid], msg)
         if not isinstance(reply, PublishAck) or not reply.accepted:
             raise FleetError(
                 f"node {pid} did not accept publish of {doc.doc_id!r}: {reply!r}"
@@ -293,12 +288,9 @@ class Fleet:
             return None
         async with self._scrape_gate:
             try:
-                body = await self.transport.request(
-                    address, codec.encode(TopTermsRequest(k))
-                )
+                reply = await codec.call(self.transport, address, TopTermsRequest(k))
             except TransportError:
                 return None
-        reply = codec.decode(body)
         if not isinstance(reply, TopTermsReply):
             return None
         return [term for term, _count in reply.entries]

@@ -20,9 +20,13 @@ drives protocol behaviour:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.net.node import NetworkPeer
 
 __all__ = [
     "DirectoryView",
@@ -34,6 +38,8 @@ __all__ = [
     "member_mix",
     "summary_mix",
     "compose_generations",
+    "shard_generations",
+    "directory_generation",
 ]
 
 _MIX = 0x9E3779B97F4A7C15
@@ -93,6 +99,64 @@ def compose_generations(generations: Iterable[int]) -> int:
     for g in generations:
         gen ^= g
     return gen
+
+
+def shard_generations(
+    node: NetworkPeer, shard_of: Callable[[int], int] | None = None
+) -> dict[int, int]:
+    """Per-shard generation mixes of a socket node's directory state.
+
+    ``shard_of`` maps pids to shards; it defaults to the node's partial
+    view when one is attached, else the whole directory folds into a
+    single shard 0 (the flat case).  Each shard's value is the XOR of
+    its members' :func:`member_mix` values; a partial node's foreign
+    shards additionally fold a :func:`summary_mix` of the shard summary
+    it would fan a search out through.
+    """
+    pview = getattr(node, "pview", None)
+    if shard_of is None:
+        if pview is not None:
+            shard_of = pview.shard_of
+        else:
+            shard_of = lambda pid: 0  # noqa: E731 — the flat case
+    store = node.peer.store
+    own = node.peer_id
+    gens: dict[int, int] = {
+        shard_of(own): member_mix(own, store.filter_version, store.bloom_filter.version, True)
+    }
+    for pid, entry in node.peer.directory.items():
+        if pid == own:
+            continue
+        bf = entry.bloom_filter
+        shard = shard_of(pid)
+        gens[shard] = gens.get(shard, 0) ^ member_mix(
+            pid,
+            entry.filter_version,
+            bf.version if bf is not None else -1,
+            entry.online,
+        )
+    if pview is not None:
+        for shard, summary in pview.summaries.items():
+            if shard == pview.home:
+                continue
+            gens[shard] = gens.get(shard, 0) ^ summary_mix(
+                shard, summary.version, summary.member_count
+            )
+    return gens
+
+
+def directory_generation(node: NetworkPeer) -> int:
+    """Fingerprint of the directory state a search would rank against
+    (the serve cache's key, :mod:`repro.serve.cache`).
+
+    XOR of per-member (and, under partial views, per-shard-summary)
+    mixes, so it is order-insensitive and O(members) to compute.  Every
+    input is a counter the existing layers already maintain: the store's
+    publish counter and live filter version for ourselves; the
+    replicated ``filter_version``, the replica filter's mutation
+    ``version``, and the online flag for everyone else.
+    """
+    return compose_generations(shard_generations(node).values())
 
 
 def mix_rumor_id(rid: int) -> int:

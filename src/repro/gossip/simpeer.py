@@ -146,8 +146,8 @@ class GossipPeer:
         rumor = self._mint(RumorKind.REJOIN, payload)
         self.directory.mark_online(self.pid)
         # The returning peer catches up on everything it missed while away
-        # before resuming normal rumoring (the socket node's
-        # ``announce_rejoin`` does not force this — DESIGN, divergence iii).
+        # before resuming normal rumoring (as the socket node's
+        # ``announce_rejoin`` does).
         self.core.force_anti_entropy()
         self._schedule_timer(float(self.rng.uniform(0.0, 2.0)))
         self.world.notify_online(self.pid)

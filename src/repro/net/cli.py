@@ -368,10 +368,9 @@ async def _request_once(address: str, msg: object) -> object:
     """One encoded request/decoded reply against a raw address."""
     transport = TcpTransport(NetConfig())
     try:
-        body = await transport.request(address, codec.encode(msg))
+        return await codec.call(transport, address, msg)
     finally:
         await transport.close()
-    return codec.decode(body)
 
 
 async def run_top_terms(args: argparse.Namespace) -> None:
@@ -410,12 +409,7 @@ async def run_browse(args: argparse.Namespace) -> None:
 
 async def run_stats(args: argparse.Namespace) -> None:
     """Send one StatsRequest to ``args.address`` and print the samples."""
-    transport = TcpTransport(NetConfig())
-    try:
-        body = await transport.request(args.address, codec.encode(StatsRequest()))
-    finally:
-        await transport.close()
-    reply = codec.decode(body)
+    reply = await _request_once(args.address, StatsRequest())
     if not isinstance(reply, StatsResponse):
         raise TransportError(
             f"{args.address} answered with {type(reply).__name__}, not stats"

@@ -23,18 +23,16 @@ Peers that fail to answer are marked offline in the node's directory
 from __future__ import annotations
 
 import asyncio
-from typing import TYPE_CHECKING, Protocol, Sequence
+import contextlib
+from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.bloom.filter import BloomFilter
 from repro.constants import RankingConfig
 from repro.core.search import exhaustive_local_match, score_local_documents
-from repro.gossip.wire import ShardMatchQuery, ShardMatchResponse
-from repro.net import codec
 from repro.net.codec import (
-    SHARD_MATCH_MAX_TERMS,
-    CodecError,
     ExhaustiveQuery,
     ExhaustiveResponse,
     RankedQuery,
@@ -42,25 +40,20 @@ from repro.net.codec import (
     SnippetFetch,
     SnippetResponse,
 )
-from repro.net.transport import TransportError
-
-if TYPE_CHECKING:
-    from repro.net.node import NetworkPeer
+from repro.net.transport import PeerGate
 from repro.obs import DEFAULT_COUNT_BOUNDS
 from repro.ranking.stopping import AdaptiveStopping, StoppingPolicy
 from repro.ranking.tfidf import RankedDoc
 from repro.ranking.tfipf import DistributedSearchResult, SearchRun, rank_peers
 from repro.text.document import Document
 
-__all__ = ["NetworkSearchClient", "PeerGateLike"]
+if TYPE_CHECKING:
+    from repro.net.node import NetworkPeer
 
+__all__ = ["NetworkSearchClient"]
 
-class PeerGateLike(Protocol):
-    """Anything handing out per-peer semaphores (``repro.serve.PeerGate``)."""
-
-    def slot(self, pid: int) -> asyncio.Semaphore:
-        """The in-flight cap for RPCs targeting ``pid``."""
-        ...
+#: Stands in for an absent fan-out cap or peer gate.
+_UNGATED = contextlib.nullcontext()
 
 
 def _candidates(node: NetworkPeer, *, need_filter: bool) -> tuple[list[int], int]:
@@ -150,7 +143,7 @@ class NetworkSearchClient:
         *,
         fanout_limit: int | None = None,
         peer_deadline_s: float | None = None,
-        peer_gate: PeerGateLike | None = None,
+        peer_gate: PeerGate | None = None,
     ) -> None:
         self.node = node
         self.ranking_config = ranking_config or RankingConfig()
@@ -226,13 +219,12 @@ class NetworkSearchClient:
         if not terms:
             raise ValueError("query analyzed to zero terms")
         if self.node.pview is not None:
-            ranking, ipf, pool = await self._rank_via_shards(terms)
+            ranking, ipf, ids, unaddressed = await self._rank_via_shards(terms)
         else:
             ranking, ipf = rank_peers(terms, self._backend)
             ids, unaddressed = _candidates(self.node, need_filter=True)
-            pool = len(ids)
-            self._c_unaddressed.inc(unaddressed)
-        run = SearchRun(ranking, k, self.stopping.begin(pool, k), self.group_size)
+        self._c_unaddressed.inc(unaddressed)
+        run = SearchRun(ranking, k, self.stopping.begin(len(ids), k), self.group_size)
         self._c_queries.inc()
 
         while wave := run.next_wave():
@@ -271,144 +263,29 @@ class NetworkSearchClient:
             return []
         return [RankedDoc(doc_id, score) for doc_id, score in reply.results]
 
-    # -- partial-view fan-out -----------------------------------------------
+    # -- partial-view ranking ---------------------------------------------
 
     async def _rank_via_shards(
         self, terms: Sequence[str]
-    ) -> tuple[list[tuple[int, float]], dict[str, float], int]:
-        """Eq. 3 ranking under a partial view: held rows answer locally,
-        shard summaries nominate the foreign shards worth asking, and a
-        :class:`~repro.gossip.wire.ShardMatchQuery` per nominated shard
-        fetches that shard's per-peer term hits.  Returns the ranking,
-        the IPF map, and the candidate pool size for adaptive stopping.
+    ) -> tuple[list[tuple[int, float]], dict[str, float], list[int], int]:
+        """Eq. 3 ranking under a partial view, over the term-hit rows the
+        partial-view plane's shard fan-out assembles.  Returns the
+        ranking, the IPF map, the candidate ids (the pool for adaptive
+        stopping) and how many were left out for want of an address.
         """
-        node = self.node
-        pview = node.pview
-        assert pview is not None
         term_list = list(dict.fromkeys(terms))
-        node._pview_sync()
-        local_ids, local_hits = pview.matrix.hit_matrix(term_list)
-        rows = {pid: local_hits[i] for i, pid in enumerate(local_ids)}
-        shards = self._fanout_shards(pview.matrix.candidate_shards(term_list))
-        self.obs.counter(
-            "client", "shard_fanouts_total", "foreign shards asked per search"
-        ).inc(len(shards))
-        remote = await self._shard_fanout(shards, term_list)
-        for pid, row in remote.items():
-            if pid not in rows:  # a held full filter beats a relayed answer
-                rows[pid] = row
+        rows = await self.node.partialview.term_rows(term_list, self._rpc)
         # Every contactable directory member is a candidate row (zeros
         # where nothing is known) so IPF's N matches the flat mode's
         # community size.
-        ids, unaddressed = _candidates(node, need_filter=False)
-        self._c_unaddressed.inc(unaddressed)
+        ids, unaddressed = _candidates(self.node, need_filter=False)
         hits = np.zeros((len(ids), len(term_list)), dtype=bool)
         for i, pid in enumerate(ids):
             row = rows.get(pid)
             if row is not None:
                 hits[i] = row
         ranking, ipf = rank_peers(term_list, _PrecomputedBackend(ids, hits))
-        return ranking, ipf, len(ids)
-
-    def _fanout_shards(self, nominated: Sequence[int]) -> list[int]:
-        """Which foreign shards a search must actually contact.
-
-        ``nominated`` comes from the summary rows (shards whose OR-ed
-        filter may hit).  Two corrections preserve the flat directory's
-        no-false-negative guarantee during warm-up:
-
-        * shards we hold no summary for yet are asked unconditionally
-          (a missing summary is no evidence the shard is empty), and
-        * the home shard — normally answered from first-class local
-          rows — is asked like any other shard while some home member's
-          full filter has not arrived (fresh join, pre-backfill).
-        """
-        node = self.node
-        pview = node.pview
-        assert pview is not None
-        shards = {s for s in nominated if s != pview.home}
-        shards.update(pview.unknown_shards())
-        if any(
-            entry.online
-            and entry.bloom_filter is None
-            and pview.shard_of(pid) == pview.home
-            for pid, entry in node.peer.directory.items()
-            if pid != node.peer_id
-        ):
-            shards.add(pview.home)
-        return sorted(shards)
-
-    async def _shard_fanout(
-        self, shards: Sequence[int], terms: Sequence[str]
-    ) -> dict[int, np.ndarray]:
-        """Ask one member of each shard (with a one-member fallback) for
-        its peers' term hits; returns ``{pid: bool row over terms}``."""
-        node = self.node
-        pview = node.pview
-        assert pview is not None
-        members: dict[int, list[int]] = {}
-        for pid, entry in node.peer.directory.items():
-            if pid == node.peer_id or not entry.address:
-                continue
-            members.setdefault(pview.shard_of(pid), []).append(pid)
-
-        async def ask(shard: int) -> dict[int, np.ndarray]:
-            # Online members first; a dead first target falls through to
-            # the runner-up instead of losing the whole shard.
-            pool = sorted(
-                members.get(shard, ()),
-                key=lambda pid: (not node.peer.directory[pid].online, pid),
-            )[:2]
-            rows: dict[int, np.ndarray] = {}
-            for start in range(0, len(terms), SHARD_MATCH_MAX_TERMS):
-                chunk = terms[start : start + SHARD_MATCH_MAX_TERMS]
-                for pid in pool:
-                    reply = await self._rpc(pid, ShardMatchQuery(shard, tuple(chunk)))
-                    if (
-                        isinstance(reply, ShardMatchResponse)
-                        and reply.shard == shard
-                    ):
-                        for hit_pid, mask in reply.hits:
-                            row = rows.get(hit_pid)
-                            if row is None:
-                                row = rows[hit_pid] = np.zeros(
-                                    len(terms), dtype=bool
-                                )
-                            for t in range(len(chunk)):
-                                if (mask >> t) & 1:
-                                    row[start + t] = True
-                        break
-            return rows
-
-        merged: dict[int, np.ndarray] = {}
-        for shard_rows in await asyncio.gather(*(ask(s) for s in shards)):
-            for pid, row in shard_rows.items():
-                held = merged.get(pid)
-                if held is None:
-                    merged[pid] = row
-                else:
-                    held |= row
-        return merged
-
-    async def _exhaustive_candidates(self, terms: Sequence[str]) -> list[int]:
-        """Partial-view candidate set for Section 5.1: held rows matched
-        locally, plus foreign-shard peers whose relayed rows hit every
-        term (summaries are false-negative-free, so no candidate whose
-        filter would match under the flat directory is ever skipped)."""
-        node = self.node
-        pview = node.pview
-        assert pview is not None
-        node._pview_sync()
-        candidates = set(pview.matrix.match_all_terms(terms))
-        shards = self._fanout_shards(
-            pview.matrix.candidate_shards(terms, all_terms=True)
-        )
-        remote = await self._shard_fanout(shards, terms)
-        held = set(pview.matrix.peer_ids)
-        candidates.update(
-            pid for pid, row in remote.items() if pid not in held and row.all()
-        )
-        return sorted(candidates)
+        return ranking, ipf, ids, unaddressed
 
     # -- exhaustive search --------------------------------------------------
 
@@ -420,15 +297,13 @@ class NetworkSearchClient:
             return []
         results: set[str] = set()
         if self.node.pview is not None:
-            candidates = await self._exhaustive_candidates(terms)
+            candidates = await self.node.partialview.exhaustive_candidates(terms, self._rpc)
         else:
             candidates = self.node.peer.candidate_peers(terms)
         if self.node.peer_id in candidates:
             results.update(exhaustive_local_match(self.node.peer.store.index, terms))
         remote = [pid for pid in candidates if pid != self.node.peer_id]
-        self.obs.counter(
-            "client", "exhaustive_queries_total", "exhaustive searches issued"
-        ).inc()
+        self.obs.counter("client", "exhaustive_queries_total", "exhaustive searches issued").inc()
         self.obs.counter(
             "client", "peers_contacted_total", "peers contacted across queries"
         ).inc(len(remote))
@@ -457,44 +332,13 @@ class NetworkSearchClient:
     # -- plumbing ------------------------------------------------------------
 
     async def _rpc(self, pid: int, msg: object) -> object | None:
-        entry = self.node.peer.directory.get(pid)
-        if entry is None or not entry.address:
-            return None
-        if self._fanout is None:
-            return await self._gated_request(pid, entry.address, msg)
-        async with self._fanout:
-            return await self._gated_request(pid, entry.address, msg)
-
-    async def _gated_request(
-        self, pid: int, address: str, msg: object
-    ) -> object | None:
-        if self.peer_gate is None:
-            return await self._request(pid, address, msg)
-        async with self.peer_gate.slot(pid):
-            return await self._request(pid, address, msg)
-
-    async def _request(self, pid: int, address: str, msg: object) -> object | None:
-        # The deadline covers only the RPC itself — time spent waiting on
-        # the fan-out semaphore or the peer gate is scheduling, not the
-        # peer being slow.
-        try:
-            frame = codec.encode(msg)
-            if self.peer_deadline_s is None:
-                body = await self.node.transport.request(address, frame)
-            else:
-                async with asyncio.timeout(self.peer_deadline_s):
-                    body = await self.node.transport.request(address, frame)
-            reply = codec.decode(body)
-        except TimeoutError:
-            self._c_deadline.inc()
-            self.node._record_contact(pid, address, ok=False)
-            return None
-        except (TransportError, CodecError):
-            self.node._record_contact(pid, address, ok=False)
-            return None
-        # An answer is the same positive liveness evidence a gossip
-        # exchange is: it must heal an entry a failed contact marked
-        # offline, or a restarted peer stays invisible to ranking until
-        # the next gossip round happens to pick it.
-        self.node._record_contact(pid, address, ok=True)
-        return reply
+        """``node.request_peer`` under this client's fan-out cap and the
+        shared peer gate.  The deadline covers only the RPC itself — time
+        spent waiting on either is scheduling, not the peer being slow."""
+        gate = self.peer_gate.slot(pid) if self.peer_gate is not None else _UNGATED
+        async with self._fanout or _UNGATED, gate:
+            try:
+                return await self.node.request_peer(pid, msg, timeout_s=self.peer_deadline_s)
+            except TimeoutError:
+                self._c_deadline.inc()
+                return None

@@ -2,7 +2,8 @@
 
 Every frame body is ``version byte + type byte + the message's fields``
 (big-endian throughout, no external serializer).  The transport layer
-adds a 4-byte length prefix; this module deals only in frame bodies.
+adds a 4-byte length prefix; this module deals only in frame bodies
+(:func:`call` is the one exchange over a transport built from them).
 
 What the fields are is not written here: each message type is one
 dataclass and one row of :data:`repro.gossip.wire.ROWS`, and
@@ -18,6 +19,8 @@ document text and byte blobs as ``u32`` length + raw bytes.
 """
 
 from __future__ import annotations
+
+from typing import Protocol
 
 from repro.constants import NET_CODEC_VERSION
 from repro.gossip.schema import CodecError, pack, unpack
@@ -57,6 +60,8 @@ __all__ = [
     "ErrorReply",
     "encode",
     "decode",
+    "call",
+    "TransportLike",
     "encode_member_payload",
     "decode_member_payload",
     "encode_update_payload",
@@ -84,6 +89,24 @@ def decode(body: bytes) -> object:
     if row is None:
         raise CodecError(f"unknown message type byte {body[1]}")
     return unpack(row.body, body, 2)
+
+
+class TransportLike(Protocol):
+    """Anything that can round-trip a frame body to an address."""
+
+    async def request(self, address: str, body: bytes) -> bytes:
+        """Send ``body`` to ``address``; return the reply frame."""
+        ...
+
+
+async def call(transport: TransportLike, address: str, msg: object) -> object:
+    """One exchange with a raw address: ``msg`` encoded, carried, and the
+    reply decoded.  Raises ``TransportError`` / :class:`CodecError`.
+
+    For endpoints that are not members (a node's own RPCs go through
+    :meth:`~repro.net.node.NetworkPeer.request_peer`, which also accounts
+    bytes and records liveness)."""
+    return decode(await transport.request(address, encode(msg)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,12 @@ Liveness follows the paper: departures are never announced; a failed
 contact marks the target offline locally, and a member continuously
 offline for ``t_dead_s`` (T_Dead) is dropped from the directory.
 
+The node names no plane message: the planes (partial view, content,
+analytics, subscriptions) use only its public methods — the one member
+RPC :meth:`~NetworkPeer.request_peer`, :meth:`~NetworkPeer.pick_target`,
+the directory merges, and :meth:`~NetworkPeer.add_handler` /
+:meth:`~NetworkPeer.add_round_hook` (DESIGN §6).
+
 Every node is observable through a :class:`~repro.obs.Registry`
 (defaulting to the process-global one): gossip rounds by mode, rumors
 minted/learned, hot-queue depth, directory size, contact failures and
@@ -38,11 +44,13 @@ import contextlib
 import struct
 import time
 from collections import deque
+from collections.abc import Awaitable, Callable, Iterable
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any
 
 import numpy as np
 
+from repro.analytics.aggregate import AnalyticsPlane
 from repro.bloom.diff import BloomDiff, apply_diff, diff_filters
 from repro.bloom.filter import BloomFilter
 from repro.constants import (
@@ -54,6 +62,7 @@ from repro.constants import (
     PartialViewConfig,
     StoreConfig,
 )
+from repro.content.plane import ContentPlane
 from repro.core.peer import PeerEntry, PlanetPPeer
 from repro.core.search import exhaustive_local_match, score_local_documents
 from repro.gossip.core import RUMOR, GossipCore
@@ -70,29 +79,14 @@ from repro.gossip.wire import (
     AERecent,
     AERequest,
     AESummary,
-    BrowseRequest,
-    ChunkPush,
-    ChunkRequest,
     JoinRequest,
     JoinSnapshot,
-    ManifestPush,
-    ManifestRequest,
     PeerRecord,
     PullRequest,
     RumorData,
     RumorPush,
     RumorReply,
-    ShardMatchQuery,
-    ShardMatchResponse,
-    ShardSummaryEntry,
-    ShardSummaryReply,
-    ShardSummaryRequest,
-    SketchExchange,
     SnapshotEntry,
-    SubscribeRequest,
-    TopTermsRequest,
-    Unsubscribe,
-    ViewExchange,
     WireRumor,
 )
 from repro.net import codec
@@ -110,6 +104,7 @@ from repro.net.codec import (
     StatsRequest,
     StatsResponse,
 )
+from repro.net.partialview import PartialViewPlane
 from repro.net.transport import TcpTransport, Transport, TransportError
 from repro.obs import Counter, Registry, global_registry
 from repro.serve.subscriptions import SubscriptionManager
@@ -124,9 +119,6 @@ from repro.store import (
 from repro.text.analyzer import Analyzer
 from repro.text.document import Document
 from repro.text.xmlsnippets import XMLSnippet
-
-if TYPE_CHECKING:
-    from repro.content.plane import ContentPlane
 
 __all__ = ["NetworkPeer", "RID_RESTART_GAP"]
 
@@ -259,14 +251,6 @@ class NetworkPeer:
         #: of the stats export), cached by message class — the accounting
         #: path runs per message and must not pay registry lookups.
         self._wire_counters: dict[type, tuple[Counter, Counter, Counter]] = {}
-        self._g_filters_held = self.obs.gauge(
-            "node", "full_filters_held", "Bloom filters stored in full (incl. own)"
-        )
-        self._g_filter_bytes = self.obs.gauge(
-            "node",
-            "directory_filter_bytes",
-            "bytes pinned by full filters plus shard summaries",
-        )
         #: durable persistence (repro.store); None = pure-RAM node.
         self.store_config = store_config or StoreConfig()
         self.persistence: PersistentDataStore | None = None
@@ -295,6 +279,13 @@ class NetworkPeer:
                 self.persistence.incarnation * RID_RESTART_GAP
             ) & 0xFFFFFFFF
             self._restore_checkpoint()
+        # The planes below register their own request handlers and
+        # per-round steps; hooks run in construction order.
+        self._dispatch_table = self._handlers()
+        self._round_hooks: list[Callable[[], Awaitable[None]]] = []
+        #: sharded-directory maintenance, serving and search fan-out
+        #: (repro.net.partialview); a flat node still trades view records.
+        self.partialview = PartialViewPlane(self)
         #: persistent queries posted over the wire (repro.serve); durable
         #: alongside the directory checkpoint when a data dir is set.
         self.subscriptions = SubscriptionManager(
@@ -303,20 +294,12 @@ class NetworkPeer:
                 data_dir / "subscriptions.ckpt" if data_dir is not None else None
             ),
         )
-        # Imported here, not at module scope: repro.content.retrieval pulls
-        # in repro.serve, which (via the scheduler's search client) imports
-        # this module — a top-level import would deadlock package init.
-        # repro.analytics reaches repro.serve the same way (browse runs
-        # through the scheduler's cache), hence the same treatment.
-        from repro.analytics.aggregate import AnalyticsPlane
-        from repro.content.plane import ContentPlane
-
         #: the wire-level content plane (repro.content): every publish is
         #: chunked into a crash-safe store and served to ChunkRequests;
         #: k-way replication to ring successors runs only when
         #: ``content_config.replicas > 0`` (off by default).
         self.content_config = content_config or ContentConfig()
-        self.content: ContentPlane = ContentPlane(
+        self.content = ContentPlane(
             self,
             self.content_config,
             ChunkStore(data_dir / "chunks" if data_dir is not None else None),
@@ -325,7 +308,6 @@ class NetworkPeer:
         #: (repro.analytics); off by default — a node pays nothing for
         #: analytics unless explicitly configured.
         self.analytics = AnalyticsPlane(self, analytics_config)
-        self._dispatch_table = self._handlers()
 
     # ------------------------------------------------------------------
     # observability
@@ -377,6 +359,55 @@ class NetworkPeer:
         return StatsResponse(self.peer_id, uptime, tuple(self.obs.samples()))
 
     # ------------------------------------------------------------------
+    # the plane interface: what a plane may call on its node
+    # ------------------------------------------------------------------
+
+    def add_handler(self, cls: type, handler: Callable[[Any], Any]) -> None:
+        """Serve request type ``cls`` with ``handler``, which returns the
+        reply or a coroutine resolving to it (a plane registers its own
+        messages; the node names none of them)."""
+        if cls in self._dispatch_table:
+            raise ValueError(f"{cls.__name__} already has a handler")
+        self._dispatch_table[cls] = handler
+
+    def add_round_hook(self, hook: Callable[[], Awaitable[None]]) -> None:
+        """Await ``hook`` in every gossip round, after the rumor /
+        anti-entropy exchange (a plane's maintenance step)."""
+        self._round_hooks.append(hook)
+
+    async def request_address(self, address: str, msg: object) -> object:
+        """One RPC to a raw address (a bootstrap, a notify endpoint): the
+        request is byte-accounted like any other, no liveness is recorded.
+        Raises ``TransportError`` / ``CodecError``."""
+        frame = codec.encode(msg)
+        self._account_gossip(msg, frame)
+        return codec.decode(await self.transport.request(address, frame))
+
+    async def request_peer(
+        self, pid: int, msg: object, *, timeout_s: float | None = None
+    ) -> object | None:
+        """One RPC to member ``pid`` — the path every plane's member RPCs
+        take.  None when ``pid`` has no address or the exchange failed;
+        either outcome is liveness evidence about the contacted address.
+        Past ``timeout_s`` the contact counts as failed and
+        ``TimeoutError`` propagates, so the caller can count it."""
+        entry = self.peer.directory.get(pid)
+        if entry is None or not entry.address:
+            return None
+        address = entry.address
+        try:
+            async with asyncio.timeout(timeout_s):
+                reply = await self.request_address(address, msg)
+        except TimeoutError:
+            self._record_contact(pid, address, ok=False)
+            raise
+        except (TransportError, CodecError):
+            self._record_contact(pid, address, ok=False)
+            return None
+        self._record_contact(pid, address, ok=True)
+        return reply
+
+    # ------------------------------------------------------------------
     # persistence (repro.store)
     # ------------------------------------------------------------------
 
@@ -395,7 +426,7 @@ class NetworkPeer:
         for e in ckpt.entries:
             if e.peer_id == self.peer_id:
                 continue
-            bf = self._decode_filter(e.bloom)
+            bf = self.decode_filter(e.bloom)
             self.peer.directory[e.peer_id] = PeerEntry(
                 e.peer_id, e.address, e.online, bf, e.filter_version
             )
@@ -530,7 +561,8 @@ class NetworkPeer:
         self._learn_rumor(rumor, make_hot=True)
         return rumor
 
-    def _own_record(self) -> PeerRecord:
+    def own_record(self) -> PeerRecord:
+        """Our own directory row as a wire record."""
         return PeerRecord(
             self.peer_id,
             self.address or f"{self._host}:{self._port}",
@@ -539,7 +571,7 @@ class NetworkPeer:
         )
 
     @staticmethod
-    def _record_of(pid: int, entry: PeerEntry) -> PeerRecord:
+    def record_of(pid: int, entry: PeerEntry) -> PeerRecord:
         """A directory row as a wire record.
 
         Placeholder entries (seen via a rumor id only) carry the
@@ -550,6 +582,17 @@ class NetworkPeer:
         return PeerRecord(
             pid, entry.address, entry.online, max(0, entry.filter_version)
         )
+
+    def snapshot_entry(self, pid: int) -> SnapshotEntry:
+        """Member ``pid``'s row plus its compressed filter as we hold it
+        (our live filter for ourselves, no bytes where we hold none)."""
+        if pid == self.peer_id:
+            bloom = self.peer.store.bloom_filter.to_compressed()
+            return SnapshotEntry(self.own_record(), bloom)
+        entry = self.peer.directory[pid]
+        bf = entry.bloom_filter
+        bloom = bf.to_compressed() if bf is not None else b""
+        return SnapshotEntry(self.record_of(pid, entry), bloom)
 
     async def start(self) -> str:
         """Bind the server socket and begin answering requests.
@@ -630,37 +673,27 @@ class NetworkPeer:
         Introduces ourselves (record + compressed filter, minting our own
         JOIN rumor) and adopts the bootstrap's directory snapshot.
         """
-        record = self._own_record()
+        record = self.own_record()
         bloom = self.peer.store.bloom_filter.to_compressed()
         rumor = self._mint(
             RumorKind.JOIN, codec.encode_member_payload(record, bloom)
         )
         request = JoinRequest(record, bloom, rumor.rid, rumor.created_at)
-        frame = codec.encode(request)
-        self._account_gossip(request, frame)
-        body = await self.transport.request(bootstrap_address, frame)
-        reply = codec.decode(body)
+        reply = await self.request_address(bootstrap_address, request)
         if not isinstance(reply, JoinSnapshot):
             raise TransportError(f"bootstrap sent {type(reply).__name__}, not a snapshot")
-        self._install_snapshot(reply)
-        if self.pview is not None:
-            # Warm the shard summaries right away: until the rotating
-            # maintenance step has run, searches fan out to every
-            # unknown shard, so one extra RPC here pays for itself.
-            await self._pull_summaries(bootstrap_address)
-
-    def _install_snapshot(self, snapshot: JoinSnapshot) -> None:
-        for entry in snapshot.entries:
-            if entry.record.peer_id == self.peer_id:
-                continue
-            bf = self._decode_filter(entry.bloom)
-            self._install_member(entry.record, bf, online=entry.record.online)
+        self.install_entries(reply.entries)
         # Adopt the known-id set so digests converge.  Payloads for these
         # historical rumors are not carried (current state came with the
         # entries); we simply cannot serve pulls for them — peers that
         # stored them can.  The snapshot carries no recently-learned
         # window either, so every adopted id enters ours, in wire order.
-        self.core.adopt(snapshot.rids)
+        self.core.adopt(reply.rids)
+        if self.pview is not None:
+            # Warm the shard summaries right away: until the rotating
+            # maintenance step has run, searches fan out to every
+            # unknown shard, so one extra RPC here pays for itself.
+            await self.partialview.pull_summaries(address=bootstrap_address)
 
     # ------------------------------------------------------------------
     # publishing
@@ -703,19 +736,23 @@ class NetworkPeer:
         (used after coming back online at a possibly new address)."""
         current = self.peer.store.bloom_filter
         payload = codec.encode_member_payload(
-            self._own_record(), current.to_compressed()
+            self.own_record(), current.to_compressed()
         )
         # The rumor carries the whole filter, so future BF_UPDATE diffs
         # only need to cover growth from here.
         self._last_gossiped = current.copy()
         self._last_flushed = (current, current.version)
-        return self._mint(RumorKind.REJOIN, payload)
+        rumor = self._mint(RumorKind.REJOIN, payload)
+        # Catch up on what we missed before rumoring again, as the
+        # simulator's rejoin does.
+        self.core.force_anti_entropy()
+        return rumor
 
     # ------------------------------------------------------------------
     # rumor knowledge
     # ------------------------------------------------------------------
 
-    def _decode_filter(self, blob: bytes) -> BloomFilter | None:
+    def decode_filter(self, blob: bytes) -> BloomFilter | None:
         """A peer-supplied compressed filter; None when absent or damaged
         (the member is installed filterless and its replica is re-learned
         over gossip)."""
@@ -761,7 +798,7 @@ class NetworkPeer:
                 raise ValueError("diff width does not match filter width")
             return version, diff
         record, bloom = codec.decode_member_payload(rumor.payload)
-        return record, self._decode_filter(bloom)
+        return record, self.decode_filter(bloom)
 
     def _apply_rumor(self, rumor: WireRumor, parsed: tuple) -> None:
         if rumor.kind is not RumorKind.BF_UPDATE:
@@ -814,9 +851,7 @@ class NetworkPeer:
             entry.address = record.address
         if online:
             entry.online = True
-            self.offline_since.pop(record.peer_id, None)
-            self.contact_failures.pop(record.peer_id, None)
-            self.contact_backoff_until.pop(record.peer_id, None)
+            self._clear_failures(record.peer_id)
         elif not entry.online:
             # Neither we nor the sender believe it is alive: make sure the
             # T_Dead clock is running so the entry eventually expires.
@@ -836,6 +871,21 @@ class NetworkPeer:
                 # regardless of rumor arrival order.
                 entry.bloom_filter.union_inplace(bf)
         entry.filter_version = max(entry.filter_version, record.filter_version)
+
+    def install_records(self, records: Iterable[PeerRecord]) -> None:
+        """Merge membership rows a peer sent (no filters; a row its
+        sender believes dead neither resurrects nor re-times the member)."""
+        for record in records:
+            if record.peer_id != self.peer_id:
+                self._install_member(record, None, online=record.online)
+
+    def install_entries(self, entries: Iterable[SnapshotEntry]) -> None:
+        """Merge (record, compressed filter) entries a peer sent; a
+        damaged filter installs its member filterless."""
+        for entry in entries:
+            if entry.record.peer_id != self.peer_id:
+                bf = self.decode_filter(entry.bloom)
+                self._install_member(entry.record, bf, online=entry.record.online)
 
     # ------------------------------------------------------------------
     # the gossip round (initiator side)
@@ -862,20 +912,15 @@ class NetworkPeer:
         else:
             self._count("ae_rounds_total", 1, "rounds spent on anti-entropy")
             await self._ae_round(had_hot=bool(hot_ids))
-        if self.pview is not None:
-            await self._partialview_round()
-        if self.content.active:
-            await self.content.maintenance_round()
-        if self.analytics.enabled:
-            await self.analytics.maintenance_round()
-        self._update_filter_gauges()
+        for hook in self._round_hooks:
+            await hook()
         if (
             self._checkpoint_path is not None
             and self.round_counter % self.store_config.checkpoint_every_rounds == 0
         ):
             self.write_checkpoint()
 
-    def _pick_target(self, include_offline: bool = False) -> int | None:
+    def pick_target(self, include_offline: bool = False) -> int | None:
         """A random gossip target.
 
         Rumor rounds talk only to members believed online whose failure
@@ -900,11 +945,11 @@ class NetworkPeer:
         return int(candidates[int(self.rng.integers(0, len(candidates)))])
 
     async def _rumor_round(self, hot_ids: list[int]) -> None:
-        target = self._pick_target()
+        target = self.pick_target()
         if target is None:
             return
         self.obs.emit("rumor_pushed", peer=self.peer_id, target=target, count=len(hot_ids))
-        reply = await self._request_peer(target, RumorPush(tuple(hot_ids)))
+        reply = await self.request_peer(target, RumorPush(tuple(hot_ids)))
         if not isinstance(reply, RumorReply):
             return
         ship, pull = self.core.on_rumor_reply(
@@ -913,7 +958,7 @@ class NetworkPeer:
         # Ids adopted from a snapshot have no stored payload to ship.
         have = tuple(self.rumors[rid] for rid in ship if rid in self.rumors)
         if have:
-            await self._request_peer(target, RumorData(have))
+            await self.request_peer(target, RumorData(have))
         if pull:
             self._count(
                 "partial_ae_pulls_total", 1, "pulls triggered by AE piggybacks"
@@ -921,11 +966,11 @@ class NetworkPeer:
             await self._pull_from(target, pull)
 
     async def _ae_round(self, had_hot: bool) -> None:
-        target = self._pick_target(include_offline=True)
+        target = self.pick_target(include_offline=True)
         if target is None:
             return
         self.obs.emit("ae_triggered", peer=self.peer_id, target=target)
-        reply = await self._request_peer(target, AERequest(self.digest))
+        reply = await self.request_peer(target, AERequest(self.digest))
         if isinstance(reply, AENothing):
             self.core.on_ae_nothing(had_hot)
         elif isinstance(reply, AERecent):
@@ -936,37 +981,19 @@ class NetworkPeer:
                 self._count(
                     "ae_full_summaries_total", 1, "AE escalations to a full summary"
                 )
-                summary = await self._request_peer(target, PullRequest(()))
+                summary = await self.request_peer(target, PullRequest(()))
                 if not isinstance(summary, AESummary):
                     return
-                for record in summary.entries:
-                    if record.peer_id != self.peer_id:
-                        self._install_member(record, None, online=record.online)
+                self.install_records(summary.entries)
                 missing = self.core.missing(summary.rids)
             if missing:
                 await self._pull_from(target, missing)
 
     async def _pull_from(self, target: int, rids: list[int]) -> None:
-        reply = await self._request_peer(target, PullRequest(tuple(rids)))
+        reply = await self.request_peer(target, PullRequest(tuple(rids)))
         if isinstance(reply, RumorData):
             for rumor in reply.rumors:
                 self._learn_rumor(rumor, make_hot=False)
-
-    async def _request_peer(self, pid: int, msg: object) -> object | None:
-        entry = self.peer.directory.get(pid)
-        if entry is None or not entry.address:
-            return None
-        address = entry.address
-        try:
-            frame = codec.encode(msg)
-            self._account_gossip(msg, frame)
-            body = await self.transport.request(address, frame)
-            reply = codec.decode(body)
-        except (TransportError, CodecError):
-            self._record_contact(pid, address, ok=False)
-            return None
-        self._record_contact(pid, address, ok=True)
-        return reply
 
     def _record_contact(self, pid: int, address: str, *, ok: bool) -> None:
         """Turn one RPC outcome into directory liveness evidence — but
@@ -977,15 +1004,15 @@ class NetworkPeer:
         entry = self.peer.directory.get(pid)
         if entry is None or entry.address != address:
             return
-        if ok:
-            self._contact_succeeded(pid, entry)
-        else:
+        if not ok:
             self._contact_failed(pid)
-
-    def _contact_succeeded(self, pid: int, entry: PeerEntry) -> None:
+            return
         if not entry.online:
             self.obs.emit("peer_rejoined", peer=self.peer_id, target=pid)
         entry.online = True
+        self._clear_failures(pid)
+
+    def _clear_failures(self, pid: int) -> None:
         self.offline_since.pop(pid, None)
         self.contact_failures.pop(pid, None)
         self.contact_backoff_until.pop(pid, None)
@@ -1017,301 +1044,13 @@ class NetworkPeer:
             if now - since > self.config.t_dead_s
         ]
         for pid in dead:
-            del self.offline_since[pid]
-            self.contact_failures.pop(pid, None)
-            self.contact_backoff_until.pop(pid, None)
+            self._clear_failures(pid)
             self.peer.drop_peer(pid)
             if self.pview is not None:
                 self.pview.forget(pid)
             self.analytics.forget(pid)
             self._count("peers_expired_total", 1, "members dropped at T_Dead")
             self.obs.emit("peer_expired", peer=self.peer_id, target=pid)
-
-    # ------------------------------------------------------------------
-    # partial-view maintenance (sharded directory mode)
-    # ------------------------------------------------------------------
-
-    def _update_filter_gauges(self) -> None:
-        """Per-node directory memory, comparable across both modes: full
-        filters held (our own included) plus shard-summary bytes."""
-        held = 1 + sum(
-            1
-            for pid, entry in self.peer.directory.items()
-            if pid != self.peer_id and entry.bloom_filter is not None
-        )
-        nbytes = held * (self.bloom_config.num_bits // 8)
-        if self.pview is not None:
-            nbytes += self.pview.summary_bytes()
-        self._g_filters_held.set(held)
-        self._g_filter_bytes.set(nbytes)
-
-    def _pview_sync(self) -> None:
-        """Reconcile the sharded search matrix with the filters we hold."""
-        assert self.pview is not None
-        filters = [(self.peer_id, self.peer.store.bloom_filter)]
-        filters += [
-            (pid, entry.bloom_filter)
-            for pid, entry in self.peer.directory.items()
-            if pid != self.peer_id and entry.bloom_filter is not None
-        ]
-        self.pview.sync(filters)
-
-    async def _partialview_round(self) -> None:
-        """One partial-view maintenance step per gossip round, rotating
-        through the three exchanges: foreign summary refresh, membership
-        record trade, and home-shard filter backfill."""
-        step = self.round_counter % 3
-        if step == 0:
-            await self._refresh_summaries()
-        elif step == 1:
-            await self._exchange_views()
-        else:
-            await self._backfill_home()
-
-    def _known_summary_tokens(self) -> tuple[tuple[int, int], ...]:
-        """The (shard, token) pairs advertising which foreign summaries we
-        already hold — lets the responder answer with position diffs
-        instead of full compressed blooms (satellite to ROADMAP item 1).
-        The home shard is excluded: its summary is always served full."""
-        assert self.pview is not None
-        return tuple(
-            (shard, summary.token)
-            for shard, summary in sorted(self.pview.summaries.items())
-            if shard != self.pview.home and summary.version > 0
-        )
-
-    async def _refresh_summaries(self) -> None:
-        target = self._pick_target()
-        if target is None:
-            return
-        reply = await self._request_peer(
-            target, ShardSummaryRequest((), False, self._known_summary_tokens())
-        )
-        if isinstance(reply, ShardSummaryReply):
-            self._install_summary_reply(reply)
-
-    async def _pull_summaries(self, address: str) -> None:
-        """One summary refresh aimed at a raw address (join warm-up).
-
-        Best-effort: the bootstrap may predate partial-view mode and
-        answer with an error, in which case the rotating refresh fills
-        the summaries in over the next few rounds.
-        """
-        msg = ShardSummaryRequest((), False, self._known_summary_tokens())
-        frame = codec.encode(msg)
-        self._account_gossip(msg, frame)
-        try:
-            reply = codec.decode(await self.transport.request(address, frame))
-        except (TransportError, CodecError):
-            return
-        if isinstance(reply, ShardSummaryReply):
-            self._install_summary_reply(reply)
-
-    async def _exchange_views(self) -> None:
-        assert self.pview is not None
-        target = self._pick_target()
-        if target is None:
-            return
-        want = self.pview.config.exchange_records
-        reply = await self._request_peer(
-            target, ViewExchange(self._sample_records(want), want)
-        )
-        if isinstance(reply, ViewExchange):
-            for record in reply.records:
-                if record.peer_id != self.peer_id:
-                    self._install_member(record, None, online=record.online)
-
-    async def _backfill_home(self) -> None:
-        """Re-learn home-shard filters we lack (a killed shard member's
-        filters are recoverable from any peer still holding them)."""
-        assert self.pview is not None
-        home = self.pview.home
-        missing = any(
-            entry.bloom_filter is None and self.pview.shard_of(pid) == home
-            for pid, entry in self.peer.directory.items()
-            if pid != self.peer_id
-        )
-        if not missing:
-            return
-        target = self._pick_target()
-        if target is None:
-            return
-        self._count(
-            "partialview_backfills_total", 1, "home-shard filter backfill requests"
-        )
-        reply = await self._request_peer(target, ShardSummaryRequest((home,), True))
-        if isinstance(reply, ShardSummaryReply):
-            self._install_summary_reply(reply)
-
-    def _install_summary_reply(self, reply: ShardSummaryReply) -> None:
-        assert self.pview is not None
-        for entry in reply.entries:
-            if entry.shard == self.pview.home:
-                continue  # home knowledge is first-class, never coarse
-            if entry.diff:
-                # A position diff against the summary we advertised; OR'd
-                # in monotonically, so applying it is always sound even if
-                # our summary moved since the request went out.
-                try:
-                    diff = BloomDiff.from_bytes(entry.bloom)
-                except (ValueError, EOFError, struct.error):
-                    continue  # damaged diff: re-learned at the next refresh
-                if diff.num_bits != self.bloom_config.num_bits:
-                    continue
-                self.pview.summary_for(entry.shard).install_diff(
-                    diff, entry.member_count, entry.version
-                )
-                continue
-            bf = self._decode_filter(entry.bloom)
-            if bf is None:
-                continue  # damaged summary: re-learned at the next refresh
-            self.pview.summary_for(entry.shard).install(
-                bf, entry.member_count, entry.version
-            )
-        for member in reply.members:
-            if member.record.peer_id == self.peer_id:
-                continue
-            bf = self._decode_filter(member.bloom)
-            self._install_member(member.record, bf, online=member.record.online)
-
-    def _sample_records(self, limit: int) -> tuple[PeerRecord, ...]:
-        """Our own record plus a bounded random sample of directory rows."""
-        records = [self._own_record()]
-        pids = [pid for pid in self.peer.directory if pid != self.peer_id]
-        take = max(0, limit - 1)
-        if len(pids) > take:
-            idx = self.rng.permutation(len(pids))[:take]
-            pids = [pids[int(i)] for i in idx]
-        records.extend(self._record_of(pid, self.peer.directory[pid]) for pid in pids)
-        return tuple(records)
-
-    def _on_shard_summaries(self, msg: ShardSummaryRequest) -> object:
-        if self.pview is None:
-            return ErrorReply("partial-view mode is off")
-        pview = self.pview
-        wanted = set(msg.shards) if msg.shards else None
-        entries: list[ShardSummaryEntry] = []
-        if wanted is None or pview.home in wanted:
-            entries.append(self._home_summary_entry())
-        census: dict[int, int] = {}
-        for pid in self.peer.directory:
-            shard = pview.shard_of(pid)
-            census[shard] = census.get(shard, 0) + 1
-        known = dict(msg.known)
-        for shard, summary in sorted(pview.summaries.items()):
-            if shard == pview.home:
-                continue
-            if wanted is not None and shard not in wanted:
-                continue
-            if summary.version == 0:
-                continue  # nothing folded yet: an empty filter teaches nothing
-            count = max(summary.member_count, census.get(shard, 0))
-            if shard in known:
-                positions = summary.diff_since(known[shard])
-                if positions is not None:
-                    self._count(
-                        "partialview_summary_diffs_total",
-                        1,
-                        "shard summaries answered as position diffs",
-                    )
-                    entries.append(
-                        ShardSummaryEntry(
-                            shard,
-                            count,
-                            summary.version,
-                            BloomDiff(
-                                self.bloom_config.num_bits, positions
-                            ).to_bytes(),
-                            diff=True,
-                        )
-                    )
-                    continue
-            self._count(
-                "partialview_summary_fulls_total",
-                1,
-                "shard summaries answered as full compressed blooms",
-            )
-            entries.append(
-                ShardSummaryEntry(
-                    shard,
-                    count,
-                    summary.version,
-                    summary.bloom.to_compressed(),
-                )
-            )
-        members: tuple[SnapshotEntry, ...] = ()
-        if msg.want_members:
-            members = self._member_entries(wanted if wanted is not None else {pview.home})
-        return ShardSummaryReply(tuple(entries), members)
-
-    def _home_summary_entry(self) -> ShardSummaryEntry:
-        """The home-shard summary, computed fresh from first-class filters.
-
-        The version is a deterministic fold of the members' filter
-        versions, so any home member serves a comparable freshness signal
-        without coordination (it grows with every member publish)."""
-        pview = self.pview
-        assert pview is not None
-        bloom = BloomFilter(self.bloom_config.num_bits, self.bloom_config.num_hashes)
-        bloom.union_inplace(self.peer.store.bloom_filter)
-        count = 1
-        version = max(0, self.peer.store.filter_version) + 1
-        for pid, entry in self.peer.directory.items():
-            if pid == self.peer_id or pview.shard_of(pid) != pview.home:
-                continue
-            count += 1
-            version += max(0, entry.filter_version) + 1
-            if entry.bloom_filter is not None:
-                bloom.union_inplace(entry.bloom_filter)
-        return ShardSummaryEntry(pview.home, count, version, bloom.to_compressed())
-
-    def _member_entries(self, shards: set[int]) -> tuple[SnapshotEntry, ...]:
-        """Full (record, compressed filter) entries we hold for ``shards``."""
-        pview = self.pview
-        assert pview is not None
-        members: list[SnapshotEntry] = []
-        if pview.home in shards:
-            members.append(
-                SnapshotEntry(
-                    self._own_record(), self.peer.store.bloom_filter.to_compressed()
-                )
-            )
-        for pid, entry in sorted(self.peer.directory.items()):
-            if pid == self.peer_id or entry.bloom_filter is None:
-                continue
-            if pview.shard_of(pid) not in shards:
-                continue
-            members.append(
-                SnapshotEntry(
-                    self._record_of(pid, entry), entry.bloom_filter.to_compressed()
-                )
-            )
-        return tuple(members)
-
-    def _on_view_exchange(self, msg: ViewExchange) -> ViewExchange:
-        for record in msg.records:
-            if record.peer_id != self.peer_id:
-                self._install_member(record, None, online=record.online)
-        want = min(msg.want, 64)
-        if want <= 0:
-            return ViewExchange((), 0)
-        return ViewExchange(self._sample_records(want), 0)
-
-    def _on_shard_match(self, msg: ShardMatchQuery) -> object:
-        if self.pview is None:
-            return ErrorReply("partial-view mode is off")
-        self._pview_sync()
-        terms = list(msg.terms)
-        pids, hits = self.pview.matrix.hit_matrix(terms, shards=(msg.shard,))
-        out: list[tuple[int, int]] = []
-        for i, pid in enumerate(pids):
-            mask = 0
-            for t in range(len(terms)):
-                if hits[i, t]:
-                    mask |= 1 << t
-            if mask:
-                out.append((pid, mask))
-        return ShardMatchResponse(msg.shard, tuple(out))
 
     # ------------------------------------------------------------------
     # server side
@@ -1334,17 +1073,8 @@ class NetworkPeer:
         return frame
 
     def _handlers(self) -> dict[type, Callable[[Any], Any]]:
-        """Message class -> handler, built once per node.  A handler
-        returns the reply, or a coroutine that resolves to it."""
-
-        def analytics_only(handler: Callable[[Any], Any]) -> Callable[[Any], Any]:
-            def gated(msg: Any) -> Any:
-                if not self.analytics.enabled:
-                    return ErrorReply("analytics plane is off")
-                return handler(msg)
-
-            return gated
-
+        """The node's own message class -> handler table (gossip, search,
+        stats, publish); planes add theirs through :meth:`add_handler`."""
         return {
             RumorPush: self._on_rumor_push,
             RumorData: self._on_rumor_data,
@@ -1356,18 +1086,6 @@ class NetworkPeer:
             SnippetFetch: self._on_snippet_fetch,
             StatsRequest: lambda msg: self.stats_response(),
             PublishRequest: self._on_publish,
-            SubscribeRequest: self.subscriptions.handle_subscribe,
-            Unsubscribe: self.subscriptions.handle_unsubscribe,
-            ShardSummaryRequest: self._on_shard_summaries,
-            ViewExchange: self._on_view_exchange,
-            ShardMatchQuery: self._on_shard_match,
-            ManifestRequest: self._on_manifest_request,
-            ChunkRequest: self.content.on_chunk_request,
-            ManifestPush: self.content.on_manifest_push,
-            ChunkPush: self.content.on_chunk_push,
-            SketchExchange: analytics_only(self.analytics.on_exchange),
-            TopTermsRequest: analytics_only(self.analytics.on_top_terms),
-            BrowseRequest: analytics_only(self._on_browse),
         }
 
     async def _dispatch(self, msg: object) -> object:
@@ -1422,19 +1140,6 @@ class NetworkPeer:
         )
         return PublishAck(True, msg.doc_id, self.peer.store.filter_version)
 
-    def _on_manifest_request(self, msg: ManifestRequest) -> object:
-        reply = self.content.on_manifest_request(msg)
-        if getattr(reply, "found", False):
-            # A manifest fetch is the start of a content retrieval —
-            # count it as one community read of the document.
-            self.analytics.record_access(msg.doc_id)
-        return reply
-
-    def _on_browse(self, msg: BrowseRequest) -> object:
-        from repro.analytics.browse import local_listing
-
-        return local_listing(self, msg)
-
     def _on_rumor_push(self, msg: RumorPush) -> RumorReply:
         needed, piggyback = self.core.on_rumor_push(msg.rids)
         return RumorReply(tuple(needed), tuple(piggyback))
@@ -1442,7 +1147,7 @@ class NetworkPeer:
     def _on_pull(self, msg: PullRequest) -> object:
         if not msg.rids:  # empty pull = full directory summary request
             records = tuple(
-                self._record_of(pid, e)
+                self.record_of(pid, e)
                 for pid, e in sorted(self.peer.directory.items())
             )
             return AESummary(records, tuple(sorted(self.known)))
@@ -1460,20 +1165,8 @@ class NetworkPeer:
             codec.encode_member_payload(msg.record, msg.bloom),
         )
         self._learn_rumor(rumor, make_hot=True)
-        entries = []
-        for pid, entry in sorted(self.peer.directory.items()):
-            if pid == self.peer_id:
-                record = self._own_record()
-                bloom = self.peer.store.bloom_filter.to_compressed()
-            else:
-                record = self._record_of(pid, entry)
-                bloom = (
-                    entry.bloom_filter.to_compressed()
-                    if entry.bloom_filter is not None
-                    else b""
-                )
-            entries.append(SnapshotEntry(record, bloom))
-        return JoinSnapshot(tuple(entries), tuple(sorted(self.known)))
+        entries = tuple(self.snapshot_entry(pid) for pid in sorted(self.peer.directory))
+        return JoinSnapshot(entries, tuple(sorted(self.known)))
 
     # ------------------------------------------------------------------
     # introspection

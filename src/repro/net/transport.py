@@ -22,6 +22,8 @@ Two implementations:
 
 For fault injection on top of either transport (partitions, crash
 windows, per-edge loss and jitter) see :mod:`repro.net.chaos`.
+Callers that fan RPCs out (search, content retrieval) share a
+:class:`PeerGate` of per-peer in-flight caps.
 
 Every transport is observable: after :meth:`Transport.bind_registry`, an
 endpoint records bytes in/out, request counts, retries/failures, backoff
@@ -46,6 +48,7 @@ from repro.obs import Registry
 __all__ = [
     "TransportError",
     "RetryableTransportError",
+    "PeerGate",
     "Handler",
     "Transport",
     "TcpTransport",
@@ -65,6 +68,29 @@ class TransportError(ConnectionError):
 
 class RetryableTransportError(TransportError):
     """A transient failure (refused/reset/timeout) worth retrying."""
+
+
+class PeerGate:
+    """Per-peer in-flight RPC caps, shared across all callers.
+
+    ``slot(key)`` returns that peer's semaphore (created on first use),
+    usable as ``async with gate.slot(key): ...`` — so the cap holds
+    community-wide no matter how many concurrent searches or fetches fan
+    out.  Keys are peer ids (an address-keyed caller hashes to one).
+    """
+
+    def __init__(self, per_peer_inflight: int) -> None:
+        if per_peer_inflight < 1:
+            raise ValueError("per_peer_inflight must be >= 1")
+        self.per_peer_inflight = per_peer_inflight
+        self._sems: dict[int, asyncio.Semaphore] = {}
+
+    def slot(self, pid: int) -> asyncio.Semaphore:
+        """The in-flight cap for RPCs targeting ``pid``."""
+        sem = self._sems.get(pid)
+        if sem is None:
+            sem = self._sems[pid] = asyncio.Semaphore(self.per_peer_inflight)
+        return sem
 
 
 class Transport(ABC):
@@ -237,6 +263,12 @@ class TcpTransport(Transport):
             raise RetryableTransportError(
                 f"cannot connect to {address}: {exc}"
             ) from exc
+        # Concurrent first requests to one address each opened a socket
+        # while we awaited ours: keep the one already cached, close ours.
+        cached = self._conns.get(address)
+        if cached is not None and not cached[1].is_closing():
+            writer.close()
+            return cached
         conn = (reader, writer, asyncio.Lock())
         self._conns[address] = conn
         return conn

@@ -20,6 +20,10 @@ racing the search leaves the entry keyed to the pre-search generation,
 which the next lookup rejects.  Lookups cost O(members) integer reads —
 no hashing of filter contents.
 
+The fold lives in :mod:`repro.gossip.directory`, beside its mix
+primitives and below every plane that keys on it (the browse handler
+included), and is re-exported here.
+
 Under the partial-view mode the fingerprint is maintained *per shard*
 (:func:`shard_generations`) and XOR-composed: the composition over any
 sharding equals the flat fold, so flat and partial nodes fingerprint the
@@ -33,75 +37,13 @@ publishes either way — a BF_UPDATE bumps the member's replicated
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Callable, Hashable
+from collections.abc import Hashable
+from typing import Any
 
-from repro.gossip.directory import compose_generations, member_mix, summary_mix
+from repro.gossip.directory import directory_generation, shard_generations
 from repro.obs import Registry, global_registry
 
-if TYPE_CHECKING:
-    from repro.net.node import NetworkPeer
-
 __all__ = ["ResultCache", "directory_generation", "shard_generations"]
-
-
-def shard_generations(
-    node: NetworkPeer, shard_of: Callable[[int], int] | None = None
-) -> dict[int, int]:
-    """Per-shard generation mixes of the directory state.
-
-    ``shard_of`` maps pids to shards; it defaults to the node's partial
-    view when one is attached, else the whole directory folds into a
-    single shard 0 (the flat case).  Each shard's value is the XOR of
-    its members' :func:`~repro.gossip.directory.member_mix` values; a
-    partial node's foreign shards additionally fold a
-    :func:`~repro.gossip.directory.summary_mix` of the shard summary it
-    would fan a search out through.
-    """
-    pview = getattr(node, "pview", None)
-    if shard_of is None:
-        if pview is not None:
-            shard_of = pview.shard_of
-        else:
-            shard_of = lambda pid: 0  # noqa: E731 — the flat case
-    store = node.peer.store
-    own = node.peer_id
-    gens: dict[int, int] = {
-        shard_of(own): member_mix(
-            own, store.filter_version, store.bloom_filter.version, True
-        )
-    }
-    for pid, entry in node.peer.directory.items():
-        if pid == own:
-            continue
-        bf = entry.bloom_filter
-        shard = shard_of(pid)
-        gens[shard] = gens.get(shard, 0) ^ member_mix(
-            pid,
-            entry.filter_version,
-            bf.version if bf is not None else -1,
-            entry.online,
-        )
-    if pview is not None:
-        for shard, summary in pview.summaries.items():
-            if shard == pview.home:
-                continue
-            gens[shard] = gens.get(shard, 0) ^ summary_mix(
-                shard, summary.version, summary.member_count
-            )
-    return gens
-
-
-def directory_generation(node: NetworkPeer) -> int:
-    """Fingerprint of the directory state a search would rank against.
-
-    XOR of per-member (and, under partial views, per-shard-summary)
-    mixes, so it is order-insensitive and O(members) to compute.  Every
-    input is a counter the existing layers already maintain: the store's
-    publish counter and live filter version for ourselves; the
-    replicated ``filter_version``, the replica filter's mutation
-    ``version``, and the online flag for everyone else.
-    """
-    return compose_generations(shard_generations(node).values())
 
 
 class ResultCache:

@@ -12,8 +12,9 @@ plane:
   matter).  Both rejections carry a ``retry_after_s`` hint derived from
   the measured mean query latency, so overload degrades into polite
   backpressure instead of collapse;
-* **per-peer in-flight caps** — a :class:`PeerGate` shared with the
-  search client bounds concurrent RPCs *per target peer*, so one slow
+* **per-peer in-flight caps** — a :class:`~repro.net.transport.PeerGate`
+  (re-exported here) shared with the search client bounds concurrent
+  RPCs *per target peer*, so one slow
   member saturates its own gate, not the community's;
 * **version-keyed caching** — results are cached under the directory
   generation (:mod:`repro.serve.cache`); a repeated query against an
@@ -32,6 +33,7 @@ from typing import TYPE_CHECKING
 
 from repro.constants import RankingConfig, ServeConfig
 from repro.net.client import NetworkSearchClient
+from repro.net.transport import PeerGate
 from repro.obs import Registry
 from repro.ranking.stopping import StoppingPolicy
 from repro.ranking.tfipf import DistributedSearchResult
@@ -55,28 +57,6 @@ class QueryRejected(RuntimeError):
         super().__init__(f"{reason} (retry after {retry_after_s:.2f}s)")
         self.reason = reason
         self.retry_after_s = retry_after_s
-
-
-class PeerGate:
-    """Per-peer in-flight RPC caps, shared across all queries.
-
-    ``slot(pid)`` returns that peer's semaphore (created on first use),
-    usable as ``async with gate.slot(pid): ...`` — so the cap holds
-    community-wide no matter how many concurrent searches fan out.
-    """
-
-    def __init__(self, per_peer_inflight: int) -> None:
-        if per_peer_inflight < 1:
-            raise ValueError("per_peer_inflight must be >= 1")
-        self.per_peer_inflight = per_peer_inflight
-        self._sems: dict[int, asyncio.Semaphore] = {}
-
-    def slot(self, pid: int) -> asyncio.Semaphore:
-        """The in-flight cap for RPCs targeting ``pid``."""
-        sem = self._sems.get(pid)
-        if sem is None:
-            sem = self._sems[pid] = asyncio.Semaphore(self.per_peer_inflight)
-        return sem
 
 
 class QueryScheduler:

@@ -36,9 +36,10 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import time
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING
 
 from repro.constants import NetConfig
 from repro.core.search import exhaustive_local_match
@@ -90,8 +91,9 @@ class Subscription:
 class SubscriptionManager:
     """Server half: registration, change detection, upcall delivery.
 
-    Attached to every :class:`~repro.net.node.NetworkPeer`; inert (no
-    task, no RPCs) until the first subscription arrives.
+    Attached to every :class:`~repro.net.node.NetworkPeer`, whose
+    dispatch it registers ``SubscribeRequest``/``Unsubscribe`` on; inert
+    (no task, no RPCs) until the first subscription arrives.
     """
 
     def __init__(
@@ -121,6 +123,8 @@ class SubscriptionManager:
             "serve", "subscription_probes_total", "dirty-peer probes run"
         )
         self._restore()
+        node.add_handler(SubscribeRequest, self.handle_subscribe)
+        node.add_handler(Unsubscribe, self.handle_unsubscribe)
 
     # -- persistence ---------------------------------------------------------
 
@@ -315,17 +319,13 @@ class SubscriptionManager:
         return fired
 
     def _filter_may_match(self, pid: int, terms: tuple[str, ...]) -> bool:
-        if pid == self.node.peer_id:
-            return self.node.peer.store.bloom_filter.contains_all(terms)
-        entry = self.node.peer.directory.get(pid)
-        if entry is None or entry.bloom_filter is None:
-            return False
-        return entry.bloom_filter.contains_all(terms)
+        bf = self.node.replica_of(pid)
+        return bf is not None and bf.contains_all(terms)
 
     async def _matching_ids(self, pid: int, terms: tuple[str, ...]) -> list[str]:
         if pid == self.node.peer_id:
             return exhaustive_local_match(self.node.peer.store.index, list(terms))
-        reply = await self._rpc(pid, ExhaustiveQuery(terms))
+        reply = await self.node.request_peer(pid, ExhaustiveQuery(terms))
         if isinstance(reply, ExhaustiveResponse):
             return list(reply.doc_ids)
         return []
@@ -336,7 +336,7 @@ class SubscriptionManager:
                 return self.node.peer.store.get(doc_id)
             except KeyError:
                 return None
-        reply = await self._rpc(pid, SnippetFetch(doc_id))
+        reply = await self.node.request_peer(pid, SnippetFetch(doc_id))
         if isinstance(reply, SnippetResponse) and reply.found:
             return Document(reply.doc_id, reply.text)
         return None
@@ -344,10 +344,7 @@ class SubscriptionManager:
     async def _notify(self, sub: Subscription, origin: int, doc: Document) -> bool:
         msg = Notify(sub.sub_id, origin, doc.doc_id, doc.text)
         try:
-            body = await self.node.transport.request(
-                sub.notify_address, codec.encode(msg)
-            )
-            reply = codec.decode(body)
+            reply = await self.node.request_address(sub.notify_address, msg)
         except (TransportError, CodecError):
             reply = None
         if isinstance(reply, AENothing):
@@ -362,20 +359,6 @@ class SubscriptionManager:
             return True
         self._c_notify_failures.inc()
         return False
-
-    async def _rpc(self, pid: int, msg: object) -> object | None:
-        entry = self.node.peer.directory.get(pid)
-        if entry is None or not entry.address:
-            return None
-        address = entry.address
-        try:
-            body = await self.node.transport.request(address, codec.encode(msg))
-            reply = codec.decode(body)
-        except (TransportError, CodecError):
-            self.node._record_contact(pid, address, ok=False)
-            return None
-        self.node._record_contact(pid, address, ok=True)
-        return reply
 
     def __len__(self) -> int:
         return len(self.subscriptions)
@@ -450,8 +433,7 @@ class SubscriptionClient:
             raise RuntimeError("call start() before subscribe()")
         terms = tuple(query.split()) if isinstance(query, str) else tuple(query)
         msg = SubscribeRequest(sub_id, terms, self.address, time.time())
-        body = await self.transport.request(server_address, codec.encode(msg))
-        reply = codec.decode(body)
+        reply = await codec.call(self.transport, server_address, msg)
         if not isinstance(reply, SubscribeAck) or not reply.accepted:
             detail = getattr(reply, "message", type(reply).__name__)
             raise TransportError(f"subscribe declined: {detail}")
@@ -461,10 +443,7 @@ class SubscriptionClient:
     async def unsubscribe(self, server_address: str, sub_id: int) -> bool:
         """Cancel a standing query; returns whether the server knew it."""
         self._callbacks.pop(sub_id, None)
-        body = await self.transport.request(
-            server_address, codec.encode(Unsubscribe(sub_id))
-        )
-        reply = codec.decode(body)
+        reply = await codec.call(self.transport, server_address, Unsubscribe(sub_id))
         return isinstance(reply, SubscribeAck) and reply.accepted
 
     async def close(self) -> None:

@@ -260,9 +260,9 @@ def test_disabled_plane_rejects_analytics_rpcs():
         await community.boot()
         a = community.nodes[0]
         assert not a.analytics.enabled
-        reply = await a._request_peer(1, SketchExchange((), ()))
+        reply = await a.request_peer(1, SketchExchange((), ()))
         assert isinstance(reply, ErrorReply)
-        reply = await a._request_peer(1, TopTermsRequest(10))
+        reply = await a.request_peer(1, TopTermsRequest(10))
         assert isinstance(reply, ErrorReply)
         await community.stop()
 

@@ -7,18 +7,18 @@ Both drive the same ``GossipCore``; what this test pins is that the two
 *drivers* feed it the same events in the same order — the wire's RPC
 chain and the simulator's callback chain are one protocol.  The script
 owns every choice a driver would make itself: targets are explicit
-(``world.selector`` / ``_pick_target`` are scripted) and rounds fire when
+(``world.selector`` / ``pick_target`` are scripted) and rounds fire when
 the script says (the simulator's timers are off, the node's loop is never
 started).  Rumor ids differ by construction (a registry counter vs
 ``peer_id << 32 | seq``), so they are compared as ``(origin, sequence)``.
 
-The three places the drivers *deliberately* differ (DESIGN, "One gossip
-core") are visible here rather than hidden: the node is told to force
-anti-entropy after a rejoin because the simulator does (iii); the script
-never has a peer pull from a joiner an id the joiner only adopted by
-snapshot, because a node stores no payload for those (and the joiner's
-recently-learned window, divergence ii, only differs in order at this
-scale); timers (i) are out of the picture altogether.
+The places the drivers still *deliberately* differ (DESIGN, "One gossip
+core") are visible here rather than hidden: the script never has a peer
+pull from a joiner an id the joiner only adopted by snapshot, because a
+node stores no payload for those (and the joiner's recently-learned
+window, divergence ii, only differs in order at this scale); timers (i)
+are out of the picture altogether.  Both drivers force anti-entropy after
+a rejoin (iii is closed), so the rejoin step needs no patching.
 """
 
 import asyncio
@@ -207,8 +207,8 @@ class NetWorld:
         for node in self.nodes[:ESTABLISHED]:
             for other in self.nodes[:ESTABLISHED]:
                 if other is not node:
-                    node._install_member(
-                        PeerRecord(other.peer_id, other.address, True, 0), None
+                    node.install_records(
+                        [PeerRecord(other.peer_id, other.address, True, 0)]
                     )
 
     async def step(self, kind, pid, other=None):
@@ -216,7 +216,7 @@ class NetWorld:
         if kind == "round":
             # A real selector only offers members the initiator has heard of.
             assert node.peer.directory[other].address, f"{pid} has not met {other}"
-            node._pick_target = lambda include_offline=False: other
+            node.pick_target = lambda include_offline=False: other
             await node.gossip_round()
         elif kind == "update":
             self.docs += 1
@@ -228,7 +228,6 @@ class NetWorld:
         elif kind == "rejoin":
             self.net.handlers[node.address] = self.parked.pop(pid)
             node.announce_rejoin()
-            node.core.force_anti_entropy()  # divergence (iii): the simulator does
 
     def states(self):
         return [

@@ -17,7 +17,7 @@ import pytest
 
 from repro.bloom.diff import BloomDiff
 from repro.bloom.filter import BloomFilter
-from repro.constants import GossipConfig
+from repro.constants import BloomConfig, GossipConfig, PartialViewConfig
 from repro.gossip.messages import MessageSizer
 from repro.gossip.rumor import RumorKind
 from repro.gossip.wire import (
@@ -81,6 +81,10 @@ from repro.net.codec import (
     encode,
     encode_member_payload,
 )
+from repro.net.client import NetworkSearchClient
+from repro.net.node import NetworkPeer
+from repro.net.transport import LoopbackNetwork
+from repro.obs import Registry
 from repro.text.document import Document
 from tests.chaos_harness import ChaosCommunity
 
@@ -359,3 +363,56 @@ def test_live_community_traffic_within_2x_of_model():
         f"live traffic {measured:.0f}B vs model {model:.0f}B "
         f"(ratio {ratio:.2f}) escaped the 2x envelope"
     )
+
+
+def test_partialview_search_traffic_accounted_within_2x_of_model():
+    """A partial-view search asks foreign shards with ``ShardMatchQuery``
+    through the node's one member-RPC path, so the searcher now counts its
+    requests in the partial-view byte totals (the answering peers always
+    counted their replies), and the search's measured/model ratio stays
+    inside the same envelope."""
+
+    def totals(registries) -> tuple[list[float], list[float]]:
+        return (
+            [r.value("node", "partialview_real_bytes_total") for r in registries],
+            [r.value("node", "partialview_model_bytes_total") for r in registries],
+        )
+
+    async def scenario():
+        net = LoopbackNetwork(seed=7)
+        registries = [Registry() for _ in range(8)]
+        nodes = [
+            NetworkPeer(
+                pid,
+                "peer",
+                pid,
+                transport=net.transport(),
+                seed=pid,
+                registry=registries[pid],
+                bloom_config=BloomConfig(num_bits=4096, num_hashes=2),
+                partial_view=PartialViewConfig(num_shards=3, sample_size=2),
+            )
+            for pid in range(8)
+        ]
+        for node in nodes:
+            await node.start()
+            node.publish(Document(f"doc-{node.peer_id}", f"topic{node.peer_id} shared corpus"))
+        for node in nodes[1:]:
+            await node.join(nodes[0].address)
+        for _ in range(40):
+            for node in nodes:
+                await node.gossip_round()
+        before = totals(registries)
+        result = await NetworkSearchClient(nodes[2]).ranked_search("shared corpus", k=8)
+        after = totals(registries)
+        assert len(result.results) == 8
+        for node in nodes:
+            await node.stop()
+        return registries[2], before, after
+
+    searcher, (real0, model0), (real1, model1) = asyncio.run(scenario())
+    assert searcher.value("client", "shard_fanouts_total") > 0
+    assert searcher.value("wire", "shard_match_query_messages_total") > 0
+    assert real1[2] > real0[2]  # the searcher's own requests
+    real, model = sum(real1) - sum(real0), sum(model1) - sum(model0)
+    assert 0.5 <= real / model <= 2.0, f"search real {real:.0f}B vs model {model:.0f}B"

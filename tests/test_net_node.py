@@ -20,9 +20,12 @@ from repro.gossip.wire import (
     PeerRecord,
     RumorPush,
     RumorReply,
+    ShardMatchQuery,
+    ShardSummaryRequest,
     SketchExchange,
     SnapshotEntry,
     TopTermsRequest,
+    ViewExchange,
     WireRumor,
 )
 from repro.net import codec
@@ -172,6 +175,10 @@ def test_rejoin_refreshes_address():
         b.address = "peer:99"
         b.peer.address = "peer:99"
         b.announce_rejoin()
+        # The first round after a rejoin is anti-entropy (catch up, as the
+        # simulator's rejoin does); the next one pushes the REJOIN rumor.
+        await b.gossip_round()
+        assert b.core.round_counter == 0 and a.peer.directory[1].address == old
         await b.gossip_round()
         assert a.peer.directory[1].address == "peer:99" != old
         await a.stop()
@@ -222,6 +229,16 @@ def test_dispatch_table_covers_requests_and_gates_analytics():
         assert not a.analytics.enabled
         for request in (SketchExchange((), ()), TopTermsRequest(5), BrowseRequest("/", 5)):
             assert await a._dispatch(request) == ErrorReply("analytics plane is off")
+        # The partial-view plane serves a flat node too: it trades view
+        # records and refuses the two shard queries.
+        reply = await a._dispatch(ViewExchange((PeerRecord(5, "peer:5", True, 2),), 8))
+        assert a.members() == [0, 5] and a.peer.directory[5].address == "peer:5"
+        assert reply.want == 0 and {r.peer_id for r in reply.records} == {0, 5}
+        off = ErrorReply("partial-view mode is off")
+        assert await a._dispatch(ShardSummaryRequest((), False)) == off
+        assert await a._dispatch(ShardMatchQuery(0, ("gossip",))) == off
+        with pytest.raises(ValueError, match="already has a handler"):
+            a.add_handler(ViewExchange, lambda msg: msg)
 
     asyncio.run(scenario())
 

@@ -106,9 +106,18 @@ def test_tcp_request_response_and_connection_reuse():
 
 
 def test_tcp_concurrent_requests_share_one_connection():
+    # Every first request awaits its own connect; the losers of that race
+    # must close their sockets and use the cached one, not carry their
+    # request over a socket orphaned beside it.
     async def scenario():
+        carriers = set()  # one server task per inbound connection
+
+        async def handler(body: bytes) -> bytes:
+            carriers.add(asyncio.current_task())
+            return await _echo(body)
+
         server = TcpTransport()
-        address = await server.serve("127.0.0.1:0", _echo)
+        address = await server.serve("127.0.0.1:0", handler)
         client = TcpTransport()
         try:
             replies = await asyncio.gather(
@@ -116,6 +125,12 @@ def test_tcp_concurrent_requests_share_one_connection():
             )
             assert sorted(replies) == sorted(b"echo:%d" % i for i in range(8))
             assert len(client._conns) == 1
+            assert len(carriers) == 1
+            for _ in range(100):  # the losers' handlers see EOF and exit
+                if len(server._client_tasks) <= 1:
+                    break
+                await asyncio.sleep(0.01)
+            assert len(server._client_tasks) == 1
         finally:
             await client.close()
             await server.close()

@@ -164,7 +164,7 @@ def test_killed_shard_member_neither_breaks_search_nor_loses_filters():
         )
         mate.peer.directory[lost_pid].bloom_filter = None
         for _ in range(30):
-            await mate._backfill_home()  # random target per call
+            await mate.partialview.pull_summaries(backfill=True)  # random target
             if mate.peer.directory[lost_pid].bloom_filter is not None:
                 break
         relearned = mate.peer.directory[lost_pid].bloom_filter

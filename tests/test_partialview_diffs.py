@@ -225,7 +225,7 @@ def test_unknown_token_gets_the_full_bloom():
         ]
         # A forged token can't be in any history: every entry comes back
         # as a full bloom, none as a diff.
-        reply = await asker._request_peer(
+        reply = await asker.request_peer(
             1,
             ShardSummaryRequest(
                 (), False, tuple((shard, 0xBAD70CEB) for shard in foreign)
@@ -240,7 +240,7 @@ def test_unknown_token_gets_the_full_bloom():
             for shard in foreign
             if shard in server.pview.summaries
         )
-        reply = await asker._request_peer(1, ShardSummaryRequest((), False, known))
+        reply = await asker.request_peer(1, ShardSummaryRequest((), False, known))
         assert isinstance(reply, ShardSummaryReply)
         served = {e.shard: e for e in reply.entries}
         for shard, _ in known:
