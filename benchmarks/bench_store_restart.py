@@ -156,8 +156,10 @@ def bench_rejoin(num_peers: int, rng: np.random.Generator) -> dict:
                 await other.gossip_round()
             views = [o.peer.directory.get(node.peer_id) for o in others]
             if all(
-                e is not None and e.address == node.address and e.online
-                for e in views
+                e is not None
+                and e.address == node.address
+                and o.membership.is_online(node.peer_id)
+                for e, o in zip(views, others)
             ):
                 return
         raise RuntimeError("restarted node never converged")

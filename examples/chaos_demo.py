@@ -89,7 +89,7 @@ async def main(seed: int) -> None:
             return False
         return all(
             a.replica_of(b.peer_id) == b.peer.store.bloom_filter
-            and (a is b or a.peer.directory[b.peer_id].online)
+            and a.membership.is_online(b.peer_id)
             for a in nodes
             for b in nodes
         )

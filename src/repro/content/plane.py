@@ -158,14 +158,9 @@ class ContentPlane:
         return self.config.replicas > 0
 
     def _live_members(self) -> list[int]:
-        """Members eligible to hold replicas: addressed and believed
-        online (ourselves included) — the query plane's liveness view."""
-        node = self.node
-        members = [node.peer_id]
-        for pid, entry in node.peer.directory.items():
-            if pid != node.peer_id and entry.address and entry.online:
-                members.append(pid)
-        return members
+        """Members eligible to hold replicas: ourselves and the live
+        members — the query plane's liveness view."""
+        return [self.node.peer_id, *self.node.membership.live()]
 
     def ring(self) -> ConsistentHashRing:
         """The ring for the current liveness view (memoised per view)."""
@@ -252,14 +247,10 @@ class ContentPlane:
 
     def _invalidate_confirmations(self) -> None:
         """Drop confirmations for holders no longer alive — the handoff
-        trigger.  Reuses the directory's liveness evidence directly."""
+        trigger.  Reuses the member table's liveness evidence directly."""
         node = self.node
         for doc_id, holders in self._confirmed.items():
-            gone = set()
-            for pid in holders:
-                entry = node.peer.directory.get(pid)
-                if entry is None or not entry.online or not entry.address:
-                    gone.add(pid)
+            gone = {pid for pid in holders if not node.membership.is_online(pid)}
             if gone:
                 holders -= gone
                 self._c_handoffs.inc(len(gone))

@@ -113,7 +113,7 @@ class InProcessCommunity:
             for pid, address, bf, version in snapshots:
                 if pid == peer.peer_id:
                     continue
-                peer.update_directory(pid, address, bf, version, online=True)
+                peer.update_directory(pid, address, bf, version)
         self._dirty = False
 
     def _ensure_replicated(self) -> None:

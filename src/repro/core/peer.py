@@ -1,7 +1,8 @@
 """A PlanetP peer: local data store plus its replicated directory.
 
-The directory (Figure 1) maps every known member to its address, on-line
-status, and Bloom filter copy.  In the in-process community the directory
+The directory (Figure 1) maps every known member to its address and
+Bloom filter copy (who is believed on-line is a gossiping peer's
+:class:`~repro.gossip.members.MemberTable`).  In the in-process community the directory
 entries are filled by the community's replication step (instant by
 default, mirroring the paper's search simulator where directories have
 converged); the gossip subpackage models how that replication behaves
@@ -10,8 +11,9 @@ over time and bandwidth.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 from repro.bloom.filter import BloomFilter
 from repro.bloom.matcher import FilterMatrix
@@ -30,7 +32,6 @@ class PeerEntry:
 
     peer_id: int
     address: str
-    online: bool = True
     bloom_filter: BloomFilter | None = None
     filter_version: int = -1
     metadata: Mapping[str, Any] = field(default_factory=dict)
@@ -53,7 +54,7 @@ class PlanetPPeer:
         self.store = LocalDataStore(analyzer=analyzer, bloom_config=bloom_config)
         #: replicated directory: peer_id -> entry (includes ourselves).
         self.directory: dict[int, PeerEntry] = {
-            peer_id: PeerEntry(peer_id, self.address, True, None, -1)
+            peer_id: PeerEntry(peer_id, self.address)
         }
         self.online = True
         #: stacked directory filters for batched query matching; lazily
@@ -79,7 +80,6 @@ class PlanetPPeer:
         address: str,
         bloom_filter: BloomFilter,
         filter_version: int,
-        online: bool = True,
     ) -> bool:
         """Install/refresh another member's entry.
 
@@ -89,7 +89,7 @@ class PlanetPPeer:
         entry = self.directory.get(peer_id)
         if entry is None:
             self.directory[peer_id] = PeerEntry(
-                peer_id, address, online, bloom_filter, filter_version
+                peer_id, address, bloom_filter, filter_version
             )
             return True
         changed = False
@@ -101,30 +101,13 @@ class PlanetPPeer:
             entry.bloom_filter = bloom_filter
             entry.filter_version = filter_version
             changed = True
-        if entry.online != online:
-            entry.online = online
-            changed = True
         return changed
-
-    def mark_peer_offline(self, peer_id: int) -> None:
-        """Record a failed contact (not gossiped; Section 3)."""
-        entry = self.directory.get(peer_id)
-        if entry is not None:
-            entry.online = False
 
     def drop_peer(self, peer_id: int) -> None:
         """Forget a member entirely (T_Dead expiry)."""
         if peer_id == self.peer_id:
             raise ValueError("a peer cannot drop itself")
         self.directory.pop(peer_id, None)
-
-    def known_online_peers(self) -> list[int]:
-        """Directory rows currently believed online (excluding self)."""
-        return sorted(
-            pid
-            for pid, entry in self.directory.items()
-            if entry.online and pid != self.peer_id
-        )
 
     def directory_matrix(self) -> FilterMatrix:
         """The batched view of every replicated filter (self included,

@@ -9,7 +9,8 @@ reproduce the paper's gossip experiments (:mod:`simulation`).
 """
 
 from repro.gossip.rumor import Rumor, RumorKind
-from repro.gossip.directory import DirectoryView, mix_rumor_id, mix_rumor_ids
+from repro.gossip.directory import RumorKnowledge, mix_rumor_id, mix_rumor_ids
+from repro.gossip.members import MemberTable
 from repro.gossip.intervals import IntervalPolicy
 from repro.gossip.messages import MessageSizer
 from repro.gossip.wire import GOSSIP_MESSAGES, PeerRecord, WireRumor
@@ -34,7 +35,8 @@ from repro.gossip.validation import (
 __all__ = [
     "Rumor",
     "RumorKind",
-    "DirectoryView",
+    "RumorKnowledge",
+    "MemberTable",
     "mix_rumor_id",
     "mix_rumor_ids",
     "IntervalPolicy",

@@ -10,10 +10,12 @@ peers.  The *bandwidth-aware* policy (Section 7.2) divides peers into fast
   source, in which case its first push goes to a fast peer so the rumor
   enters the fast tier immediately; its anti-entropy is uniform.
 
-Selection is rejection sampling against the peer's believed-online view:
-draw from the class pool, keep if believed online, fall back to a scan of
-the pool when the pool is mostly offline.  This keeps target choice O(1)
-in the common case instead of O(N) per gossip round.
+Selection is rejection sampling against the peer's
+:class:`~repro.gossip.members.MemberTable` (its on-line slot array; the
+simulator never consults contact backoff): draw from the class pool, keep
+if believed online, fall back to a scan of the pool when the pool is
+mostly offline.  This keeps target choice O(1) in the common case instead
+of O(N) per gossip round.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import GossipConfig
-from repro.gossip.directory import DirectoryView
+from repro.gossip.members import MemberTable
 
 __all__ = ["FlatSelector", "BandwidthAwareSelector"]
 
@@ -30,20 +32,20 @@ _MAX_REJECTS = 24
 
 def _sample_from_pool(
     pool: np.ndarray,
-    directory: DirectoryView,
+    members: MemberTable,
     rng: np.random.Generator,
 ) -> int | None:
     """A believed-online member of ``pool`` other than the owner, or None."""
     if pool.size == 0:
         return None
-    owner = directory.owner
-    believes = directory.believes_online
+    owner = members.owner
+    online = members.online
     for _ in range(_MAX_REJECTS):
         pid = int(pool[rng.integers(0, pool.size)])
-        if pid != owner and believes[pid]:
+        if pid != owner and online[pid]:
             return pid
     # Sparse pool: scan for valid candidates once.
-    mask = believes[pool]
+    mask = online[pool]
     candidates = pool[mask]
     candidates = candidates[candidates != owner]
     if candidates.size == 0:
@@ -61,18 +63,18 @@ class FlatSelector:
 
     def rumor_target(
         self,
-        directory: DirectoryView,
+        members: MemberTable,
         rng: np.random.Generator,
         is_rumor_source: bool = False,
     ) -> int | None:
         """Target for a rumoring round."""
-        return _sample_from_pool(self._all, directory, rng)
+        return _sample_from_pool(self._all, members, rng)
 
     def ae_target(
-        self, directory: DirectoryView, rng: np.random.Generator
+        self, members: MemberTable, rng: np.random.Generator
     ) -> int | None:
         """Target for an anti-entropy round."""
-        return _sample_from_pool(self._all, directory, rng)
+        return _sample_from_pool(self._all, members, rng)
 
 
 class BandwidthAwareSelector:
@@ -90,37 +92,37 @@ class BandwidthAwareSelector:
 
     def rumor_target(
         self,
-        directory: DirectoryView,
+        members: MemberTable,
         rng: np.random.Generator,
         is_rumor_source: bool = False,
     ) -> int | None:
         """Tier-aware rumor target (fast->fast with 1% slow; slow->slow
         unless the peer originated the rumor)."""
-        owner_fast = bool(self.is_fast[directory.owner])
+        owner_fast = bool(self.is_fast[members.owner])
         if owner_fast:
             want_slow = rng.random() < self.fast_to_slow_prob
             pool = self.slow_pool if want_slow else self.fast_pool
-            target = _sample_from_pool(pool, directory, rng)
+            target = _sample_from_pool(pool, members, rng)
             if target is None:  # chosen tier empty/offline: try the other
                 other = self.fast_pool if want_slow else self.slow_pool
-                target = _sample_from_pool(other, directory, rng)
+                target = _sample_from_pool(other, members, rng)
             return target
         # Slow peer: push the rumor into the fast tier if it originated it,
         # otherwise stay among slow peers so it cannot throttle fast ones.
         pool = self.fast_pool if is_rumor_source else self.slow_pool
-        target = _sample_from_pool(pool, directory, rng)
+        target = _sample_from_pool(pool, members, rng)
         if target is None:
-            target = _sample_from_pool(self._all, directory, rng)
+            target = _sample_from_pool(self._all, members, rng)
         return target
 
     def ae_target(
-        self, directory: DirectoryView, rng: np.random.Generator
+        self, members: MemberTable, rng: np.random.Generator
     ) -> int | None:
         """Anti-entropy target: fast peers reconcile with fast peers;
         slow peers pick uniformly."""
-        if bool(self.is_fast[directory.owner]):
-            target = _sample_from_pool(self.fast_pool, directory, rng)
+        if bool(self.is_fast[members.owner]):
+            target = _sample_from_pool(self.fast_pool, members, rng)
             if target is None:
-                target = _sample_from_pool(self._all, directory, rng)
+                target = _sample_from_pool(self._all, members, rng)
             return target
-        return _sample_from_pool(self._all, directory, rng)
+        return _sample_from_pool(self._all, members, rng)

@@ -7,8 +7,9 @@ arrived and answers with the rumor ids to ask for, ship, pull or retire.
 :class:`~repro.gossip.simpeer.GossipPeer` turns the answers into
 simulated sends of byte *counts* (Figures 2-5);
 :class:`~repro.net.node.NetworkPeer` turns them into awaited RPCs with
-real payloads.  Each driver keeps target selection, liveness / T_Dead,
-payload storage and what a learned rumor does to its directory.
+real payloads.  Each driver keeps target selection, payload storage and
+what a learned rumor does to its directory; liveness and T_Dead are
+:class:`~repro.gossip.members.MemberTable`'s.
 
 A round is a **rumor round** (push the ids of all hot rumors; the target
 says which it needs and piggybacks the ids it recently retired — *partial
@@ -53,11 +54,9 @@ class GossipCore:
         "round_counter",
     )
 
-    def __init__(
-        self, config: GossipConfig, knowledge: RumorKnowledge | None = None
-    ) -> None:
+    def __init__(self, config: GossipConfig) -> None:
         self.config = config
-        self.knowledge = knowledge if knowledge is not None else RumorKnowledge()
+        self.knowledge = RumorKnowledge()
         #: actively-spread rumors: rid -> consecutive already-knew count.
         self.hot: dict[int, int] = {}
         #: recently retired rumor ids for the partial-AE piggyback.

@@ -1,8 +1,7 @@
-"""A peer's replicated view of the global directory.
+"""A peer's replicated view of the global directory: what it knows.
 
 In the prototype the directory holds every member's name, address and
-Bloom filter (Figure 1).  For the gossip simulation we track the part that
-drives protocol behaviour:
+Bloom filter (Figure 1).  This module holds the part gossip reasons over:
 
 * the set of rumor ids the peer has learned (its information state — two
   peers whose rumor sets are equal have identical directories, since every
@@ -10,12 +9,11 @@ drives protocol behaviour:
 * an O(1)-comparable digest of that set (an incremental XOR of mixed
   rumor ids), used for the cheap "same directory?" check that keeps
   stable-state anti-entropy traffic negligible;
-* which peers it believes are currently online (gossip-target candidates;
-  updated by failed contacts and by join/rejoin rumors, never gossiped —
-  Section 3);
-* a member count (sizes the anti-entropy directory summary on the wire);
-* the time each believed-offline peer was marked offline, for the T_Dead
-  expiry rule.
+* the serve cache's directory generation, a fingerprint of the filters
+  and on-line beliefs a search ranks against.
+
+Who is a member and who is believed reachable is
+:class:`~repro.gossip.members.MemberTable`'s.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ if TYPE_CHECKING:
     from repro.net.node import NetworkPeer
 
 __all__ = [
-    "DirectoryView",
     "RumorKnowledge",
     "digest_of_rids",
     "mix_rumor_id",
@@ -124,6 +121,7 @@ def shard_generations(
     gens: dict[int, int] = {
         shard_of(own): member_mix(own, store.filter_version, store.bloom_filter.version, True)
     }
+    is_online = node.membership.is_online
     for pid, entry in node.peer.directory.items():
         if pid == own:
             continue
@@ -133,7 +131,7 @@ def shard_generations(
             pid,
             entry.filter_version,
             bf.version if bf is not None else -1,
-            entry.online,
+            is_online(pid),
         )
     if pview is not None:
         for shard, summary in pview.summaries.items():
@@ -154,7 +152,7 @@ def directory_generation(node: NetworkPeer) -> int:
     input is a counter the existing layers already maintain: the store's
     publish counter and live filter version for ourselves; the
     replicated ``filter_version``, the replica filter's mutation
-    ``version``, and the online flag for everyone else.
+    ``version``, and the member table's on-line belief for everyone else.
     """
     return compose_generations(shard_generations(node).values())
 
@@ -206,8 +204,7 @@ class RumorKnowledge:
     """The rumor ids a peer has learned, plus their O(1) XOR digest.
 
     The information state :class:`~repro.gossip.core.GossipCore` reasons
-    over.  A socket node's core holds a bare one; the simulator's
-    :class:`DirectoryView` *is* one, with membership beside it.
+    over (a bare one in both drivers; membership is the member table's).
     """
 
     __slots__ = ("known", "digest")
@@ -249,76 +246,3 @@ class RumorKnowledge:
     def same_directory(self, other: RumorKnowledge) -> bool:
         """O(1) probabilistic equality via digests."""
         return self.digest == other.digest
-
-
-class DirectoryView(RumorKnowledge):
-    """One peer's directory replica (simulation form): what it knows
-    (:class:`RumorKnowledge`) plus who it believes is a reachable member."""
-
-    __slots__ = ("owner", "believes_online", "member_count", "offline_since")
-
-    def __init__(self, owner: int, num_peer_slots: int) -> None:
-        if num_peer_slots <= 0:
-            raise ValueError("num_peer_slots must be positive")
-        super().__init__()
-        self.owner = owner
-        #: believes_online[p] — p is a known member believed reachable.
-        self.believes_online = np.zeros(num_peer_slots, dtype=bool)
-        self.member_count = 0
-        self.offline_since: dict[int, float] = {}
-
-    # -- membership -----------------------------------------------------------------
-
-    def add_member(self, peer_id: int) -> None:
-        """Record a new community member (join rumor effect)."""
-        if not self.believes_online[peer_id] and peer_id not in self.offline_since:
-            self.member_count += 1
-        self.mark_online(peer_id)
-
-    def mark_online(self, peer_id: int) -> None:
-        """Believe ``peer_id`` is reachable again."""
-        self.believes_online[peer_id] = True
-        self.offline_since.pop(peer_id, None)
-
-    def mark_offline(self, peer_id: int, now: float) -> None:
-        """A contact attempt failed; believe ``peer_id`` is offline.
-
-        Not gossiped — each peer discovers departures independently.
-        """
-        if self.believes_online[peer_id]:
-            self.believes_online[peer_id] = False
-            self.offline_since[peer_id] = now
-
-    def expire_dead(self, now: float, t_dead_s: float) -> list[int]:
-        """Drop members continuously offline for more than ``t_dead_s``.
-
-        Returns the dropped peer ids.
-        """
-        dead = [p for p, t in self.offline_since.items() if now - t > t_dead_s]
-        for p in dead:
-            del self.offline_since[p]
-            self.member_count -= 1
-        return dead
-
-    def copy_membership_from(self, other: DirectoryView) -> None:
-        """Bootstrap: adopt another peer's full directory snapshot."""
-        self.learn_many(other.known)
-        self.adopt_members(other)
-
-    def adopt_members(self, other: DirectoryView) -> None:
-        """The membership half of a snapshot (a gossiping peer adopts the
-        knowledge half through its core, which also wants the window)."""
-        self.believes_online[:] = other.believes_online
-        self.member_count = other.member_count
-        self.offline_since = dict(other.offline_since)
-
-    def online_candidates(self) -> np.ndarray:
-        """Ids of believed-online peers other than the owner."""
-        ids = np.flatnonzero(self.believes_online)
-        return ids[ids != self.owner]
-
-    def __repr__(self) -> str:
-        return (
-            f"DirectoryView(owner={self.owner}, known={len(self.known)}, "
-            f"members={self.member_count})"
-        )

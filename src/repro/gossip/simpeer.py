@@ -6,8 +6,9 @@
 partial-AE piggyback, the adaptive interval).  The core decides what is
 pushed, needed, pulled and retired; this class turns each decision into
 a ``world.send`` of the modelled size on the peer's own gossip timer,
-picks targets, tracks liveness and T_Dead, and applies a learned rumor's
-effect on membership.
+picks targets, and feeds its :class:`~repro.gossip.members.MemberTable`
+(liveness and T_Dead) what a learned rumor or a failed send says about
+membership.
 
 The AE-only baseline (``config.anti_entropy_only``, the paper's LAN-AE
 curve) replaces every round with a *push* anti-entropy: the initiator
@@ -28,14 +29,15 @@ Implementation notes
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from collections.abc import Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.constants import GossipConfig
 from repro.gossip.core import AE_PUSH, RUMOR, GossipCore
-from repro.gossip.directory import DirectoryView
 from repro.gossip.intervals import IntervalPolicy
+from repro.gossip.members import MemberTable
 from repro.gossip.messages import MessageSizer
 from repro.gossip.rumor import Rumor, RumorKind
 
@@ -54,7 +56,7 @@ class GossipPeer:
         "config",
         "sizer",
         "rng",
-        "directory",
+        "membership",
         "core",
         "online",
         "keys_shared",
@@ -65,7 +67,7 @@ class GossipPeer:
     def __init__(
         self,
         pid: int,
-        world: "GossipSimulation",
+        world: GossipSimulation,
         rng: np.random.Generator,
         keys_shared: int = 0,
     ) -> None:
@@ -74,9 +76,9 @@ class GossipPeer:
         self.config: GossipConfig = world.config
         self.sizer: MessageSizer = world.sizer
         self.rng = rng
-        #: membership beliefs; its rumor-knowledge half is the core's state.
-        self.directory = DirectoryView(pid, world.num_slots)
-        self.core = GossipCore(self.config, self.directory)
+        self.core = GossipCore(self.config)
+        #: who is a member and who is believed reachable.
+        self.membership = MemberTable(pid, self.config, world.num_slots)
         self.online = False
         self.keys_shared = keys_shared
         self._timer = None
@@ -144,7 +146,6 @@ class GossipPeer:
         self.online = True
         self.world.network.set_online(self.pid, True)
         rumor = self._mint(RumorKind.REJOIN, payload)
-        self.directory.mark_online(self.pid)
         # The returning peer catches up on everything it missed while away
         # before resuming normal rumoring (as the socket node's
         # ``announce_rejoin`` does).
@@ -187,7 +188,6 @@ class GossipPeer:
         self.online = True
         self.world.network.set_online(self.pid, True)
         rumor = self._mint(RumorKind.JOIN, self.config.peer_summary_bytes + bf_bytes)
-        self.directory.add_member(self.pid)
         self._send_join_request(bootstrap, rumor, on_complete)
         return rumor
 
@@ -212,7 +212,7 @@ class GossipPeer:
         candidates = [
             p.pid
             for p in self.world.peers
-            if p.online and p.pid != self.pid and p.directory.member_count > 1
+            if p.online and p.pid != self.pid and len(p.membership) > 1
         ]
         if not candidates:
             return
@@ -227,7 +227,7 @@ class GossipPeer:
         per_member_bf = self.world.wire.bloom_filter_bytes(
             self.world.established_keys_per_peer
         )
-        size = self.sizer.join_snapshot(self.directory.member_count, per_member_bf)
+        size = self.sizer.join_snapshot(len(self.membership), per_member_bf)
         self.world.send(
             self.pid,
             joiner,
@@ -244,10 +244,9 @@ class GossipPeer:
         donor = self.world.peers[bootstrap]
         # The simulated snapshot carries the donor's recently-learned
         # window; a wire ``JoinSnapshot`` does not (DESIGN, divergence ii).
-        self.core.adopt(donor.directory.known, recent=donor.core.recent_learned)
-        self.directory.adopt_members(donor.directory)
-        self.directory.add_member(self.pid)  # the donor may not list us yet
-        self.world.notify_snapshot(self.pid, self.directory.known)
+        self.core.adopt(donor.core.known, recent=donor.core.recent_learned)
+        self.membership.adopt(donor.membership)
+        self.world.notify_snapshot(self.pid, self.core.known)
         self._schedule_timer(float(self.rng.uniform(0.0, 2.0)))
         if on_complete is not None:
             on_complete()
@@ -289,7 +288,7 @@ class GossipPeer:
         if not self.online:
             return
         mode, hot_ids = self.core.begin_round()
-        self.directory.expire_dead(self.world.sim.now, self.config.t_dead_s)
+        self.membership.expire(self.world.sim.now)
         if mode == AE_PUSH:
             self._round_ae_push()
         elif mode == RUMOR:
@@ -305,7 +304,7 @@ class GossipPeer:
             self.world.registry.get(rid).origin == self.pid for rid in hot_ids
         )
         target = self.world.selector.rumor_target(
-            self.directory, self.rng, is_rumor_source=is_source
+            self.membership, self.rng, is_rumor_source=is_source
         )
         if target is None:
             return
@@ -352,21 +351,20 @@ class GossipPeer:
             if not self.core.learn(rid, make_hot):
                 continue
             rumor = self.world.registry.get(rid)
-            if rumor.kind is RumorKind.JOIN:
-                self.directory.add_member(rumor.origin)
-            elif rumor.kind is RumorKind.REJOIN:
-                self.directory.mark_online(rumor.origin)
-            # BF_UPDATE changes a filter, not membership.
+            if rumor.kind is not RumorKind.BF_UPDATE:
+                # A JOIN/REJOIN is its member's own evidence that it is
+                # alive; a BF_UPDATE changes a filter, not membership.
+                self.membership.seen_alive(rumor.origin)
             self.world.notify_learned(rid, self.pid)
         self._sooner_if_reset(interval)
 
     # -- anti-entropy rounds --------------------------------------------------
 
     def _round_ae_pull(self, had_hot: bool) -> None:
-        target = self.world.selector.ae_target(self.directory, self.rng)
+        target = self.world.selector.ae_target(self.membership, self.rng)
         if target is None:
             return
-        digest = self.directory.digest
+        digest = self.core.digest
         self.world.send(
             self.pid,
             target,
@@ -418,7 +416,7 @@ class GossipPeer:
         self.world.send(
             self.pid,
             dst,
-            self.sizer.ae_summary(self.directory.member_count),
+            self.sizer.ae_summary(len(self.membership)),
             lambda: self.world.peers[dst]._handle_ae_summary(self.pid),
             on_failed,
         )
@@ -426,9 +424,7 @@ class GossipPeer:
     def _handle_ae_summary(self, summarizer: int) -> None:
         """A full summary arrived (pulled, or pushed by the AE-only
         baseline): pull whatever it lists that we lack."""
-        missing = self.directory.missing_from(
-            self.world.peers[summarizer].directory.known
-        )
+        missing = self.core.knowledge.missing_from(self.world.peers[summarizer].core.known)
         if missing:
             self._pull_from(summarizer, sorted(missing))
         # Digests differed but we had everything: we know more than the
@@ -436,7 +432,7 @@ class GossipPeer:
 
     def _round_ae_push(self) -> None:
         """AE-only baseline: ship the full summary unconditionally."""
-        target = self.world.selector.ae_target(self.directory, self.rng)
+        target = self.world.selector.ae_target(self.membership, self.rng)
         if target is not None:
             self._send_summary(target, lambda: self._contact_failed(target))
 
@@ -450,7 +446,7 @@ class GossipPeer:
         )
 
     def _handle_pull_request(self, requester: int, rids: list[int]) -> None:
-        have = [rid for rid in rids if self.directory.knows(rid)]
+        have = [rid for rid in rids if self.core.knowledge.knows(rid)]
         if not have:
             return
         payload = self.world.registry.payload_total(have)
@@ -465,10 +461,10 @@ class GossipPeer:
 
     def _contact_failed(self, target: int) -> None:
         """A contact attempt failed: believe the target is offline."""
-        self.directory.mark_offline(target, self.world.sim.now)
+        self.membership.contact_failed(target, self.world.sim.now)
 
     def __repr__(self) -> str:
         return (
             f"GossipPeer(pid={self.pid}, online={self.online}, "
-            f"hot={len(self.hot)}, known={len(self.directory.known)})"
+            f"hot={len(self.hot)}, known={len(self.core.known)})"
         )

@@ -18,7 +18,7 @@ paper's four experiment shapes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from collections.abc import Callable
 
 import numpy as np
 
@@ -127,7 +127,7 @@ class GossipSimulation:
 
     def notify_online(self, pid: int) -> None:
         """A peer came (back) online."""
-        known = self.peers[pid].directory.known
+        known = self.peers[pid].core.known
         for tracker in self.trackers:
             tracker.peer_online(pid, lambda rid: rid in known)
 
@@ -142,9 +142,7 @@ class GossipSimulation:
         """
         ids = list(peer_ids)
         for pid in ids:
-            directory = self.peers[pid].directory
-            directory.believes_online[ids] = True
-            directory.member_count = len(ids)
+            self.peers[pid].membership.establish(ids)
         for pid in ids:
             self.peers[pid].start(stable=stable)
 
@@ -367,10 +365,9 @@ def run_poisson_joins(
     tracker = ConvergenceTracker()
     world.trackers.append(tracker)
     # Everyone is a known member; the last n_events start offline.
-    for pid in range(total):
-        directory = world.peers[pid].directory
-        directory.believes_online[:total] = True
-        directory.member_count = total
+    members = np.arange(total)
+    for peer in world.peers:
+        peer.membership.establish(members)
     for pid in range(n_established):
         world.peers[pid].start(stable=True)
     for pid in range(n_established, total):
@@ -454,10 +451,9 @@ def run_churn(
 
     # Everyone is a long-standing member; initial online state follows the
     # schedules' stationary draw.
-    for pid in range(n_members):
-        directory = world.peers[pid].directory
-        directory.believes_online[:] = True
-        directory.member_count = n_members
+    members = np.arange(n_members)
+    for peer in world.peers:
+        peer.membership.establish(members)
     for sched in schedules:
         peer = world.peers[sched.peer_id]
         if sched.initially_online:

@@ -16,7 +16,7 @@ InProcessCommunity`, but the "contact a peer" step is a real RPC:
 * **exhaustive** — Section 5.1's conjunctive search against every
   candidate whose replicated filter hits all query terms.
 
-Peers that fail to answer are marked offline in the node's directory
+Peers that fail to answer are marked offline in the node's member table
 (never gossiped — Section 3) and contribute nothing to the result.
 """
 
@@ -56,27 +56,19 @@ __all__ = ["NetworkSearchClient"]
 _UNGATED = contextlib.nullcontext()
 
 
-def _candidates(node: NetworkPeer, *, need_filter: bool) -> tuple[list[int], int]:
-    """Rankable member ids (sorted), and how many more would be but for a
-    missing address.
+def _candidates(node: NetworkPeer, *, need_filter: bool) -> list[int]:
+    """Rankable member ids, sorted: ourselves and the live members.
 
-    A candidate must be contactable: an entry created by a filter rumor
-    that overtook its member's JOIN has a filter but no address yet, and
-    ranking it would book an unanswerable contact against eq. 4's streak.
     ``need_filter`` is the flat directory's extra condition (a partial
     view ranks members whose filters it dropped from relayed rows).
     """
-    ids = []
-    unaddressed = 0
-    for pid, entry in node.peer.directory.items():
-        if pid == node.peer_id:
-            ids.append(pid)
-        elif entry.online and not (need_filter and entry.bloom_filter is None):
-            if entry.address:
-                ids.append(pid)
-            else:
-                unaddressed += 1
-    return sorted(ids), unaddressed
+    directory = node.peer.directory
+    ids = [
+        pid
+        for pid in node.membership.live()
+        if not (need_filter and directory[pid].bloom_filter is None)
+    ]
+    return sorted([node.peer_id, *ids])
 
 
 class _ReplicaBackend:
@@ -92,7 +84,7 @@ class _ReplicaBackend:
 
     def online_peer_ids(self) -> list[int]:
         """Members whose replicated entries are usable for ranking."""
-        return _candidates(self.node, need_filter=True)[0]
+        return _candidates(self.node, need_filter=True)
 
     def peer_filter(self, pid: int) -> BloomFilter:
         """The replicated filter (our own live filter for ourselves)."""
@@ -181,11 +173,6 @@ class NetworkSearchClient:
         self._c_exhausted = obs.counter(
             "client", "ranking_exhausted_total", "searches that ran out of ranked peers"
         )
-        self._c_unaddressed = obs.counter(
-            "client",
-            "unaddressed_candidates_total",
-            "online members left out of a ranking for want of an address",
-        )
         self._c_deadline = obs.counter(
             "client",
             "peer_deadline_timeouts_total",
@@ -219,11 +206,10 @@ class NetworkSearchClient:
         if not terms:
             raise ValueError("query analyzed to zero terms")
         if self.node.pview is not None:
-            ranking, ipf, ids, unaddressed = await self._rank_via_shards(terms)
+            ranking, ipf, ids = await self._rank_via_shards(terms)
         else:
             ranking, ipf = rank_peers(terms, self._backend)
-            ids, unaddressed = _candidates(self.node, need_filter=True)
-        self._c_unaddressed.inc(unaddressed)
+            ids = _candidates(self.node, need_filter=True)
         run = SearchRun(ranking, k, self.stopping.begin(len(ids), k), self.group_size)
         self._c_queries.inc()
 
@@ -267,25 +253,25 @@ class NetworkSearchClient:
 
     async def _rank_via_shards(
         self, terms: Sequence[str]
-    ) -> tuple[list[tuple[int, float]], dict[str, float], list[int], int]:
+    ) -> tuple[list[tuple[int, float]], dict[str, float], list[int]]:
         """Eq. 3 ranking under a partial view, over the term-hit rows the
         partial-view plane's shard fan-out assembles.  Returns the
-        ranking, the IPF map, the candidate ids (the pool for adaptive
-        stopping) and how many were left out for want of an address.
+        ranking, the IPF map and the candidate ids (the pool for adaptive
+        stopping).
         """
         term_list = list(dict.fromkeys(terms))
         rows = await self.node.partialview.term_rows(term_list, self._rpc)
         # Every contactable directory member is a candidate row (zeros
         # where nothing is known) so IPF's N matches the flat mode's
         # community size.
-        ids, unaddressed = _candidates(self.node, need_filter=False)
+        ids = _candidates(self.node, need_filter=False)
         hits = np.zeros((len(ids), len(term_list)), dtype=bool)
         for i, pid in enumerate(ids):
             row = rows.get(pid)
             if row is not None:
                 hits[i] = row
         ranking, ipf = rank_peers(term_list, _PrecomputedBackend(ids, hits))
-        return ranking, ipf, ids, unaddressed
+        return ranking, ipf, ids
 
     # -- exhaustive search --------------------------------------------------
 

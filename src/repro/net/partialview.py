@@ -215,7 +215,7 @@ class PartialViewPlane:
         if len(pids) > take:
             idx = node.rng.permutation(len(pids))[:take]
             pids = [pids[int(i)] for i in idx]
-        records.extend(node.record_of(pid, node.peer.directory[pid]) for pid in pids)
+        records.extend(node.record_of(pid) for pid in pids)
         return tuple(records)
 
     # -- serving ------------------------------------------------------------
@@ -371,9 +371,8 @@ class PartialViewPlane:
         shards = {s for s in nominated if s != pview.home}
         shards.update(pview.unknown_shards())
         if any(
-            entry.online and entry.bloom_filter is None and pview.shard_of(pid) == pview.home
-            for pid, entry in node.peer.directory.items()
-            if pid != node.peer_id
+            node.peer.directory[pid].bloom_filter is None and pview.shard_of(pid) == pview.home
+            for pid in node.membership.live()
         ):
             shards.add(pview.home)
         return sorted(shards)
@@ -385,17 +384,16 @@ class PartialViewPlane:
         its peers' term hits; returns ``{pid: bool row over terms}``."""
         node, pview = self.node, self.pview
         members: dict[int, list[int]] = {}
-        for pid, entry in node.peer.directory.items():
-            if pid == node.peer_id or not entry.address:
-                continue
-            members.setdefault(pview.shard_of(pid), []).append(pid)
+        for pid in node.membership.members():
+            if pid != node.peer_id:
+                members.setdefault(pview.shard_of(pid), []).append(pid)
 
         async def ask(shard: int) -> dict[int, np.ndarray]:
             # Online members first; a dead first target falls through to
             # the runner-up instead of losing the whole shard.
             pool = sorted(
                 members.get(shard, ()),
-                key=lambda pid: (not node.peer.directory[pid].online, pid),
+                key=lambda pid: (not node.membership.is_online(pid), pid),
             )[:2]
             rows: dict[int, np.ndarray] = {}
             for start in range(0, len(terms), SHARD_MATCH_MAX_TERMS):

@@ -161,8 +161,7 @@ class ChaosCommunity:
                     return False
                 if observer is owner:
                     continue
-                entry = observer.peer.directory.get(owner.peer_id)
-                if entry is None or not entry.online:
+                if not observer.membership.is_online(owner.peer_id):
                     return False
         return True
 

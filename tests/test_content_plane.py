@@ -67,8 +67,7 @@ class Community:
         answering (the same failed-contact evidence a deployment uses)."""
         node = self.nodes[via]
         for _ in range(max_rounds):
-            entry = node.peer.directory.get(dead)
-            if entry is not None and not entry.online:
+            if dead in node.membership and not node.membership.is_online(dead):
                 return
             await node.gossip_round()
         raise AssertionError(f"peer {via} never marked {dead} offline")

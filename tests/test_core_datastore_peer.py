@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.constants import BloomConfig
+from repro.constants import BloomConfig, GossipConfig
 from repro.core.datastore import LocalDataStore
 from repro.core.peer import PlanetPPeer
+from repro.gossip.members import MemberTable
 from repro.text.document import Document
 from repro.text.xmlsnippets import XMLSnippet
 
@@ -136,14 +137,18 @@ class TestPeer:
         assert peer.directory[1].filter_version == 5
 
     def test_online_status_changes(self):
+        """A directory row carries address, filter and version; who is
+        believed online is the gossip layer's member table."""
         peer = PlanetPPeer(0)
         other = PlanetPPeer(1)
         peer.update_directory(1, other.address, other.store.bloom_filter, 0)
-        peer.mark_peer_offline(1)
-        assert peer.known_online_peers() == []
-        assert peer.update_directory(1, other.address, other.store.bloom_filter, 0,
-                                     online=True)
-        assert peer.known_online_peers() == [1]
+        assert not hasattr(peer.directory[1], "online")
+        members = MemberTable(0, GossipConfig())
+        members.seen_alive(1)
+        members.contact_failed(1, now=0.0)
+        assert members.live() == []
+        members.seen_alive(1)
+        assert members.live() == [1]
 
     def test_candidate_peers_uses_filters(self):
         searcher = PlanetPPeer(0)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.constants import GossipConfig
 from repro.gossip import core as core_module
 from repro.gossip.core import AE_PULL, AE_PUSH, RUMOR, GossipCore
-from repro.gossip.directory import DirectoryView
+from repro.gossip import members as members_module
 
 
 def reference_exchange(config, pusher, target):
@@ -199,22 +199,37 @@ class TestAdoption:
         assert not checkpoint.hot  # adopted knowledge is not re-spread
 
     def test_a_directory_view_can_be_the_cores_knowledge(self):
-        view = DirectoryView(0, 4)
-        c = GossipCore(GossipConfig(), view)
+        c = GossipCore(GossipConfig())
+        view = c.knowledge  # a driver reads the same set its core does
         c.learn(11, make_hot=True)
         assert view.knows(11) and c.digest == view.digest
         view.learn(12)
         assert c.known == {11, 12}
 
 
-def test_core_is_sans_io():
-    """No clock, no RNG, no loop, no sockets, no simulator, no metrics."""
-    tree = ast.parse(Path(core_module.__file__).read_text())
+SANS_IO_BANNED = ("asyncio", "time", "random", "numpy", "repro.net", "repro.sim", "repro.obs")
+
+
+def _imports(module) -> set[str]:
+    tree = ast.parse(Path(module.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported |= {alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
             imported.add(node.module)
-    banned = ("asyncio", "time", "random", "numpy", "repro.net", "repro.sim", "repro.obs")
+    return imported
+
+
+def test_core_is_sans_io():
+    """No clock, no RNG, no loop, no sockets, no simulator, no metrics."""
+    imported = _imports(core_module)
+    assert not [m for m in imported if m.startswith(SANS_IO_BANNED)], imported
+
+
+def test_member_table_is_sans_io():
+    """The same bans for the member table (time is passed in), except
+    numpy, which holds its on-line slot array."""
+    imported = _imports(members_module)
+    banned = tuple(m for m in SANS_IO_BANNED if m != "numpy")
     assert not [m for m in imported if m.startswith(banned)], imported

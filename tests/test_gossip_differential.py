@@ -1,11 +1,13 @@
 """One schedule, two drivers: the simulator's ``GossipPeer`` and the
 socket node's ``NetworkPeer`` (on the loopback fabric) run the same
 scripted contacts, and after every step each peer's ``(known, hot,
-recent, interval)`` must be equal in both worlds.
+recent, interval)`` and its ``(members, online)`` must be equal in both
+worlds.
 
-Both drive the same ``GossipCore``; what this test pins is that the two
-*drivers* feed it the same events in the same order — the wire's RPC
-chain and the simulator's callback chain are one protocol.  The script
+Both drive the same ``GossipCore`` and ``MemberTable``; what this test
+pins is that the two *drivers* feed them the same events in the same
+order — the wire's RPC chain and the simulator's callback chain are one
+protocol.  The script
 owns every choice a driver would make itself: targets are explicit
 (``world.selector`` / ``pick_target`` are scripted) and rounds fire when
 the script says (the simulator's timers are off, the node's loop is never
@@ -18,7 +20,10 @@ pull from a joiner an id the joiner only adopted by snapshot, because a
 node stores no payload for those (and the joiner's recently-learned
 window, divergence ii, only differs in order at this scale); timers (i)
 are out of the picture altogether.  Both drivers force anti-entropy after
-a rejoin (iii is closed), so the rejoin step needs no patching.
+a rejoin (iii is closed), so the rejoin step needs no patching.  A node
+also takes a successful contact and a relayed directory row as liveness
+evidence, which a simulated peer never receives (v): the script never
+has a peer contact a member it believes offline.
 """
 
 import asyncio
@@ -141,11 +146,11 @@ class Scripted:
     def __init__(self):
         self.next = {}
 
-    def rumor_target(self, directory, rng, is_rumor_source=False):
-        return self.next[directory.owner]
+    def rumor_target(self, members, rng, is_rumor_source=False):
+        return self.next[members.owner]
 
-    def ae_target(self, directory, rng):
-        return self.next[directory.owner]
+    def ae_target(self, members, rng):
+        return self.next[members.owner]
 
 
 class SimWorld:
@@ -156,9 +161,7 @@ class SimWorld:
         self.world.selector = Scripted()
         self.peers = self.world.peers
         for pid in range(ESTABLISHED):
-            directory = self.peers[pid].directory
-            directory.believes_online[:ESTABLISHED] = True
-            directory.member_count = ESTABLISHED
+            self.peers[pid].membership.establish(range(ESTABLISHED))
             self.peers[pid].online = True
             self.world.network.set_online(pid, True)
 
@@ -184,7 +187,7 @@ class SimWorld:
             origin = self.world.registry.get(rid).origin
             key[rid] = (origin, seq.get(origin, 0))
             seq[origin] = key[rid][1] + 1
-        return [_state(p.core, key.__getitem__) for p in self.peers]
+        return [_state(p.core, p.membership, key.__getitem__) for p in self.peers]
 
 
 class NetWorld:
@@ -231,7 +234,7 @@ class NetWorld:
 
     def states(self):
         return [
-            _state(n.core, lambda rid: (rid >> 32, rid & 0xFFFFFFFF))
+            _state(n.core, n.membership, lambda rid: (rid >> 32, rid & 0xFFFFFFFF))
             for n in self.nodes
         ]
 
@@ -240,12 +243,15 @@ class NetWorld:
             await node.stop()
 
 
-def _state(core, key):
+def _state(core, membership, key):
+    members = membership.members()
     return (
         {key(rid) for rid in core.known},
         {key(rid): count for rid, count in core.hot.items()},
         [key(rid) for rid in core.recent],
         core.intervals.interval,
+        members,
+        [pid for pid in members if membership.is_online(pid)],
     )
 
 
@@ -253,7 +259,7 @@ def test_simulator_and_socket_node_agree_after_every_step(monkeypatch):
     async def scenario():
         sim, net = SimWorld(monkeypatch), NetWorld()
         await net.start()
-        stretched = set()
+        stretched, doubted = set(), set()
         for i, step in enumerate(SCRIPT):
             sim.step(*step)
             await net.step(*step)
@@ -262,19 +268,23 @@ def test_simulator_and_socket_node_agree_after_every_step(monkeypatch):
                 assert sim_states[pid] == net_states[pid], (i, step, pid)
                 if net_states[pid][3] > CONFIG.base_interval_s:
                     stretched.add(pid)
+                doubted.update((pid, m) for m in net_states[pid][4] if m not in net_states[pid][5])
         await net.stop()
-        return sim.states(), net.registry, stretched
+        return sim.states(), net.registry, stretched, doubted
 
-    final, counters, stretched = asyncio.run(scenario())
+    final, counters, stretched, doubted = asyncio.run(scenario())
     # The script did what its comments say: every kind of step ran, ...
     assert {step[0] for step in SCRIPT} == {"round", "update", "join", "offline", "rejoin"}
     # ... both anti-entropy levels and the partial-AE piggyback were used, ...
     for counter in ("ae_full_summaries_total", "partial_ae_pulls_total"):
         assert counters.value("node", counter) > 0, counter
     # ... rumors retired, idle peers slowed down (and were reset: all end at base), ...
-    assert all(recent for _, _, recent, _ in final)
+    assert all(state[2] for state in final)
     assert stretched == {1, 2}
-    assert {interval for _, _, _, interval in final} == {CONFIG.base_interval_s}
+    # ... the failed contact made 1 (and only 1) doubt 3 until its REJOIN, ...
+    assert doubted == {(1, 3)}
+    assert {state[3] for state in final} == {CONFIG.base_interval_s}
     # ... and the community ends consistent, joiners included.
-    assert len({frozenset(known) for known, _, _, _ in final}) == 1
+    assert len({frozenset(state[0]) for state in final}) == 1
     assert len(final[0][0]) == 9  # 6 updates, 2 joins, 1 rejoin
+    assert all(state[5] == list(range(SLOTS)) for state in final)

@@ -25,11 +25,11 @@ class TestTDead:
         # Long after T_Dead, peers that noticed the failure drop peer 5.
         world.sim.run(until=300.0)
         droppers = [
-            p for p in world.peers[:5] if p.directory.member_count < 6
+            p for p in world.peers[:5] if len(p.membership) < 6
         ]
         assert droppers, "nobody expired the dead peer"
         for p in droppers:
-            assert 5 not in p.directory.offline_since
+            assert 5 not in p.membership.offline_since
 
     def test_peer_returning_before_t_dead_is_kept(self):
         world = _world(6, t_dead_s=10_000.0)
@@ -39,7 +39,7 @@ class TestTDead:
         world.peers[5].rejoin()
         world.sim.run(until=300.0)
         for p in world.peers[:5]:
-            assert p.directory.member_count == 6
+            assert len(p.membership) == 6
 
 
 class TestJoinRobustness:
@@ -55,7 +55,7 @@ class TestJoinRobustness:
         world.sim.run(until=600.0, stop_when=tracker.all_converged)
         assert tracker.all_converged()
         # The joiner ended up with a full directory from someone else.
-        assert world.peers[6].directory.member_count >= 6
+        assert len(world.peers[6].membership) >= 6
 
     def test_join_rumor_spreads_while_snapshot_in_flight(self):
         world = _world(30)
@@ -75,7 +75,7 @@ class TestOfflineSemantics:
         world.peers[9].go_offline()
         rumor = world.peers[0].originate_update(100)
         world.sim.run(until=120.0)
-        assert not world.peers[9].directory.knows(rumor.rid)
+        assert not world.peers[9].core.knowledge.knows(rumor.rid)
 
     def test_leaving_is_not_gossiped(self):
         """Section 3: departures are discovered by failed contacts only —
@@ -86,7 +86,7 @@ class TestOfflineSemantics:
         world.peers[3].go_offline()
         # Before any contact attempt, everyone still believes 3 online.
         believers = sum(
-            1 for p in world.peers[:3] if p.directory.believes_online[3]
+            1 for p in world.peers[:3] if p.membership.is_online(3)
         )
         assert believers == 3
 

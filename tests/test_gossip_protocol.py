@@ -38,7 +38,7 @@ class TestRumorSpreading:
         world.sim.run(until=600.0, stop_when=tracker.all_converged)
         assert tracker.all_converged()
         for peer in world.peers:
-            assert peer.directory.knows(rumor.rid)
+            assert peer.core.knowledge.knows(rumor.rid)
 
     def test_multiple_concurrent_rumors(self):
         world, tracker = _world(15)
@@ -104,10 +104,10 @@ class TestAntiEntropy:
         rumor = world.peers[0].originate_update(500)
         world.tracked_register(rumor.rid, 0)
         world.sim.run(until=120.0)
-        assert not world.peers[9].directory.knows(rumor.rid)
+        assert not world.peers[9].core.knowledge.knows(rumor.rid)
         world.peers[9].rejoin()
         world.sim.run(until=400.0)
-        assert world.peers[9].directory.knows(rumor.rid)
+        assert world.peers[9].core.knowledge.knows(rumor.rid)
 
     def test_long_offline_peer_uses_full_summary(self):
         """A peer that missed more rumors than the recent window holds
@@ -125,7 +125,7 @@ class TestAntiEntropy:
         world.peers[7].rejoin()
         world.sim.run(until=400.0)
         for rumor in rumors:
-            assert world.peers[7].directory.knows(rumor.rid)
+            assert world.peers[7].core.knowledge.knows(rumor.rid)
 
 
 class TestFailureHandling:
@@ -135,7 +135,7 @@ class TestFailureHandling:
         world.sim.run(until=120.0)
         # Someone must have tried to contact peer 3 by now.
         marked = sum(
-            1 for p in world.peers if p.pid != 3 and not p.directory.believes_online[3]
+            1 for p in world.peers if p.pid != 3 and not p.membership.is_online(3)
         )
         assert marked > 0
 
@@ -149,7 +149,7 @@ class TestFailureHandling:
         assert tracker.all_converged()
         for peer in world.peers:
             if peer.pid != 5:
-                assert peer.directory.believes_online[5]
+                assert peer.membership.is_online(5)
 
 
 class TestJoinScenario:
@@ -171,8 +171,8 @@ class TestJoinScenario:
         world.tracked_register(rumor_b.rid, 11)
         world.sim.run(until=600.0, stop_when=tracker.all_converged)
         assert tracker.all_converged()
-        assert world.peers[10].directory.knows(rumor_b.rid)
-        assert world.peers[11].directory.knows(rumor_a.rid)
+        assert world.peers[10].core.knowledge.knows(rumor_b.rid)
+        assert world.peers[11].core.knowledge.knows(rumor_a.rid)
 
 
 class TestScenarioRunners:

@@ -65,7 +65,7 @@ class TestGossipDirectoryAgreement:
             world.tracked_register(rumor.rid, rumor.origin)
         world.sim.run(until=900.0, stop_when=tracker.all_converged)
         assert tracker.all_converged()
-        digests = {p.directory.digest for p in world.peers}
+        digests = {p.core.digest for p in world.peers}
         assert len(digests) == 1
 
     def test_conservation_of_knowledge(self):
@@ -78,8 +78,8 @@ class TestGossipDirectoryAgreement:
         world.sim.run(until=120.0)
         valid_ids = {rumor.rid}
         for peer in world.peers:
-            assert peer.directory.known <= valid_ids
-        assert world.peers[3].directory.knows(rumor.rid)
+            assert peer.core.known <= valid_ids
+        assert world.peers[3].core.knowledge.knows(rumor.rid)
 
 
 class TestPFSOverCommunity:

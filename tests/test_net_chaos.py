@@ -333,8 +333,8 @@ def test_churn_soak_crash_expiry_and_rejoin():
         for pid in sorted(community.alive):
             if pid == 2:
                 continue
-            entry = community.nodes[pid].peer.directory[2]
-            assert entry.online, f"peer {pid} did not re-admit the rejoiner"
+            members = community.nodes[pid].membership
+            assert members.is_online(2), f"peer {pid} did not re-admit the rejoiner"
         # The rejoiner caught up on what it missed while down.
         assert community.nodes[2].replica_of(0) == (
             community.nodes[0].peer.store.bloom_filter

@@ -13,6 +13,7 @@ import asyncio
 import random
 
 from repro.core.community import InProcessCommunity
+from repro.gossip.wire import RumorData
 from repro.net.client import NetworkSearchClient
 from repro.net.node import NetworkPeer
 from repro.net.transport import LoopbackNetwork
@@ -151,28 +152,29 @@ def test_query_replies_heal_offline_entries_and_stale_outcomes_are_ignored():
         await nodes[1].join(nodes[0].address)
         await _converge(nodes)
         client = NetworkSearchClient(nodes[0])
-        entry = nodes[0].peer.directory[1]
+        address = nodes[0].peer.directory[1].address
+        members = nodes[0].membership
         try:
-            nodes[0]._contact_failed(1)
-            assert not entry.online
+            nodes[0]._record_contact(1, address, ok=False)
+            assert not members.is_online(1)
             # The peer still answers at its recorded address: the reply
             # heals the entry and it reappears in ranking candidates.
             assert await client.fetch(1, "d-bloom") is not None
-            assert entry.online
+            assert members.is_online(1)
             assert 1 in [pid for pid, _r in
                          (await client.ranked_search("bloom", k=2)).peer_ranking]
 
             # A late failure from the peer's previous address (it was
             # re-addressed mid-flight) must not mark the entry offline...
             nodes[0]._record_contact(1, "127.0.0.1:1", ok=False)
-            assert entry.online
+            assert members.is_online(1)
             # ...and a late success from it must not resurrect one.
-            nodes[0]._contact_failed(1)
+            nodes[0]._record_contact(1, address, ok=False)
             nodes[0]._record_contact(1, "127.0.0.1:1", ok=True)
-            assert not entry.online
+            assert not members.is_online(1)
             # Evidence about the current address still lands.
-            nodes[0]._record_contact(1, entry.address, ok=True)
-            assert entry.online
+            nodes[0]._record_contact(1, address, ok=True)
+            assert members.is_online(1)
         finally:
             for node in nodes:
                 await node.stop()
@@ -231,9 +233,11 @@ def test_concurrent_searches_return_their_serial_answers():
 
 
 def test_a_member_without_an_address_is_not_a_candidate():
-    """A filter rumor can overtake its member's JOIN: the entry then has
-    a filter and no address.  Ranking it would book a contact nobody can
-    make against eq. 4's streak (and lose the peers behind it)."""
+    """A filter rumor can overtake its member's JOIN: the filter then
+    waits in the directory, and the member enters the member table only
+    with its addressed record.  Until then it is not ranked — that would
+    book a contact nobody can make against eq. 4's streak (and lose the
+    peers behind it)."""
     query = "gossip bloom peers"
 
     async def scenario():
@@ -242,30 +246,32 @@ def test_a_member_without_an_address_is_not_a_candidate():
             NetworkPeer(
                 pid, "peer", pid, transport=net.transport(), seed=pid, registry=Registry()
             )
-            for pid in range(3)
+            for pid in range(4)
         ]
         for node in nodes:
             await node.start()
-        _publish_corpus(nodes)
+        _publish_corpus(nodes[:3])
         await nodes[1].join(nodes[0].address)
         await nodes[2].join(nodes[0].address)
-        await _converge(nodes)
-        querier = nodes[0]
+        await _converge(nodes[:3])
+        querier, late = nodes[0], nodes[3]
         client = NetworkSearchClient(querier)
         try:
             full = await client.ranked_search(query, k=4)
-            assert 1 in full.peers_contacted
-            address, querier.peer.directory[1].address = (
-                querier.peer.directory[1].address, "",
-            )
+            late.publish(Document("d-late", query))
+            (update,) = late.rumors.values()
+            await late.request_address(querier.address, RumorData((update,)))
+            assert querier.replica_of(3) is not None and 3 not in querier.membership
             blind = await client.ranked_search(query, k=4)
-            assert 1 not in [pid for pid, _r in blind.peer_ranking]
-            assert 1 not in blind.peers_contacted
-            assert querier.obs.value("client", "unaddressed_candidates_total") == 1
-            # The JOIN record arrives: the member is a candidate again.
-            querier.peer.directory[1].address = address
+            assert 3 not in [pid for pid, _r in blind.peer_ranking]
+            assert 3 not in blind.peers_contacted
+            assert blind.results == full.results
+            # The JOIN record arrives: the member is a candidate, its
+            # filter the union of both rumors'.
+            await late.join(querier.address)
             healed = await client.ranked_search(query, k=4)
-            assert healed.results == full.results
+            assert 3 in healed.peers_contacted
+            assert "d-late" in {d.doc_id for d in healed.results}
         finally:
             for node in nodes:
                 await node.stop()

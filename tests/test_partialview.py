@@ -24,6 +24,7 @@ import pytest
 from repro.bloom.filter import BloomFilter
 from repro.constants import BloomConfig, PartialViewConfig
 from repro.gossip.partialview import PartialView, ShardMap, ShardSummary
+from repro.gossip.wire import RumorData
 from repro.net.client import NetworkSearchClient
 from repro.net.node import NetworkPeer
 from repro.net.transport import LoopbackNetwork
@@ -252,14 +253,19 @@ def test_partialview_community_bounds_filters_and_answers_searches():
         assert got_docs == want_docs
         assert len(got_docs) == 8
 
-        # A member whose address has not arrived yet is no candidate in
-        # this id list either (nobody could contact it).
-        nodes[2].peer.directory[5].address = ""
+        # A member whose address has not arrived yet (its filter rumor
+        # overtook its JOIN) is no candidate in this id list either
+        # (nobody could contact it).
+        late = _pv_node(net, 9)
+        await late.start()
+        late.publish(Document("doc-9", "topic9 shared corpus term"))
+        (update,) = late.rumors.values()
+        await late.request_address(nodes[2].address, RumorData((update,)))
+        assert 9 in nodes[2].peer.directory and 9 not in nodes[2].membership
         blind = await pv_client.ranked_search("shared corpus", k=8)
-        assert 5 not in [pid for pid, _r in blind.peer_ranking]
-        assert nodes[2].obs.value("client", "unaddressed_candidates_total") == 1
+        assert 9 not in [pid for pid, _r in blind.peer_ranking]
 
-        for node in [*nodes, flat]:
+        for node in [*nodes, flat, late]:
             await node.stop()
 
     asyncio.run(scenario())

@@ -165,9 +165,9 @@ def test_online_flip_moves_generation():
         await b.join(a.address)
         await _spread([a, b])
         g0 = directory_generation(a)
-        a.peer.directory[1].online = False  # a failed contact's verdict
+        a.membership.contact_failed(1, 0.0)  # a failed contact's verdict
         assert directory_generation(a) != g0
-        a.peer.directory[1].online = True
+        a.membership.seen_alive(1)
         assert directory_generation(a) == g0
         await a.stop()
         await b.stop()
@@ -207,6 +207,9 @@ class _StubNode:
         self.peer = SimpleNamespace(
             store=SimpleNamespace(filter_version=5, bloom_filter=_StubFilter(9)),
             directory={0: _StubEntry(5, 9, True), **members},
+        )
+        self.membership = SimpleNamespace(
+            is_online=lambda pid: self.peer.directory[pid].online
         )
 
 

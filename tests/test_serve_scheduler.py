@@ -326,7 +326,7 @@ def test_peer_deadline_abandons_a_stalled_peer():
             querier.obs.value("client", "peer_deadline_timeouts_total") == 1
         )
         # A deadline miss is a failed contact: marked offline locally.
-        assert not querier.peer.directory[stalled.peer_id].online
+        assert not querier.membership.is_online(stalled.peer_id)
         for node in nodes:
             await node.stop()
 

@@ -48,7 +48,10 @@ async def _converge_on(b2: NetworkPeer, others: list[NetworkPeer], rounds: int =
         for other in others:
             await other.gossip_round()
         views = [other.peer.directory.get(b2.peer_id) for other in others]
-        if all(e is not None and e.address == b2.address and e.online for e in views):
+        if all(
+            e is not None and e.address == b2.address and other.membership.is_online(b2.peer_id)
+            for e, other in zip(views, others)
+        ):
             return True
     return False
 
