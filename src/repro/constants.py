@@ -177,6 +177,11 @@ NET_CONTACT_BACKOFF_BASE_S: float = 30.0
 #: Upper bound on the per-member contact backoff (seconds).
 NET_CONTACT_BACKOFF_MAX_S: float = 480.0
 
+#: Largest community peer id a node accepts, its own (rumor ids mint the
+#: origin into 16 bits) or one read off the wire (U32 there; a row or
+#: rumor naming a larger one is dropped).
+MAX_PEER_ID: int = 0xFFFF
+
 # --------------------------------------------------------------------------
 # repro.store defaults (durable persistence; not from the paper)
 # --------------------------------------------------------------------------
