@@ -94,7 +94,7 @@ async def build_community(
     for _ in range(60):
         for node in nodes:
             await node.gossip_round()
-        if len({node.digest for node in nodes}) == 1:
+        if len({node.core.digest for node in nodes}) == 1:
             break
     else:
         raise RuntimeError("community never converged")

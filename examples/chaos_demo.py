@@ -85,7 +85,7 @@ async def main(seed: int) -> None:
     def converged() -> bool:
         # Same digest, bit-identical replicas, and everyone marked online —
         # ranked search only consults peers the querier believes are alive.
-        if len({n.digest for n in nodes}) != 1:
+        if len({n.core.digest for n in nodes}) != 1:
             return False
         return all(
             a.replica_of(b.peer_id) == b.peer.store.bloom_filter
@@ -102,7 +102,7 @@ async def main(seed: int) -> None:
         if clock() > CHAOS_END and converged():
             break
         if rounds % 40 == 0:
-            digests = len({n.digest for n in nodes})
+            digests = len({n.core.digest for n in nodes})
             print(
                 f"  t={clock():7.0f}s round {rounds:3d}: {digests} distinct "
                 f"digests, {plan.dropped} dropped, {plan.blocked} blocked"

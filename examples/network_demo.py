@@ -42,7 +42,7 @@ async def main() -> None:
     for rnd in range(1, 31):
         for node in nodes:
             await node.gossip_round()
-        if len({node.digest for node in nodes}) == 1:
+        if len({node.core.digest for node in nodes}) == 1:
             print(f"directories converged after {rnd} gossip rounds")
             break
     else:

@@ -35,7 +35,7 @@ async def converge(nodes: list[NetworkPeer], rounds: int = 40) -> None:
     for _ in range(rounds):
         for node in nodes:
             await node.gossip_round()
-        if len({node.digest for node in nodes}) == 1:
+        if len({node.core.digest for node in nodes}) == 1:
             return
     raise SystemExit("gossip did not converge")
 

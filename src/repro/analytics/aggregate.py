@@ -54,6 +54,13 @@ __all__ = ["SpaceSaving", "TermSketch", "AnalyticsPlane"]
 #: Clamp on remotely requested top-k sizes (a TopTermsRequest's u16 k).
 _MAX_TOP_K = 1024
 
+#: Per-document access counters carried per origin entry.
+_TOP_DOCS = 32
+
+#: Sketch entries pushed per exchange message — bounds the per-round
+#: analytics bytes regardless of community size.
+_EXCHANGE_ENTRIES = 64
+
 
 class SpaceSaving:
     """The space-saving frequent-item summary (bounded counters).
@@ -261,7 +268,7 @@ class AnalyticsPlane:
                 if doc_id in store
             ),
             key=lambda kv: (-kv[1], kv[0]),
-        )[: self.config.top_docs]
+        )[:_TOP_DOCS]
         return SketchEntry(
             self.node.peer_id, epoch, tuple(summary.items()), tuple(docs)
         )
@@ -297,8 +304,7 @@ class AnalyticsPlane:
     async def maintenance_round(self) -> None:
         """One push-pull exchange per gossip round (the round hook an
         enabled plane registers)."""
-        if self.node.round_counter % self.config.refresh_every_rounds == 0:
-            self.refresh_local()
+        self.refresh_local()
         target = self.node.pick_target()
         if target is None:
             return
@@ -320,9 +326,7 @@ class AnalyticsPlane:
         if ahead:
             await self.node.request_peer(
                 target,
-                SketchExchange(
-                    tuple(ahead[: self.config.exchange_entries]), ()
-                ),
+                SketchExchange(tuple(ahead[:_EXCHANGE_ENTRIES]), ()),
             )
         self._g_origins.set(len(self.sketch))
 
@@ -336,11 +340,7 @@ class AnalyticsPlane:
         self._g_origins.set(len(self.sketch))
         missing: tuple[SketchEntry, ...] = ()
         if msg.versions:
-            missing = tuple(
-                self.sketch.entries_ahead_of(msg.versions)[
-                    : self.config.exchange_entries
-                ]
-            )
+            missing = tuple(self.sketch.entries_ahead_of(msg.versions)[:_EXCHANGE_ENTRIES])
         return SketchReply(missing, self.sketch.versions())
 
     def on_top_terms(self, msg: TopTermsRequest) -> TopTermsReply:

@@ -9,7 +9,7 @@ experiment code can reference the paper's configuration by name, and a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # --------------------------------------------------------------------------
 # Table 2: simulation constants
@@ -246,7 +246,6 @@ class GossipConfig:
 
     base_interval_s: float = BASE_GOSSIP_INTERVAL_S
     max_interval_s: float = MAX_GOSSIP_INTERVAL_S
-    cpu_gossip_time_s: float = CPU_GOSSIP_TIME_S
     rumor_give_up_count: int = RUMOR_GIVE_UP_COUNT
     anti_entropy_period: int = ANTI_ENTROPY_PERIOD
     partial_ae_recent: int = PARTIAL_AE_RECENT_RUMORS
@@ -266,9 +265,6 @@ class GossipConfig:
     bandwidth_aware: bool = False
     fast_to_slow_prob: float = BW_AWARE_FAST_TO_SLOW_PROB
     fast_threshold_Bps: float = FAST_LINK_THRESHOLD_BPS
-    header_bytes: int = MESSAGE_HEADER_BYTES
-    peer_summary_bytes: int = PEER_SUMMARY_BYTES
-    bf_summary_bytes: int = BF_SUMMARY_BYTES
 
     def __post_init__(self) -> None:
         if self.base_interval_s <= 0:
@@ -321,7 +317,6 @@ class NetConfig:
     max_frame_bytes: int = NET_MAX_FRAME_BYTES
     connect_timeout_s: float = NET_CONNECT_TIMEOUT_S
     request_timeout_s: float = NET_REQUEST_TIMEOUT_S
-    codec_version: int = NET_CODEC_VERSION
     request_retries: int = NET_REQUEST_RETRIES
     retry_backoff_s: float = NET_RETRY_BACKOFF_S
     retry_backoff_max_s: float = NET_RETRY_BACKOFF_MAX_S
@@ -350,7 +345,6 @@ class StoreConfig:
     """Tunables of the persistence subsystem (:mod:`repro.store`)."""
 
     snapshot_every: int = STORE_SNAPSHOT_EVERY
-    snapshot_keep: int = STORE_SNAPSHOT_KEEP
     checkpoint_every_rounds: int = STORE_CHECKPOINT_EVERY_ROUNDS
     #: fsync the WAL on every append.  Turning this off trades crash
     #: durability of the most recent records for publish throughput.
@@ -359,8 +353,6 @@ class StoreConfig:
     def __post_init__(self) -> None:
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
-        if self.snapshot_keep < 1:
-            raise ValueError("snapshot_keep must be >= 1")
         if self.checkpoint_every_rounds < 1:
             raise ValueError("checkpoint_every_rounds must be >= 1")
 
@@ -409,21 +401,12 @@ class PartialViewConfig:
     #: out-of-shard peers whose full filters a node keeps anyway, so
     #: ranked search has warm candidates beyond its home shard.
     sample_size: int = 32
-    #: membership records traded per ViewExchange message.
-    exchange_records: int = 16
-    #: virtual ring positions per shard — evens out arc sizes so churn
-    #: moves ~N/num_shards assignments, not an arbitrary arc's worth.
-    points_per_shard: int = 64
 
     def __post_init__(self) -> None:
         if self.num_shards < 2:
             raise ValueError("num_shards must be >= 2")
         if self.sample_size < 0:
             raise ValueError("sample_size must be >= 0")
-        if self.exchange_records < 1:
-            raise ValueError("exchange_records must be >= 1")
-        if self.points_per_shard < 1:
-            raise ValueError("points_per_shard must be >= 1")
 
 
 @dataclass
@@ -444,14 +427,9 @@ class ContentConfig:
     #: a responder caps each ChunkReply at this many bytes — replies for
     #: big chunks arrive as resumable slices (offset + prefix).
     max_reply_bytes: int = 65536
-    #: virtual ring positions per member, so replica arcs stay even and
-    #: churn only remaps the failed member's share.
-    points_per_member: int = 32
     #: documents (re)pushed per maintenance round — bounds the per-round
     #: replication burst after a churn event.
     push_docs_per_round: int = 8
-    #: replica addresses advertised in a ManifestReply.
-    max_advertised_holders: int = 8
 
     def __post_init__(self) -> None:
         if self.replicas < 0:
@@ -460,12 +438,8 @@ class ContentConfig:
             raise ValueError("chunk_size must be >= 1")
         if self.max_reply_bytes < 1:
             raise ValueError("max_reply_bytes must be >= 1")
-        if self.points_per_member < 1:
-            raise ValueError("points_per_member must be >= 1")
         if self.push_docs_per_round < 1:
             raise ValueError("push_docs_per_round must be >= 1")
-        if self.max_advertised_holders < 1:
-            raise ValueError("max_advertised_holders must be >= 1")
 
 
 @dataclass
@@ -483,23 +457,10 @@ class AnalyticsConfig:
     #: space-saving counter capacity — the per-origin term summary never
     #: tracks more than this many terms (error bounded by N/capacity).
     sketch_capacity: int = 128
-    #: per-document access counters carried per origin entry.
-    top_docs: int = 32
-    #: sketch entries pushed per exchange message — bounds the per-round
-    #: analytics bytes regardless of community size.
-    exchange_entries: int = 64
-    #: local summary rebuild cadence, in gossip rounds.
-    refresh_every_rounds: int = 1
 
     def __post_init__(self) -> None:
         if self.sketch_capacity < 1:
             raise ValueError("sketch_capacity must be >= 1")
-        if self.top_docs < 0:
-            raise ValueError("top_docs must be >= 0")
-        if self.exchange_entries < 1:
-            raise ValueError("exchange_entries must be >= 1")
-        if self.refresh_every_rounds < 1:
-            raise ValueError("refresh_every_rounds must be >= 1")
 
 
 @dataclass
@@ -523,8 +484,6 @@ class WireSizes:
     header: int = MESSAGE_HEADER_BYTES
     bf_1000: int = BF_1000_KEYS_BYTES
     bf_20000: int = BF_20000_KEYS_BYTES
-    bf_summary: int = BF_SUMMARY_BYTES
-    peer_summary: int = PEER_SUMMARY_BYTES
 
     def bloom_filter_bytes(self, num_keys: int) -> int:
         """Interpolated wire size of a compressed Bloom filter for

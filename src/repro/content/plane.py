@@ -56,6 +56,9 @@ __all__ = ["ContentPlane", "replica_ring"]
 
 _RING_SEED = 17
 
+#: Replica addresses advertised in a ManifestReply.
+_MAX_ADVERTISED_HOLDERS = 8
+
 
 def replica_ring(member_ids: list[int], points_per_member: int = 32) -> ConsistentHashRing:
     """The content ring for a membership view.
@@ -166,7 +169,7 @@ class ContentPlane:
         """The ring for the current liveness view (memoised per view)."""
         key = tuple(sorted(self._live_members()))
         if self._ring is None or key != self._ring_key:
-            self._ring = replica_ring(list(key), self.config.points_per_member)
+            self._ring = replica_ring(list(key))
             self._ring_key = key
         return self._ring
 
@@ -207,7 +210,7 @@ class ContentPlane:
 
     def holder_addresses(self, doc_id: str) -> tuple[str, ...]:
         """What a ManifestReply advertises (capped candidate list)."""
-        return tuple(self.candidate_addresses(doc_id)[: self.config.max_advertised_holders])
+        return tuple(self.candidate_addresses(doc_id)[:_MAX_ADVERTISED_HOLDERS])
 
     # -- local publishes ----------------------------------------------------
 

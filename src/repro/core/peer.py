@@ -11,9 +11,7 @@ over time and bandwidth.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 from repro.bloom.filter import BloomFilter
 from repro.bloom.matcher import FilterMatrix
@@ -34,7 +32,6 @@ class PeerEntry:
     address: str
     bloom_filter: BloomFilter | None = None
     filter_version: int = -1
-    metadata: Mapping[str, Any] = field(default_factory=dict)
 
 
 class PlanetPPeer:

@@ -34,70 +34,60 @@ gossip accounting: the per-exchange helpers below never see them.
 
 from __future__ import annotations
 
-from repro.constants import GossipConfig, WireSizes
+from repro.constants import BF_SUMMARY_BYTES, MESSAGE_HEADER_BYTES, PEER_SUMMARY_BYTES
 from repro.gossip import wire
 
 __all__ = ["MessageSizer"]
 
-_ID_BYTES = 6  # one rumor-id digest on the wire (Table 2's "BF summary")
+_ID_BYTES = BF_SUMMARY_BYTES  # one rumor-id digest on the wire (Table 2's "BF summary")
 _DIGEST_BYTES = 8
 
 
 class MessageSizer:
-    """Computes message sizes from protocol configuration."""
+    """Computes message sizes from the Table 2 constants."""
 
-    __slots__ = ("config", "wire")
-
-    def __init__(self, config: GossipConfig, wire: WireSizes | None = None) -> None:
-        self.config = config
-        self.wire = wire or WireSizes(header=config.header_bytes)
+    __slots__ = ()
 
     def rumor_push(self, num_active: int) -> int:
         """x announces its active rumor ids to y."""
-        return self.config.header_bytes + _ID_BYTES * num_active
+        return MESSAGE_HEADER_BYTES + _ID_BYTES * num_active
 
     def rumor_reply(self, num_needed: int, num_piggyback: int) -> int:
         """y answers which ids it needs, piggybacking partial-AE ids."""
-        return self.config.header_bytes + _ID_BYTES * (num_needed + num_piggyback)
+        return MESSAGE_HEADER_BYTES + _ID_BYTES * (num_needed + num_piggyback)
 
     def rumor_data(self, payload_bytes: int) -> int:
         """x ships the needed rumor payloads."""
-        return self.config.header_bytes + payload_bytes
+        return MESSAGE_HEADER_BYTES + payload_bytes
 
     def ae_request(self) -> int:
         """x asks y for its directory summary, sending its own digest."""
-        return self.config.header_bytes + _DIGEST_BYTES
+        return MESSAGE_HEADER_BYTES + _DIGEST_BYTES
 
     def ae_nothing(self) -> int:
         """Digests matched; nothing to exchange."""
-        return self.config.header_bytes
+        return MESSAGE_HEADER_BYTES
 
     def ae_recent(self, num_ids: int) -> int:
         """Cheap reconciliation: the target's recently-learned rumor ids."""
-        return self.config.header_bytes + _ID_BYTES * num_ids
+        return MESSAGE_HEADER_BYTES + _ID_BYTES * num_ids
 
     def ae_summary(self, num_members_known: int) -> int:
         """y's full directory summary (proportional to community size)."""
-        return self.config.header_bytes + self.config.peer_summary_bytes * num_members_known
+        return MESSAGE_HEADER_BYTES + PEER_SUMMARY_BYTES * num_members_known
 
     def pull_request(self, num_ids: int) -> int:
         """Request specific rumor payloads by id."""
-        return self.config.header_bytes + _ID_BYTES * num_ids
+        return MESSAGE_HEADER_BYTES + _ID_BYTES * num_ids
 
     def join_request(self, joiner_bf_bytes: int) -> int:
         """A new member introduces itself to its bootstrap peer."""
-        return (
-            self.config.header_bytes
-            + self.config.peer_summary_bytes
-            + joiner_bf_bytes
-        )
+        return MESSAGE_HEADER_BYTES + PEER_SUMMARY_BYTES + joiner_bf_bytes
 
     def join_snapshot(self, num_members: int, bf_bytes_per_member: int) -> int:
         """Full directory download for a new member: every member's record
         plus its Bloom filter (the 16 MB-for-1000-peers case of Section 7.2)."""
-        return self.config.header_bytes + num_members * (
-            self.config.peer_summary_bytes + bf_bytes_per_member
-        )
+        return MESSAGE_HEADER_BYTES + num_members * (PEER_SUMMARY_BYTES + bf_bytes_per_member)
 
     def model_size(self, msg: object) -> int:
         """Model size of one :mod:`repro.gossip.wire` message.
@@ -114,6 +104,4 @@ class MessageSizer:
             raise TypeError(f"not a gossip wire message: {type(msg).__name__}")
         if row.table2 is not None:
             return row.table2(self, msg)
-        return self.config.header_bytes + row.body.width(
-            msg, self.config.peer_summary_bytes
-        )
+        return MESSAGE_HEADER_BYTES + row.body.width(msg, PEER_SUMMARY_BYTES)

@@ -240,7 +240,7 @@ class PartialView:
         self.owner = owner
         self.config = config or PartialViewConfig()
         self.bloom_config = bloom or BloomConfig()
-        self.shard_map = ShardMap(self.config.num_shards, self.config.points_per_shard)
+        self.shard_map = ShardMap(self.config.num_shards)
         self.home = self.shard_map.shard_of(owner)
         #: out-of-shard pids whose full filters we keep anyway.
         self.sample: set[int] = set()

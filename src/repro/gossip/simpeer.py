@@ -34,9 +34,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.constants import GossipConfig
+from repro.constants import PEER_SUMMARY_BYTES, GossipConfig
 from repro.gossip.core import AE_PUSH, RUMOR, GossipCore
-from repro.gossip.intervals import IntervalPolicy
 from repro.gossip.members import MemberTable
 from repro.gossip.messages import MessageSizer
 from repro.gossip.rumor import Rumor, RumorKind
@@ -84,21 +83,6 @@ class GossipPeer:
         self._timer = None
         self._timer_time = float("inf")
 
-    @property
-    def hot(self) -> dict[int, int]:
-        """Actively-spread rumors: rid -> consecutive already-knew count."""
-        return self.core.hot
-
-    @property
-    def intervals(self) -> IntervalPolicy:
-        """The adaptive gossip interval."""
-        return self.core.intervals
-
-    @property
-    def round_counter(self) -> int:
-        """Rounds started so far."""
-        return self.core.round_counter
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -113,9 +97,9 @@ class GossipPeer:
         self.online = True
         self.world.network.set_online(self.pid, True)
         if stable:
-            self.intervals.interval = self.config.max_interval_s
+            self.core.intervals.interval = self.config.max_interval_s
         if initial_delay is None:
-            initial_delay = float(self.rng.uniform(0.0, self.intervals.interval))
+            initial_delay = float(self.rng.uniform(0.0, self.core.intervals.interval))
         self._schedule_timer(initial_delay)
 
     def go_offline(self) -> None:
@@ -140,7 +124,7 @@ class GossipPeer:
         rumor payload (the dynamic-scenario "Join" events).  Returns the
         minted rumor so the caller can register it for tracking.
         """
-        payload = self.config.peer_summary_bytes
+        payload = PEER_SUMMARY_BYTES
         if new_keys > 0:
             payload += self.world.wire.bloom_filter_bytes(new_keys)
         self.online = True
@@ -167,7 +151,7 @@ class GossipPeer:
             if payload_bytes is not None
             else self.world.wire.bloom_filter_bytes(payload_keys)
         )
-        interval = self.intervals.interval
+        interval = self.core.intervals.interval
         rumor = self._mint(RumorKind.BF_UPDATE, payload)
         self._sooner_if_reset(interval)
         return rumor
@@ -187,7 +171,7 @@ class GossipPeer:
         bf_bytes = self.world.wire.bloom_filter_bytes(self.keys_shared)
         self.online = True
         self.world.network.set_online(self.pid, True)
-        rumor = self._mint(RumorKind.JOIN, self.config.peer_summary_bytes + bf_bytes)
+        rumor = self._mint(RumorKind.JOIN, PEER_SUMMARY_BYTES + bf_bytes)
         self._send_join_request(bootstrap, rumor, on_complete)
         return rumor
 
@@ -271,15 +255,15 @@ class GossipPeer:
         pending timer would fire later than one (new) interval from now."""
         if not self.online:
             return
-        target = self.world.sim.now + self.intervals.interval
+        target = self.world.sim.now + self.core.intervals.interval
         if self._timer_time > target:
-            self._schedule_timer(self.intervals.interval)
+            self._schedule_timer(self.core.intervals.interval)
 
     def _sooner_if_reset(self, interval_before: float) -> None:
         """The core reset the interval during the last call: a simulated
         timer can be pulled forward (the socket node's loop sleeps out the
         old interval instead — DESIGN, divergence i)."""
-        if self.intervals.interval < interval_before:
+        if self.core.intervals.interval < interval_before:
             self._reschedule_sooner()
 
     def _on_timer(self) -> None:
@@ -295,7 +279,7 @@ class GossipPeer:
             self._round_rumor(hot_ids)
         else:
             self._round_ae_pull(had_hot=bool(hot_ids))
-        self._schedule_timer(self.intervals.interval)
+        self._schedule_timer(self.core.intervals.interval)
 
     # -- rumor rounds ------------------------------------------------------
 
@@ -317,7 +301,7 @@ class GossipPeer:
         )
 
     def _handle_rumor_push(self, src: int, pushed_ids: list[int]) -> None:
-        interval = self.intervals.interval
+        interval = self.core.intervals.interval
         needed, piggy = self.core.on_rumor_push(pushed_ids)
         self._sooner_if_reset(interval)
         self.world.send(
@@ -346,7 +330,7 @@ class GossipPeer:
 
     def _learn(self, rids: list[int], make_hot: bool) -> None:
         """Learn delivered rumors and apply their membership effects."""
-        interval = self.intervals.interval
+        interval = self.core.intervals.interval
         for rid in rids:
             if not self.core.learn(rid, make_hot):
                 continue
@@ -466,5 +450,5 @@ class GossipPeer:
     def __repr__(self) -> str:
         return (
             f"GossipPeer(pid={self.pid}, online={self.online}, "
-            f"hot={len(self.hot)}, known={len(self.core.known)})"
+            f"hot={len(self.core.hot)}, known={len(self.core.known)})"
         )

@@ -22,7 +22,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from repro.constants import GossipConfig, WireSizes
+from repro.constants import CPU_GOSSIP_TIME_S, GossipConfig, WireSizes
 from repro.gossip.bandwidth_aware import BandwidthAwareSelector, FlatSelector
 from repro.gossip.messages import MessageSizer
 from repro.gossip.rumor import RumorRegistry
@@ -61,14 +61,14 @@ class GossipSimulation:
         bandwidth_bucket_s: float = 10.0,
     ) -> None:
         self.config = config or GossipConfig()
-        self.wire = WireSizes(header=self.config.header_bytes)
-        self.sizer = MessageSizer(self.config, self.wire)
+        self.wire = WireSizes()
+        self.sizer = MessageSizer()
         self.sim = Simulator()
         # Table 2's 5 ms per-gossip-op CPU cost rides on every message.
         self.network = Network(
             self.sim,
             link_speeds,
-            latency_s=_LATENCY_S + self.config.cpu_gossip_time_s,
+            latency_s=_LATENCY_S + CPU_GOSSIP_TIME_S,
             bucket_s=bandwidth_bucket_s,
         )
         self.registry = RumorRegistry()

@@ -120,6 +120,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any, NamedTuple
 
+from repro.constants import MESSAGE_HEADER_BYTES, PEER_SUMMARY_BYTES
 from repro.gossip.rumor import RumorKind
 from repro.gossip.schema import (
     BLOB,
@@ -898,8 +899,8 @@ ROWS: tuple[Row, ...] = (
     # Per-member filters may differ in size: sum them exactly rather than
     # assuming join_snapshot's uniform-size special case.
     _row(10, JoinSnapshot, GOSSIP,
-         lambda s, m: s.config.header_bytes
-         + sum(s.config.peer_summary_bytes + len(e.bloom) for e in m.entries),
+         lambda s, m: MESSAGE_HEADER_BYTES
+         + sum(PEER_SUMMARY_BYTES + len(e.bloom) for e in m.entries),
          entries=seq(_SNAPSHOT_ENTRY), rids=_RIDS),
     _row(16, RankedQuery, terms=_TERMS, ipf=seq(_SCORED, U16), k=U16),
     _row(17, RankedResponse, results=seq(_SCORED)),

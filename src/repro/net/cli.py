@@ -77,7 +77,7 @@ from repro.net import codec
 from repro.net.chaos import EdgeFaults, FaultPlan, FaultyTransport
 from repro.net.client import NetworkSearchClient
 from repro.net.codec import StatsRequest, StatsResponse
-from repro.net.node import NetworkPeer
+from repro.net.node import NetworkPeer, read_checkpoint
 from repro.net.transport import TcpTransport, Transport, TransportError
 from repro.text.document import Document
 
@@ -465,15 +465,14 @@ def _check_data_dir(data_dir: Path) -> None:
     """Refuse an existing-but-unreadable directory checkpoint.
 
     Checkpoint writes are atomic (tmp + rename), so a checkpoint that
-    exists yet fails to parse is real damage, not a torn write.  The
-    library layer would silently cold-start over it; at the CLI — where
-    the operator explicitly asked for a warm restart — discarding state
-    without saying so is worse than stopping, so fail with instructions.
+    exists yet fails to parse is real damage or an older format or codec
+    version, not a torn write.  The library layer would silently
+    cold-start over it; at the CLI — where the operator explicitly asked
+    for a warm restart — discarding state without saying so is worse
+    than stopping, so fail with instructions.
     """
-    from repro.store import load_checkpoint
-
     ckpt_path = data_dir / "directory.ckpt"
-    if ckpt_path.exists() and load_checkpoint(ckpt_path) is None:
+    if ckpt_path.exists() and read_checkpoint(ckpt_path) is None:
         raise ValueError(
             f"corrupt directory checkpoint at {ckpt_path}; delete it to "
             f"cold-start from the WAL/snapshots (documents are unaffected)"
@@ -558,14 +557,14 @@ async def run(args: argparse.Namespace) -> None:
             )
         else:
             await node.join(args.bootstrap)
-            print(f"joined via {args.bootstrap}: {len(node.members())} members known")
+            print(f"joined via {args.bootstrap}: {len(node.membership)} members known")
 
     # One machine-readable line once the node is fully up (serving,
     # corpus published, joined): orchestrators parse it for the bound
     # ephemeral port instead of scraping the human-oriented output.
     print(
         f"PLANETP_READY peer={args.peer_id} addr={address} pid={os.getpid()} "
-        f"members={len(node.members())}",
+        f"members={len(node.membership)}",
         flush=True,
     )
 

@@ -46,7 +46,6 @@ import asyncio
 import contextlib
 import struct
 import time
-from collections import deque
 from collections.abc import Awaitable, Callable, Iterable
 from pathlib import Path
 from typing import Any
@@ -114,7 +113,6 @@ from repro.net.transport import TcpTransport, Transport, TransportError
 from repro.obs import Counter, Registry, global_registry
 from repro.serve.subscriptions import SubscriptionManager
 from repro.store import (
-    CheckpointEntry,
     ChunkStore,
     DirectoryCheckpoint,
     PersistentDataStore,
@@ -125,7 +123,7 @@ from repro.text.analyzer import Analyzer
 from repro.text.document import Document
 from repro.text.xmlsnippets import XMLSnippet
 
-__all__ = ["NetworkPeer", "RID_RESTART_GAP"]
+__all__ = ["NetworkPeer", "RID_RESTART_GAP", "read_checkpoint"]
 
 #: How far past the checkpointed rumor sequence a warm restart resumes
 #: minting.  Rumors minted between the last checkpoint write and a crash
@@ -133,6 +131,20 @@ __all__ = ["NetworkPeer", "RID_RESTART_GAP"]
 #: sequence far beyond anything a checkpoint interval could mint keeps
 #: post-restart rids from colliding with them.
 RID_RESTART_GAP = 1 << 16
+
+
+def read_checkpoint(path: Path) -> tuple[DirectoryCheckpoint, JoinSnapshot] | None:
+    """A directory checkpoint and the join snapshot it holds; None when
+    the file is missing or damaged, or was written in an older format or
+    codec version (each a cold start)."""
+    ckpt = load_checkpoint(path)
+    if ckpt is None:
+        return None
+    try:
+        snap = codec.decode(ckpt.snapshot)
+    except CodecError:
+        return None
+    return (ckpt, snap) if isinstance(snap, JoinSnapshot) else None
 
 
 class NetworkPeer:
@@ -206,7 +218,7 @@ class NetworkPeer:
         #: default so transport/bloom/chaos instruments land beside ours.
         self.obs = registry if registry is not None else global_registry()
         self.transport.bind_registry(self.obs)
-        self._sizer = MessageSizer(self.config)
+        self._sizer = MessageSizer()
         self._started_at: float | None = None
         #: cached node-component instruments; gossip rounds are the hot
         #: path and must not pay a registry lookup per increment.
@@ -411,38 +423,31 @@ class NetworkPeer:
     # ------------------------------------------------------------------
 
     def _restore_checkpoint(self) -> None:
-        """Seed the directory and rumor knowledge from the last checkpoint.
+        """Seed the directory and rumor knowledge from the last checkpoint:
+        our own join snapshot, adopted as :meth:`join` adopts a
+        bootstrap's but with an empty recently-learned window.
 
-        A missing/corrupt checkpoint, or one written by a different peer
-        id (a reused data dir), is silently a cold start.  The rows merge
-        like any peer's (:meth:`install_entries`), so restored
-        believed-offline members get their T_Dead clocks started now.
+        A missing/corrupt checkpoint, one in an older format or codec
+        version, or one written by a different peer id (a reused data
+        dir) is silently a cold start.  Restored believed-offline members
+        get their T_Dead clocks started now.
         """
-        ckpt = load_checkpoint(self._checkpoint_path)
-        if ckpt is None or ckpt.peer_id != self.peer_id:
+        restored = read_checkpoint(self._checkpoint_path)
+        if restored is None or restored[0].peer_id != self.peer_id:
             return
-        rows = [
-            SnapshotEntry(PeerRecord(e.peer_id, e.address, e.online, e.filter_version), e.bloom)
-            for e in ckpt.entries
-            if e.peer_id != self.peer_id
-        ]
-        self.install_entries(rows)
-        self.restored_members = len(rows)
+        ckpt, snap = restored
         # Adopting (one vectorized digest fold) leaves the digest
         # bit-identical to the incrementally maintained one, so the first
         # AE digest comparison with an unchanged community answers
         # "nothing new" instead of triggering a full summary transfer.
-        self.core.adopt(ckpt.known_rids, recent=())
+        self.adopt_snapshot(snap, recent=())
+        self.restored_members = sum(e.record.peer_id != self.peer_id for e in snap.entries)
         # Resume minting rumor ids strictly after every id of the previous
         # life.  The gap covers rumors minted between the last checkpoint
         # write and the crash (unrecorded, but known to other members) —
         # reusing one of those would make our REJOIN rumor "already known"
         # everywhere and therefore unspreadable.
-        own_seqs = [
-            rid & 0xFFFFFFFF
-            for rid in self.known
-            if (rid >> 32) == self.peer_id
-        ]
+        own_seqs = [rid & 0xFFFFFFFF for rid in snap.rids if (rid >> 32) == self.peer_id]
         resume_at = max([ckpt.next_rid_seq, *(s + 1 for s in own_seqs)])
         self._rid_seq = max(self._rid_seq, resume_at + RID_RESTART_GAP)
         staleness = max(0.0, time.time() - ckpt.written_at)
@@ -460,41 +465,26 @@ class NetworkPeer:
             "checkpoint_restored",
             peer=self.peer_id,
             members=self.restored_members,
-            rumors=len(ckpt.known_rids),
+            rumors=len(snap.rids),
             staleness_s=staleness,
         )
 
     def write_checkpoint(self) -> int:
-        """Persist the replicated directory; returns bytes written.
+        """Persist the replicated directory (:meth:`snapshot`); returns
+        bytes written.
 
         A no-op (returns 0) without a data dir; write failures are
         counted, not raised — a full disk must not stop gossip.
         """
         if self._checkpoint_path is None:
             return 0
-        entries = tuple(
-            CheckpointEntry(
-                pid,
-                entry.address,
-                self.membership.is_online(pid),
-                entry.filter_version,
-                entry.bloom_filter.to_compressed()
-                if entry.bloom_filter is not None
-                else b"",
-            )
-            for pid, entry in sorted(self.peer.directory.items())
-            if pid != self.peer_id
-        )
-        checkpoint = DirectoryCheckpoint(
-            self.peer_id,
-            time.time(),
-            entries,
-            tuple(sorted(self.known)),
-            self._rid_seq,
-        )
+        snap = self.snapshot()
         try:
+            checkpoint = DirectoryCheckpoint(
+                self.peer_id, time.time(), self._rid_seq, codec.encode(snap)
+            )
             nbytes = save_checkpoint(self._checkpoint_path, checkpoint)
-        except OSError:
+        except (OSError, CodecError):
             self.obs.counter(
                 "store", "checkpoint_errors_total", "failed checkpoint writes"
             ).inc()
@@ -506,7 +496,10 @@ class NetworkPeer:
             "store", "checkpoint_bytes_total", "bytes written across checkpoints"
         ).inc(nbytes)
         self.obs.emit(
-            "checkpoint_written", peer=self.peer_id, members=len(entries), bytes=nbytes
+            "checkpoint_written",
+            peer=self.peer_id,
+            members=len(snap.entries) - 1,  # our own row is one of them
+            bytes=nbytes,
         )
         return nbytes
 
@@ -518,31 +511,6 @@ class NetworkPeer:
     def peer_id(self) -> int:
         """This node's community-wide peer id."""
         return self.peer.peer_id
-
-    @property
-    def known(self) -> set[int]:
-        """Every rumor id learned so far."""
-        return self.core.known
-
-    @property
-    def digest(self) -> int:
-        """XOR digest of :attr:`known`; equal digests = equal directories."""
-        return self.core.digest
-
-    @property
-    def hot(self) -> dict[int, int]:
-        """Actively-spread rumors: rid -> consecutive already-knew count."""
-        return self.core.hot
-
-    @property
-    def recent(self) -> deque[int]:
-        """Recently retired rumor ids (the partial-AE piggyback window)."""
-        return self.core.recent
-
-    @property
-    def round_counter(self) -> int:
-        """Gossip rounds started so far."""
-        return self.core.round_counter
 
     def _mint_rid(self) -> int:
         """Globally-unique 48-bit rumor id: 16-bit peer id + 32-bit seq."""
@@ -588,6 +556,13 @@ class NetworkPeer:
         bf = self.peer.directory[pid].bloom_filter
         bloom = bf.to_compressed() if bf is not None else b""
         return SnapshotEntry(self.record_of(pid), bloom)
+
+    def snapshot(self) -> JoinSnapshot:
+        """The whole directory as a joiner downloads it: every row with
+        its filter (our own included) and every rumor id we know.  It is
+        also what :meth:`write_checkpoint` persists."""
+        entries = tuple(self.snapshot_entry(pid) for pid in sorted(self.peer.directory))
+        return JoinSnapshot(entries, tuple(sorted(self.core.known)))
 
     async def start(self) -> str:
         """Bind the server socket and begin answering requests.
@@ -668,27 +643,30 @@ class NetworkPeer:
         Introduces ourselves (record + compressed filter, minting our own
         JOIN rumor) and adopts the bootstrap's directory snapshot.
         """
-        record = self.own_record()
-        bloom = self.peer.store.bloom_filter.to_compressed()
-        rumor = self._mint(
-            RumorKind.JOIN, codec.encode_member_payload(record, bloom)
-        )
-        request = JoinRequest(record, bloom, rumor.rid, rumor.created_at)
+        own = self.snapshot_entry(self.peer_id)
+        rumor = self._mint(RumorKind.JOIN, codec.encode_member_payload(own.record, own.bloom))
+        request = JoinRequest(own.record, own.bloom, rumor.rid, rumor.created_at)
         reply = await self.request_address(bootstrap_address, request)
         if not isinstance(reply, JoinSnapshot):
             raise TransportError(f"bootstrap sent {type(reply).__name__}, not a snapshot")
-        self.install_entries(reply.entries)
-        # Adopt the known-id set so digests converge.  Payloads for these
-        # historical rumors are not carried (current state came with the
-        # entries); we simply cannot serve pulls for them — peers that
-        # stored them can.  The snapshot carries no recently-learned
-        # window either, so every adopted id enters ours, in wire order.
-        self.core.adopt(reply.rids)
+        # The snapshot carries no recently-learned window, so every
+        # adopted id enters ours, in wire order.
+        self.adopt_snapshot(reply)
         if self.pview is not None:
             # Warm the shard summaries right away: until the rotating
             # maintenance step has run, searches fan out to every
             # unknown shard, so one extra RPC here pays for itself.
             await self.partialview.pull_summaries(address=bootstrap_address)
+
+    def adopt_snapshot(
+        self, snap: JoinSnapshot, *, recent: Iterable[int] | None = None
+    ) -> None:
+        """Take on a directory download (a bootstrap's reply, or our own
+        checkpoint): merge its rows, then adopt its rumor ids unspread,
+        ``recent`` as in :meth:`GossipCore.adopt`.  Their payloads are not
+        carried, so we cannot serve pulls for them; peers that stored them can."""
+        self.install_entries(snap.entries)
+        self.core.adopt(snap.rids, recent=recent)
 
     # ------------------------------------------------------------------
     # publishing
@@ -729,15 +707,13 @@ class NetworkPeer:
     def announce_rejoin(self) -> WireRumor:
         """Mint a REJOIN rumor carrying our record and full filter
         (used after coming back online at a possibly new address)."""
+        own = self.snapshot_entry(self.peer_id)
         current = self.peer.store.bloom_filter
-        payload = codec.encode_member_payload(
-            self.own_record(), current.to_compressed()
-        )
         # The rumor carries the whole filter, so future BF_UPDATE diffs
         # only need to cover growth from here.
         self._last_gossiped = current.copy()
         self._last_flushed = (current, current.version)
-        rumor = self._mint(RumorKind.REJOIN, payload)
+        rumor = self._mint(RumorKind.REJOIN, codec.encode_member_payload(own.record, own.bloom))
         # Catch up on what we missed before rumoring again, as the
         # simulator's rejoin does.
         self.core.force_anti_entropy()
@@ -902,15 +878,15 @@ class NetworkPeer:
             self.obs.emit("peer_expired", peer=self.peer_id, target=pid)
         rumor_mode = mode == RUMOR
         self._count("gossip_rounds_total", 1, "gossip rounds initiated")
-        self._g_hot.set(len(self.hot))
+        self._g_hot.set(len(self.core.hot))
         # The directory's rows, a filter still waiting for its member's
         # JOIN included: a fleet waits on this gauge for convergence.
         self._g_directory.set(len(self.peer.directory))
-        self._g_known.set(len(self.known))
+        self._g_known.set(len(self.core.known))
         self.obs.emit(
             "round_started",
             peer=self.peer_id,
-            round=self.round_counter,
+            round=self.core.round_counter,
             mode="rumor" if rumor_mode else "anti-entropy",
         )
         if rumor_mode:
@@ -923,7 +899,7 @@ class NetworkPeer:
             await hook()
         if (
             self._checkpoint_path is not None
-            and self.round_counter % self.store_config.checkpoint_every_rounds == 0
+            and self.core.round_counter % self.store_config.checkpoint_every_rounds == 0
         ):
             self.write_checkpoint()
 
@@ -970,7 +946,7 @@ class NetworkPeer:
         if target is None:
             return
         self.obs.emit("ae_triggered", peer=self.peer_id, target=target)
-        reply = await self.request_peer(target, AERequest(self.digest))
+        reply = await self.request_peer(target, AERequest(self.core.digest))
         if isinstance(reply, AENothing):
             self.core.on_ae_nothing(had_hot)
         elif isinstance(reply, AERecent):
@@ -1110,7 +1086,7 @@ class NetworkPeer:
     def _on_pull(self, msg: PullRequest) -> object:
         if not msg.rids:  # empty pull = full directory summary request
             records = tuple(self.record_of(pid) for pid in sorted(self.peer.directory))
-            return AESummary(records, tuple(sorted(self.known)))
+            return AESummary(records, tuple(sorted(self.core.known)))
         have = tuple(
             self.rumors[rid] for rid in msg.rids if rid in self.rumors
         )
@@ -1125,16 +1101,11 @@ class NetworkPeer:
             codec.encode_member_payload(msg.record, msg.bloom),
         )
         self._learn_rumor(rumor, make_hot=True)
-        entries = tuple(self.snapshot_entry(pid) for pid in sorted(self.peer.directory))
-        return JoinSnapshot(entries, tuple(sorted(self.known)))
+        return self.snapshot()
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-
-    def members(self) -> list[int]:
-        """Sorted ids of every known member (including ourselves)."""
-        return self.membership.members()
 
     def replica_of(self, peer_id: int) -> BloomFilter | None:
         """Our replicated copy of ``peer_id``'s Bloom filter."""
@@ -1147,5 +1118,5 @@ class NetworkPeer:
         return (
             f"NetworkPeer(id={self.peer_id}, addr={self.address}, "
             f"docs={len(self.peer.store)}, members={len(self.peer.directory)}, "
-            f"known={len(self.known)})"
+            f"known={len(self.core.known)})"
         )

@@ -53,6 +53,9 @@ __all__ = ["PartialViewPlane", "Rpc"]
 #: A caller's RPC to a member: ``(pid, msg) -> reply or None``.
 Rpc = Callable[[int, object], Awaitable[object | None]]
 
+#: Membership records traded per ViewExchange message.
+_EXCHANGE_RECORDS = 16
+
 
 class PartialViewPlane:
     """One node's partial-view maintenance, serving and shard fan-out."""
@@ -108,7 +111,7 @@ class PartialViewPlane:
         home-shard filter backfill — then the directory-memory gauges
         (a flat node only updates the gauges)."""
         if self.pview is not None:
-            step = self.node.round_counter % 3
+            step = self.node.core.round_counter % 3
             if step == 1:
                 await self.exchange_views()
             else:
@@ -177,7 +180,7 @@ class PartialViewPlane:
         target = self.node.pick_target()
         if target is None:
             return
-        want = self.pview.config.exchange_records
+        want = _EXCHANGE_RECORDS
         reply = await self.node.request_peer(target, ViewExchange(self._sample_records(want), want))
         if isinstance(reply, ViewExchange):
             self.node.install_records(reply.records)

@@ -12,10 +12,10 @@ package makes local state durable, in three layers:
                 snapshots of the documents, inverted index, and
                 compressed Bloom filter; recovery = newest valid
                 snapshot + WAL suffix
-``checkpoint``  the replicated directory (membership, filter versions,
-                Golomb-compressed Bloom filters) persisted so a
-                restarting node seeds anti-entropy from its last known
-                view instead of re-fetching every filter
+``checkpoint``  the replicated directory, as the node's own join
+                snapshot frame, persisted so a restarting node seeds
+                anti-entropy from its last known view instead of
+                re-fetching every filter
 
 ``persistent_store.PersistentDataStore`` ties the first two into a
 drop-in replacement for :class:`~repro.core.datastore.LocalDataStore`;
@@ -24,7 +24,6 @@ all three (see ``python -m repro.net --data-dir``).
 """
 
 from repro.store.checkpoint import (
-    CheckpointEntry,
     DirectoryCheckpoint,
     SubscriptionCheckpoint,
     SubscriptionEntry,
@@ -44,7 +43,6 @@ from repro.store.snapshot import (
 from repro.store.wal import WriteAheadLog
 
 __all__ = [
-    "CheckpointEntry",
     "ChunkStore",
     "ContentNotFound",
     "build_manifest",

@@ -3,14 +3,12 @@
 The paper's directory is soft state — a restarting peer re-learns every
 member record and Bloom filter over gossip, which for an N-member
 community means re-transferring N compressed filters (the dominant term
-of a cold join, Section 3.2).  A checkpoint makes that state warm:
-membership records, filter versions, the Golomb-compressed filters
-(straight from the :mod:`repro.bloom.compress` version-keyed memo, so an
-unchanged filter is never re-encoded), and the set of rumor ids the node
-had learned.  On restart the node seeds its directory and anti-entropy
-digest from the checkpoint, so a digest comparison with any live peer
-resolves to "nothing new" (or a small recent-window pull) instead of a
-full snapshot transfer.
+of a cold join, Section 3.2).  A checkpoint makes that state warm: it
+holds the directory download a joiner would get from a member, only
+taken from the node's own disk.  The rows and the rumor ids are the
+node's encoded ``JoinSnapshot`` frame, opaque here; the node writes it
+with the codec and restores it through the adoption path ``join()``
+uses, so a codec version bump makes an older checkpoint a cold start.
 
 Checkpoints are written with the same atomic CRC container as snapshots
 (:mod:`repro.store.snapshot`); a corrupt or missing file simply means a
@@ -25,25 +23,13 @@ from pathlib import Path
 
 from repro.store.snapshot import atomic_write_bytes, decode_container, encode_container
 
-__all__ = ["CHECKPOINT_MAGIC", "CheckpointEntry", "DirectoryCheckpoint",
+__all__ = ["CHECKPOINT_MAGIC", "DirectoryCheckpoint",
            "SUBSCRIPTIONS_MAGIC", "SubscriptionEntry", "SubscriptionCheckpoint",
            "load_checkpoint", "save_checkpoint",
            "load_subscriptions", "save_subscriptions"]
 
-CHECKPOINT_MAGIC = b"PPDIR001"
+CHECKPOINT_MAGIC = b"PPDIR002"
 SUBSCRIPTIONS_MAGIC = b"PPSUB001"
-
-
-@dataclass(frozen=True)
-class CheckpointEntry:
-    """One persisted directory row (another member, never ourselves)."""
-
-    peer_id: int
-    address: str
-    online: bool
-    filter_version: int
-    #: Golomb-compressed Bloom filter bytes (empty = no replica held).
-    bloom: bytes
 
 
 @dataclass(frozen=True)
@@ -53,15 +39,13 @@ class DirectoryCheckpoint:
     peer_id: int
     #: wall-clock write time (``time.time()``), for staleness accounting.
     written_at: float
-    entries: tuple[CheckpointEntry, ...]
-    #: rumor ids known at checkpoint time; restoring them (and their XOR
-    #: digest) is what lets anti-entropy short-circuit after a restart.
-    known_rids: tuple[int, ...]
     #: the node's next rumor sequence number.  Restored (plus a safety
     #: gap) so rumors minted after a restart never reuse a previous
     #: life's rids — a reused rid is "already known" community-wide and
     #: the rumor carrying it can never spread.
-    next_rid_seq: int = 0
+    next_rid_seq: int
+    #: the directory rows and known rumor ids as one encoded wire frame.
+    snapshot: bytes
 
 
 def save_checkpoint(path: str | Path, checkpoint: DirectoryCheckpoint) -> int:
@@ -69,18 +53,8 @@ def save_checkpoint(path: str | Path, checkpoint: DirectoryCheckpoint) -> int:
     payload = {
         "peer_id": checkpoint.peer_id,
         "written_at": checkpoint.written_at,
-        "entries": [
-            {
-                "id": e.peer_id,
-                "addr": e.address,
-                "online": e.online,
-                "fv": e.filter_version,
-                "bloom": base64.b64encode(e.bloom).decode("ascii"),
-            }
-            for e in checkpoint.entries
-        ],
-        "rids": list(checkpoint.known_rids),
-        "next_seq": checkpoint.next_rid_seq,
+        "next_rid_seq": checkpoint.next_rid_seq,
+        "snapshot": base64.b64encode(checkpoint.snapshot).decode("ascii"),
     }
     blob = encode_container(CHECKPOINT_MAGIC, payload)
     atomic_write_bytes(Path(path), blob)
@@ -158,26 +132,16 @@ def load_subscriptions(path: str | Path) -> SubscriptionCheckpoint | None:
 
 
 def load_checkpoint(path: str | Path) -> DirectoryCheckpoint | None:
-    """Read a checkpoint back; ``None`` if missing, torn, or corrupt."""
+    """Read a checkpoint back; ``None`` if missing, torn, corrupt, or
+    written in an older format."""
     path = Path(path)
     try:
         payload = decode_container(CHECKPOINT_MAGIC, path.read_bytes())
-        entries = tuple(
-            CheckpointEntry(
-                int(e["id"]),
-                str(e["addr"]),
-                bool(e["online"]),
-                int(e["fv"]),
-                base64.b64decode(e["bloom"]),
-            )
-            for e in payload["entries"]
-        )
         return DirectoryCheckpoint(
             int(payload["peer_id"]),
             float(payload["written_at"]),
-            entries,
-            tuple(int(r) for r in payload["rids"]),
-            int(payload.get("next_seq", 0)),
+            int(payload["next_rid_seq"]),
+            base64.b64decode(payload["snapshot"], validate=True),
         )
     except (OSError, ValueError, KeyError, TypeError):
         return None

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import base64
 import time
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
 
 from repro.bloom.filter import BloomFilter
 from repro.constants import BloomConfig, StoreConfig
@@ -248,7 +248,7 @@ class PersistentDataStore:
             ).decode("ascii"),
             "docs": docs,
         }
-        path = write_snapshot(self.data_dir, payload, keep=self.config.snapshot_keep)
+        path = write_snapshot(self.data_dir, payload)
         self.wal.reset()
         self._records_since_snapshot = 0
         self._c_snapshots.inc()

@@ -31,6 +31,8 @@ import zlib
 from pathlib import Path
 from typing import Any
 
+from repro.constants import STORE_SNAPSHOT_KEEP
+
 __all__ = [
     "SNAPSHOT_MAGIC",
     "atomic_write_bytes",
@@ -100,7 +102,9 @@ def snapshot_path(data_dir: Path, seq: int) -> Path:
     return Path(data_dir) / f"snapshot-{seq:020d}.ppsnap"
 
 
-def write_snapshot(data_dir: Path, payload: dict[str, Any], *, keep: int = 2) -> Path:
+def write_snapshot(
+    data_dir: Path, payload: dict[str, Any], *, keep: int = STORE_SNAPSHOT_KEEP
+) -> Path:
     """Durably write a snapshot payload; prune older generations.
 
     ``payload`` must carry the ``"seq"`` it covers (the file is named by

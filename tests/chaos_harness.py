@@ -153,7 +153,7 @@ class ChaosCommunity:
         """Alive peers share one digest, mark each other online, and hold
         bit-identical replicas of every alive member's filter."""
         nodes = [self.nodes[pid] for pid in sorted(self.alive)]
-        if len({node.digest for node in nodes}) != 1:
+        if len({node.core.digest for node in nodes}) != 1:
             return False
         for owner in nodes:
             for observer in nodes:
@@ -169,7 +169,7 @@ class ChaosCommunity:
         """Fail loudly (with the seed) if the community has not converged."""
         assert self.converged(), (
             f"community diverged (seed {self.seed}): digests "
-            f"{[hex(self.nodes[p].digest) for p in sorted(self.alive)]}"
+            f"{[hex(self.nodes[p].core.digest) for p in sorted(self.alive)]}"
         )
 
     def oracle(self) -> InProcessCommunity:

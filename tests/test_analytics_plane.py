@@ -59,7 +59,7 @@ class Community:
             await self.nodes[pid].join(self.nodes[0].address)
         for _ in range(200):
             if all(
-                node.members() == sorted(self.nodes) for node in self.nodes.values()
+                node.membership.members() == sorted(self.nodes) for node in self.nodes.values()
             ):
                 return
             for node in self.nodes.values():

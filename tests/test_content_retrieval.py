@@ -52,7 +52,7 @@ class Fixture:
             await self.nodes[pid].join(self.nodes[0].address)
         for _ in range(100):
             if all(
-                node.members() == sorted(self.nodes) for node in self.nodes.values()
+                node.membership.members() == sorted(self.nodes) for node in self.nodes.values()
             ):
                 break
             for node in self.nodes.values():

@@ -266,8 +266,7 @@ class TestIntervalPolicy:
 
 class TestMessageSizer:
     def test_table2_based_sizes(self):
-        cfg = GossipConfig()
-        sizer = MessageSizer(cfg)
+        sizer = MessageSizer()
         assert sizer.rumor_push(0) == 3
         assert sizer.rumor_push(2) == 3 + 12
         assert sizer.rumor_reply(1, 2) == 3 + 18
@@ -280,10 +279,8 @@ class TestMessageSizer:
 
     def test_join_sizes_match_section72(self):
         """Downloading 1000 filters of 20 000 keys ≈ 16 MB (Section 7.2)."""
-        cfg = GossipConfig()
         wire = WireSizes()
-        sizer = MessageSizer(cfg, wire)
-        snapshot = sizer.join_snapshot(1000, wire.bloom_filter_bytes(20_000))
+        snapshot = MessageSizer().join_snapshot(1000, wire.bloom_filter_bytes(20_000))
         assert snapshot == pytest.approx(16e6, rel=0.05)
 
     def test_bf_interpolation(self):

@@ -94,9 +94,9 @@ class TestOfflineSemantics:
         world = _world(5)
         world.establish(range(5))
         world.peers[4].go_offline()
-        rounds_before = world.peers[4].round_counter
+        rounds_before = world.peers[4].core.round_counter
         world.sim.run(until=60.0)
-        assert world.peers[4].round_counter == rounds_before
+        assert world.peers[4].core.round_counter == rounds_before
 
 
 class TestAccountingInvariants:
@@ -130,7 +130,7 @@ class TestAccountingInvariants:
         world = _world(6)
         world.establish(range(6), stable=False)
         world.sim.run(until=200.0)
-        assert all(p.intervals.interval > 2.0 for p in world.peers)
+        assert all(p.core.intervals.interval > 2.0 for p in world.peers)
 
 
 class TestDeterminism:

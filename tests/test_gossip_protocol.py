@@ -54,13 +54,13 @@ class TestRumorSpreading:
         world.tracked_register(rumor.rid, 0)
         world.sim.run(until=600.0)
         # Long after convergence no peer is still actively spreading it.
-        assert all(rumor.rid not in p.hot for p in world.peers)
+        assert all(rumor.rid not in p.core.hot for p in world.peers)
 
     def test_interval_resets_on_rumor_traffic(self):
         world, _ = _world(10)
         # Let the community go quiet: intervals grow.
         world.sim.run(until=120.0)
-        slowed = [p.intervals.interval for p in world.peers]
+        slowed = [p.core.intervals.interval for p in world.peers]
         assert max(slowed) > 2.0
         rumor = world.peers[0].originate_update(100)
         tracker = ConvergenceTracker()

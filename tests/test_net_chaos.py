@@ -209,7 +209,7 @@ def test_chaos_acceptance_is_deterministic():
             community.plan.blocked,
             community.plan.delivered,
             round(community.plan.delay_total_s, 9),
-            sorted(node.digest for node in community.nodes.values()),
+            sorted(node.core.digest for node in community.nodes.values()),
         )
         for pid in community.nodes:
             await community.nodes[pid].stop()

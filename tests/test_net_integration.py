@@ -40,11 +40,11 @@ async def _converge(nodes: list[NetworkPeer], max_rounds: int = 30) -> int:
     for rnd in range(1, max_rounds + 1):
         for node in nodes:
             await node.gossip_round()
-        if len({node.digest for node in nodes}) == 1:
+        if len({node.core.digest for node in nodes}) == 1:
             return rnd
     raise AssertionError(
         f"no convergence in {max_rounds} rounds: "
-        f"{[hex(node.digest) for node in nodes]}"
+        f"{[hex(node.core.digest) for node in nodes]}"
     )
 
 
@@ -68,7 +68,7 @@ def test_loopback_community_converges_bit_identical():
                 assert (
                     observer.replica_of(owner.peer_id) == owner.peer.store.bloom_filter
                 ), f"peer {observer.peer_id}'s replica of {owner.peer_id} diverged"
-        assert all(node.members() == [0, 1, 2] for node in nodes)
+        assert all(node.membership.members() == [0, 1, 2] for node in nodes)
         for node in nodes:
             await node.stop()
 

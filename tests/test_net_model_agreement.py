@@ -17,7 +17,7 @@ import pytest
 
 from repro.bloom.diff import BloomDiff
 from repro.bloom.filter import BloomFilter
-from repro.constants import BloomConfig, GossipConfig, PartialViewConfig
+from repro.constants import BloomConfig, PartialViewConfig
 from repro.gossip.messages import MessageSizer
 from repro.gossip.rumor import RumorKind
 from repro.gossip.wire import (
@@ -262,8 +262,8 @@ FAMILY_INSTANCES = {
 
 @pytest.fixture(scope="module")
 def sizer() -> MessageSizer:
-    """The Table-2 model under the default gossip configuration."""
-    return MessageSizer(GossipConfig())
+    """The Table-2 model."""
+    return MessageSizer()
 
 
 def _within_2x_of_model(family):

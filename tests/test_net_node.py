@@ -67,10 +67,10 @@ def test_join_exchanges_records_and_filters():
         await b.join(a.address)
         # The bootstrap learned the joiner's rumor; the joiner got the
         # snapshot: both sides now see both members.
-        assert a.members() == b.members() == [0, 1]
+        assert a.membership.members() == b.membership.members() == [0, 1]
         # b's pre-join update rumor still needs one push to reach a.
         await b.gossip_round()
-        assert a.digest == b.digest
+        assert a.core.digest == b.core.digest
         replica = a.replica_of(1)
         assert replica is not None
         assert replica == b.peer.store.bloom_filter
@@ -100,15 +100,15 @@ def test_rumor_round_spreads_update_and_retires_rumor():
         await b.join(a.address)
         a.publish(Document("d", "unique gossip terminology"))
         # a's hot set holds b's JOIN rumor too; pick a's own update rumor.
-        hot_rid = next(rid for rid in a.hot if rid >> 32 == 0)
+        hot_rid = next(rid for rid in a.core.hot if rid >> 32 == 0)
         await a.gossip_round()
-        assert hot_rid in b.known
+        assert hot_rid in b.core.known
         assert b.replica_of(0) == a.peer.store.bloom_filter
         # Keep pushing to the only peer until the rumor goes cold.
         for _ in range(config.rumor_give_up_count + 1):
             await a.gossip_round()
-        assert hot_rid not in a.hot
-        assert hot_rid in a.recent  # retired into the partial-AE window
+        assert hot_rid not in a.core.hot
+        assert hot_rid in a.core.recent  # retired into the partial-AE window
         await a.stop()
         await b.stop()
 
@@ -124,12 +124,12 @@ def test_anti_entropy_reconciles_a_cold_gap():
         await b.join(a.address)
         # Give b knowledge a lacks, without rumoring: learn quietly.
         b.publish(Document("d", "anti entropy repairs gaps"))
-        b.hot.clear()  # b will never push it
-        assert a.digest != b.digest
+        b.core.hot.clear()  # b will never push it
+        assert a.core.digest != b.core.digest
         # Force a's next round to be anti-entropy (no hot rumors at a).
-        a.hot.clear()
+        a.core.hot.clear()
         await a.gossip_round()
-        assert a.digest == b.digest
+        assert a.core.digest == b.core.digest
         assert a.replica_of(1) == b.peer.store.bloom_filter
         await a.stop()
         await b.stop()
@@ -148,7 +148,7 @@ def test_failed_contacts_mark_offline_and_t_dead_drops():
         await b.start()
         await b.join(a.address)
         await b.stop()  # silent departure: no announcement
-        a.hot.clear()
+        a.core.hot.clear()
         await a.gossip_round()  # contact fails
         assert not a.membership.is_online(1)
         assert 1 in a.membership.offline_since
@@ -201,7 +201,7 @@ def test_a_row_or_rumor_naming_an_out_of_range_id_is_dropped():
     assert node._decode_rumor(update) is not None  # the payload itself is sound
     assert not node._learn_rumor(forged, True)
     assert registry.value("node", "rumors_rejected_total") == 2
-    assert node.membership.online.size == slots and node.members() == [1]
+    assert node.membership.online.size == slots and node.membership.members() == [1]
 
 
 def test_a_relayed_online_row_readmits_but_keeps_the_failure_history():
@@ -221,7 +221,7 @@ def test_a_relayed_online_row_readmits_but_keeps_the_failure_history():
         await b.start()
         await b.join(a.address)
         await b.stop()
-        a.hot.clear()  # anti-entropy rounds: they probe b whatever we believe
+        a.core.hot.clear()  # anti-entropy rounds: they probe b whatever we believe
         await a.gossip_round()
         assert a.membership.contact_failures[1] == 1
         assert a.membership.contact_backoff_until[1] == 10.0
@@ -309,7 +309,7 @@ def test_dispatch_table_covers_requests_and_gates_analytics():
         # The partial-view plane serves a flat node too: it trades view
         # records and refuses the two shard queries.
         reply = await a._dispatch(ViewExchange((PeerRecord(5, "peer:5", True, 2),), 8))
-        assert a.members() == [0, 5] and a.peer.directory[5].address == "peer:5"
+        assert a.membership.members() == [0, 5] and a.peer.directory[5].address == "peer:5"
         assert reply.want == 0 and {r.peer_id for r in reply.records} == {0, 5}
         off = ErrorReply("partial-view mode is off")
         assert await a._dispatch(ShardSummaryRequest((), False)) == off
@@ -325,8 +325,8 @@ def test_push_reply_reports_needed_and_piggyback():
         net = LoopbackNetwork()
         a = _node(net, 0)
         address = await a.start()
-        a.known.update({111, 222})  # known and retired: in the AE window
-        a.recent.extend([111, 222])
+        a.core.known.update({111, 222})  # known and retired: in the AE window
+        a.core.recent.extend([111, 222])
         client = net.transport()
         unknown = (5 << 32) | 1
         body = await client.request(address, codec.encode(RumorPush((unknown, 111))))
@@ -351,10 +351,10 @@ def test_background_loop_converges_two_nodes():
         a.run()
         b.run()
         for _ in range(100):
-            if a.digest == b.digest and b.replica_of(0) is not None:
+            if a.core.digest == b.core.digest and b.replica_of(0) is not None:
                 break
             await asyncio.sleep(0.02)
-        assert a.digest == b.digest
+        assert a.core.digest == b.core.digest
         await a.stop()
         await b.stop()
         assert a._gossip_task is None and b._gossip_task is None
@@ -445,11 +445,11 @@ def test_undecodable_rumor_is_dropped_not_stored_and_gossip_goes_on():
         assert a._learn_rumor(bad, make_hot=False)
         for _ in range(6):
             await b.gossip_round()  # anti-entropy with A pulls the bad rumor
-        assert bad.rid not in b.known and bad.rid not in b.rumors
+        assert bad.rid not in b.core.known and bad.rid not in b.rumors
         assert registry.value("node", "rumors_rejected_total") >= 1
         # Pushed rather than pulled, it is rejected just the same.
         assert not b._learn_rumor(bad, make_hot=True)
-        assert bad.rid not in b.hot
+        assert bad.rid not in b.core.hot
         await a.stop()
         await b.stop()
 
@@ -470,11 +470,11 @@ def test_damaged_filter_from_a_peer_installs_the_member_filterless():
 
         address = await net.transport().serve("bootstrap:0", bootstrap)
         await b.join(address)  # the damaged replica is re-learned over gossip
-        assert b.members() == [1, 9] and b.replica_of(9) is None
+        assert b.membership.members() == [1, 9] and b.replica_of(9) is None
         # The same blob inside a JOIN rumor: member installed, no filter.
         payload = codec.encode_member_payload(PeerRecord(8, "peer:8", True, 1), b"\x07")
         assert b._learn_rumor(WireRumor(8 << 32, RumorKind.JOIN, 8, 0.0, payload), True)
-        assert b.members() == [1, 8, 9] and b.replica_of(8) is None
+        assert b.membership.members() == [1, 8, 9] and b.replica_of(8) is None
         await b.stop()
 
     asyncio.run(scenario())

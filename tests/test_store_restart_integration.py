@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.constants import StoreConfig
+from repro.net.codec import StatsRequest
 from repro.net.node import RID_RESTART_GAP, NetworkPeer
 from repro.net.transport import LoopbackNetwork
 from repro.obs import Registry
@@ -108,14 +109,14 @@ def test_restart_never_reuses_rumor_ids(tmp_path):
         for _ in range(3):
             await b.gossip_round()
             await a.gossip_round()
-        old_known = set(b.known)
+        old_known = set(b.core.known)
         b.write_checkpoint()
         await b.transport.close()
 
         b2 = _node(net, 1, port=101, data_dir=tmp_path, store_config=FAST_STORE)
         assert b2._rid_seq >= RID_RESTART_GAP
         await b2.start()  # mints the REJOIN rumor
-        fresh = set(b2.known) - old_known
+        fresh = set(b2.core.known) - old_known
         assert fresh, "the REJOIN rumor collided with a previous-life rid"
         assert all(rid >> 32 == 1 for rid in fresh)
         assert await _converge_on(b2, [a])
@@ -178,6 +179,53 @@ def test_warm_rejoin_costs_fewer_directory_bytes_than_cold_join(tmp_path):
             f"({cold_bytes}B)"
         )
         for n in (a, c, b3):
+            await n.stop()
+
+    asyncio.run(scenario())
+
+
+def test_a_restored_checkpoint_equals_a_join_snapshot(tmp_path):
+    """A warm restart adopts the directory a joiner downloads: node C,
+    restored from B's checkpoint, and node D, joined via B, hold the same
+    members, online beliefs, filters and digest.  Only the recent window
+    differs (a checkpoint brings none)."""
+
+    async def scenario():
+        net = LoopbackNetwork()
+        a = _node(net, 0)
+        e = _node(net, 2)
+        f = _node(net, 4)
+        b = _node(net, 1, data_dir=tmp_path, store_config=FAST_STORE)
+        d = _node(net, 3)
+        for n in (a, e, f, b, d):
+            await n.start()
+        for n in (a, e, f, b):
+            n.publish(Document(f"d-{n.peer_id}", f"document {n.peer_id} gossip bloom"))
+        for n in (b, e, f):
+            await n.join(a.address)
+        assert await _converge_on(b, [a, e, f]) and await _converge_on(f, [a, b, e])
+        # B believes F dead: a member the snapshot ships as an offline row.
+        await f.transport.close()
+        assert await b.request_peer(4, StatsRequest()) is None
+        assert 4 in b.membership and not b.membership.is_online(4)
+
+        await d.join(b.address)  # D has minted nothing but its JOIN
+        b.write_checkpoint()
+        await b.transport.close()
+        c = _node(net, 1, port=101, data_dir=tmp_path, store_config=FAST_STORE)
+
+        assert c.restored_members == 4
+        members = c.membership.members()
+        assert members == d.membership.members() == [0, 1, 2, 3, 4]
+        online = [c.membership.is_online(pid) for pid in members]
+        assert online == [d.membership.is_online(pid) for pid in members]
+        assert online == [True, True, True, True, False]
+        for pid in members:
+            assert c.replica_of(pid) == d.replica_of(pid), pid
+        assert c.core.digest == d.core.digest
+        assert not c.core.recent_learned and d.core.recent_learned
+        c.persistence.close()
+        for n in (a, e, d):
             await n.stop()
 
     asyncio.run(scenario())
