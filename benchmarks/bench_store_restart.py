@@ -94,25 +94,29 @@ def bench_restart(num_docs: int, repeats: int, rng: np.random.Generator) -> dict
 
     with tempfile.TemporaryDirectory() as tmp:
         wal_dir = Path(tmp) / "wal-only"
-        seeded = PersistentDataStore(wal_dir, config=FAST_STORE, registry=Registry())
+        seeded = PersistentDataStore(
+            wal_dir, LocalDataStore(), config=FAST_STORE, registry=Registry()
+        )
         for doc in docs:
-            seeded.publish(doc)
-        reference = seeded.bloom_filter.copy()
+            seeded.store.publish(doc)
+        reference = seeded.store.bloom_filter.copy()
         seeded.close(snapshot=False)  # leave every record in the WAL
 
         snap_dir = Path(tmp) / "snapshotted"
-        seeded = PersistentDataStore(snap_dir, config=FAST_STORE, registry=Registry())
+        seeded = PersistentDataStore(
+            snap_dir, LocalDataStore(), config=FAST_STORE, registry=Registry()
+        )
         for doc in docs:
-            seeded.publish(doc)
+            seeded.store.publish(doc)
         seeded.close()  # final snapshot: recovery is a pure load
 
         def recover(data_dir: Path) -> None:
-            store = PersistentDataStore(
-                data_dir, config=FAST_STORE, registry=Registry()
+            journal = PersistentDataStore(
+                data_dir, LocalDataStore(), config=FAST_STORE, registry=Registry()
             )
-            assert len(store) == num_docs
-            assert store.bloom_filter == reference
-            store.close(snapshot=False)  # keep the dir's shape for repeats
+            assert len(journal.store) == num_docs
+            assert journal.store.bloom_filter == reference
+            journal.close(snapshot=False)  # keep the dir's shape for repeats
 
         cold_s = _best_seconds(cold_rebuild, repeats)
         warm_wal_s = _best_seconds(lambda: recover(wal_dir), repeats)

@@ -19,7 +19,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.bloom.filter import BloomFilter
 from repro.bloom.matcher import FilterMatrix
 from repro.brokerage.service import BrokerageService
 from repro.constants import BloomConfig, RankingConfig
@@ -126,14 +125,11 @@ class InProcessCommunity:
         """Peers currently online (all, unless set otherwise)."""
         return [p.peer_id for p in self.peers if p.online]
 
-    def peer_filter(self, peer_id: int) -> BloomFilter:
-        """The peer's Bloom filter (as replicated in the directory)."""
-        return self._peer(peer_id).store.bloom_filter
-
     def filter_hit_matrix(self, terms: Sequence[str]) -> tuple[list[int], np.ndarray]:
         """Batched per-peer, per-term filter membership for the online
-        community (the :func:`~repro.ranking.tfipf.compute_ipf` fast path:
-        hash the query once, test all peers in one vectorized gather)."""
+        community (what :func:`~repro.ranking.tfipf.compute_ipf` ranks
+        over: hash the query once, test all peers in one vectorized
+        gather)."""
         self._matrix.sync(
             (p.peer_id, p.store.bloom_filter) for p in self.peers if p.online
         )

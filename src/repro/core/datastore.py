@@ -16,7 +16,7 @@ Analyzer.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 
 from repro.bloom.filter import BloomFilter
 from repro.constants import BloomConfig

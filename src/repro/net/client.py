@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.bloom.filter import BloomFilter
 from repro.constants import RankingConfig
 from repro.core.search import exhaustive_local_match, score_local_documents
 from repro.net.codec import (
@@ -75,7 +74,7 @@ class _ReplicaBackend:
     """Adapts a node's replicated directory to the ranking functions.
 
     Only the directory-local half of the :class:`~repro.ranking.tfipf.
-    PeerBackend` protocol is needed (peer ids + filters); the actual
+    PeerBackend` protocol is needed (peer ids + filter hits); the actual
     contacting happens over the transport.
     """
 
@@ -86,15 +85,7 @@ class _ReplicaBackend:
         """Members whose replicated entries are usable for ranking."""
         return _candidates(self.node, need_filter=True)
 
-    def peer_filter(self, pid: int) -> BloomFilter:
-        """The replicated filter (our own live filter for ourselves)."""
-        if pid == self.node.peer_id:
-            return self.node.peer.store.bloom_filter
-        bf = self.node.peer.directory[pid].bloom_filter
-        assert bf is not None  # online_peer_ids filtered for this
-        return bf
-
-    def filter_hit_matrix(self, terms: Sequence[str]):
+    def filter_hit_matrix(self, terms: Sequence[str]) -> tuple[list[int], np.ndarray]:
         """Batched peer × term membership over the replicated directory
         (hash the query once, one vectorized gather for all members)."""
         ids = self.online_peer_ids()

@@ -270,16 +270,11 @@ class NetworkPeer:
         self.restored_members = 0
         if data_dir is not None:
             data_dir = Path(data_dir)
+            # Journal the peer's own store: it is recovered in place, and
+            # every publish/remove goes through the WAL before it is acked.
             self.persistence = PersistentDataStore(
-                data_dir,
-                analyzer=self.analyzer,
-                bloom_config=self.bloom_config,
-                config=self.store_config,
-                registry=self.obs,
+                data_dir, self.peer.store, config=self.store_config, registry=self.obs
             )
-            # Duck-typed drop-in for the peer's LocalDataStore: every
-            # publish/remove now goes through the WAL before it is acked.
-            self.peer.store = self.persistence
             self._checkpoint_path = data_dir / "directory.ckpt"
             # Give every incarnation of this data dir a disjoint rumor-id
             # band: a life that crashed before its first checkpoint still

@@ -9,7 +9,7 @@ queries for each k.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from repro.corpus.queries import Query
 

@@ -14,15 +14,15 @@ postings lists for the few query terms are the only thing traversed.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
 
-from repro.text.invindex import InvertedIndex
 from repro.ranking.vsm import (
     document_term_weight,
     inverse_document_frequency,
     similarity_from_parts,
 )
+from repro.text.invindex import InvertedIndex
 
 __all__ = ["RankedDoc", "CentralizedTFIDF"]
 

@@ -22,10 +22,12 @@ community, the simulator, or tests' stub peers alike.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Protocol
 
-from repro.bloom.filter import BloomFilter
+import numpy as np
+
 from repro.ranking.stopping import AdaptiveStopping, StoppingPolicy, StoppingState
 from repro.ranking.tfidf import RankedDoc
 from repro.ranking.vsm import inverse_peer_frequency
@@ -47,8 +49,9 @@ class PeerBackend(Protocol):
         """Ids of peers whose directory entries are usable."""
         ...
 
-    def peer_filter(self, peer_id: int) -> BloomFilter:
-        """The (locally replicated) Bloom filter of ``peer_id``."""
+    def filter_hit_matrix(self, terms: Sequence[str]) -> tuple[list[int], np.ndarray]:
+        """Which usable peers' (locally replicated) Bloom filters hit which
+        of ``terms``: ``(peer_ids, bool (peers, terms))``."""
         ...
 
     def query_peer(
@@ -64,40 +67,20 @@ def compute_ipf(
 ) -> tuple[dict[str, float], dict[int, list[str]]]:
     """IPF per query term, plus each peer's hit list.
 
-    One pass over the replicated filters yields both N_t (for IPF) and the
-    per-peer term hits needed for eq. 3.  Backends exposing
-    ``filter_hit_matrix`` (the in-process community, the network replica
-    backend) answer that pass with one vectorized peer × term gather —
-    the query is hashed once instead of once per peer.
+    One peer × term hit matrix over the replicated filters yields both
+    N_t (for IPF) and the per-peer term hits needed for eq. 3; backends
+    answer it with one vectorized gather, hashing the query once.
     """
     term_list = list(dict.fromkeys(terms))
-    matrix_fn = getattr(backend, "filter_hit_matrix", None)
-    if matrix_fn is not None:
-        peer_ids, hits = matrix_fn(term_list)
-        n = len(peer_ids)
-        n_t_arr = hits.sum(axis=0)
-        hits_per_peer = {
-            pid: [t for t, h in zip(term_list, hits[i]) if h]
-            for i, pid in enumerate(peer_ids)
-            if hits[i].any()
-        }
-        ipf = {
-            t: inverse_peer_frequency(n, int(n_t_arr[i]))
-            for i, t in enumerate(term_list)
-        }
-        return ipf, hits_per_peer
-    peer_ids = backend.online_peer_ids()
+    peer_ids, hits = backend.filter_hit_matrix(term_list)
     n = len(peer_ids)
-    hits_per_peer = {}
-    n_t = {t: 0 for t in term_list}
-    for pid in peer_ids:
-        hits = backend.peer_filter(pid).contains_each(term_list)
-        peer_hits = [t for t, h in zip(term_list, hits) if h]
-        if peer_hits:
-            hits_per_peer[pid] = peer_hits
-            for t in peer_hits:
-                n_t[t] += 1
-    ipf = {t: inverse_peer_frequency(n, n_t[t]) for t in term_list}
+    n_t = hits.sum(axis=0)
+    hits_per_peer = {
+        pid: [t for t, h in zip(term_list, hits[i], strict=True) if h]
+        for i, pid in enumerate(peer_ids)
+        if hits[i].any()
+    }
+    ipf = {t: inverse_peer_frequency(n, int(n_t[i])) for i, t in enumerate(term_list)}
     return ipf, hits_per_peer
 
 
@@ -214,7 +197,7 @@ class SearchRun:
         order (an unreachable peer answers with an empty list)."""
         if len(responses) != len(self._wave):
             raise ValueError("one response per peer of the wave")
-        for pid, returned in zip(self._wave, responses):
+        for pid, returned in zip(self._wave, responses, strict=True):
             self.contacted.append(pid)
             contributed = _merge(self._top, returned, self.k)
             self.state.observe(contributed, len(self._top))

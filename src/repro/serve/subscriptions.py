@@ -16,13 +16,15 @@ Delivery semantics:
 
 * **at-least-once upcalls, deduplicated by doc id** — a doc id enters a
   subscription's ``delivered`` set only after the subscriber acks its
-  ``Notify``; failed notifies are retried on the next probe;
+  ``Notify``; a failed fetch or notify is retried once per gossip round
+  until it succeeds;
 * **baseline at subscribe** — documents already searchable when the
   subscription is posted are marked delivered silently, so upcalls mean
   "published after you subscribed";
-* **durable across restarts** — subscriptions (with their delivered
-  sets) are checkpointed through :mod:`repro.store` (``PPSUB001``); a
-  restarted node reloads them and probes the whole directory once
+* **durable across restarts** — the :class:`Subscription` rows (with
+  their delivered sets) are checkpointed in :mod:`repro.store`'s atomic
+  CRC container (``PPSUB001``); a restarted node reloads them and
+  probes the whole directory once
   (:meth:`SubscriptionManager.mark_all_dirty`), catching documents
   published while it was down.
 
@@ -61,18 +63,16 @@ from repro.net.codec import (
 )
 from repro.net.transport import TcpTransport, Transport, TransportError
 from repro.obs import Registry, global_registry
-from repro.store import (
-    SubscriptionCheckpoint,
-    SubscriptionEntry,
-    load_subscriptions,
-    save_subscriptions,
-)
+from repro.store.snapshot import atomic_write_bytes, decode_container, encode_container
 from repro.text.document import Document
 
 if TYPE_CHECKING:
     from repro.net.node import NetworkPeer
 
 __all__ = ["Subscription", "SubscriptionClient", "SubscriptionManager"]
+
+#: magic of the subscription checkpoint file (``subscriptions.ckpt``).
+_CHECKPOINT_MAGIC = b"PPSUB001"
 
 
 @dataclass
@@ -125,22 +125,35 @@ class SubscriptionManager:
         self._restore()
         node.add_handler(SubscribeRequest, self.handle_subscribe)
         node.add_handler(Unsubscribe, self.handle_unsubscribe)
+        node.add_round_hook(self._retry_round)
 
     # -- persistence ---------------------------------------------------------
 
     def _restore(self) -> None:
+        """Reload the checkpointed rows; a missing, torn or corrupt file,
+        or one written by another peer id, is a cold start."""
         if self._path is None:
             return
-        ckpt = load_subscriptions(self._path)
-        if ckpt is None or ckpt.peer_id != self.node.peer_id:
+        try:
+            payload = decode_container(_CHECKPOINT_MAGIC, self._path.read_bytes())
+            if int(payload["peer_id"]) != self.node.peer_id:
+                return
+            next_id = int(payload["next_sub_id"])
+            rows = [
+                Subscription(
+                    int(e["id"]),
+                    tuple(str(t) for t in e["terms"]),
+                    str(e["addr"]),
+                    float(e["at"]),
+                    {str(d) for d in e["delivered"]},
+                )
+                for e in payload["subs"]
+            ]
+        except (OSError, ValueError, KeyError, TypeError):
             return
-        for e in ckpt.entries:
-            self.subscriptions[e.sub_id] = Subscription(
-                e.sub_id, e.terms, e.notify_address, e.created_at, set(e.delivered)
-            )
-        highest = max(self.subscriptions, default=0)
-        self._next_id = max(ckpt.next_sub_id, highest + 1)
-        self.restored_subscriptions = len(ckpt.entries)
+        self.subscriptions = {sub.sub_id: sub for sub in rows}
+        self._next_id = max(next_id, max(self.subscriptions, default=0) + 1)
+        self.restored_subscriptions = len(rows)
         self._g_active.set(len(self.subscriptions))
         if self.restored_subscriptions:
             self.obs.emit(
@@ -157,23 +170,25 @@ class SubscriptionManager:
         """
         if self._path is None:
             return 0
-        ckpt = SubscriptionCheckpoint(
-            self.node.peer_id,
-            time.time(),
-            self._next_id,
-            tuple(
-                SubscriptionEntry(
-                    s.sub_id,
-                    s.terms,
-                    s.notify_address,
-                    s.created_at,
-                    tuple(sorted(s.delivered)),
-                )
+        payload = {
+            "peer_id": self.node.peer_id,
+            "written_at": time.time(),
+            "next_sub_id": self._next_id,
+            "subs": [
+                {
+                    "id": s.sub_id,
+                    "terms": list(s.terms),
+                    "addr": s.notify_address,
+                    "at": s.created_at,
+                    "delivered": sorted(s.delivered),
+                }
                 for _sid, s in sorted(self.subscriptions.items())
-            ),
-        )
+            ],
+        }
+        blob = encode_container(_CHECKPOINT_MAGIC, payload)
         try:
-            return save_subscriptions(self._path, ckpt)
+            atomic_write_bytes(self._path, blob)
+            return len(blob)
         except OSError:
             self.obs.counter(
                 "store",
@@ -250,6 +265,13 @@ class SubscriptionManager:
         self._dirty.add(self.node.peer_id)
         self._wake.set()
         self._ensure_task()
+
+    async def _retry_round(self) -> None:
+        """Round hook: wake the worker for peers whose fetch or notify
+        failed, so a retry needs no fresh gossip (one per round)."""
+        if self._dirty:
+            self._wake.set()
+            self._ensure_task()
 
     def _ensure_task(self) -> None:
         if self._task is not None and not self._task.done():

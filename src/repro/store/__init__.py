@@ -18,20 +18,14 @@ package makes local state durable, in three layers:
                 re-fetching every filter
 
 ``persistent_store.PersistentDataStore`` ties the first two into a
-drop-in replacement for :class:`~repro.core.datastore.LocalDataStore`;
-:class:`~repro.net.node.NetworkPeer` accepts a ``data_dir`` and wires in
-all three (see ``python -m repro.net --data-dir``).
+journal over a :class:`~repro.core.datastore.LocalDataStore`, which
+stays the store its callers use;
+:class:`~repro.net.node.NetworkPeer` accepts a ``data_dir``, journals its
+peer's own store and wires in all three (see ``python -m repro.net
+--data-dir``).
 """
 
-from repro.store.checkpoint import (
-    DirectoryCheckpoint,
-    SubscriptionCheckpoint,
-    SubscriptionEntry,
-    load_checkpoint,
-    load_subscriptions,
-    save_checkpoint,
-    save_subscriptions,
-)
+from repro.store.checkpoint import DirectoryCheckpoint, load_checkpoint, save_checkpoint
 from repro.store.chunkstore import ChunkStore, ContentNotFound, build_manifest
 from repro.store.persistent_store import PersistentDataStore, RecoveryInfo
 from repro.store.snapshot import (
@@ -49,12 +43,8 @@ __all__ = [
     "DirectoryCheckpoint",
     "PersistentDataStore",
     "RecoveryInfo",
-    "SubscriptionCheckpoint",
-    "SubscriptionEntry",
     "WriteAheadLog",
     "load_checkpoint",
-    "load_subscriptions",
-    "save_subscriptions",
     "load_latest_snapshot",
     "prune_snapshots",
     "save_checkpoint",

@@ -23,13 +23,9 @@ from pathlib import Path
 
 from repro.store.snapshot import atomic_write_bytes, decode_container, encode_container
 
-__all__ = ["CHECKPOINT_MAGIC", "DirectoryCheckpoint",
-           "SUBSCRIPTIONS_MAGIC", "SubscriptionEntry", "SubscriptionCheckpoint",
-           "load_checkpoint", "save_checkpoint",
-           "load_subscriptions", "save_subscriptions"]
+__all__ = ["CHECKPOINT_MAGIC", "DirectoryCheckpoint", "load_checkpoint", "save_checkpoint"]
 
 CHECKPOINT_MAGIC = b"PPDIR002"
-SUBSCRIPTIONS_MAGIC = b"PPSUB001"
 
 
 @dataclass(frozen=True)
@@ -59,76 +55,6 @@ def save_checkpoint(path: str | Path, checkpoint: DirectoryCheckpoint) -> int:
     blob = encode_container(CHECKPOINT_MAGIC, payload)
     atomic_write_bytes(Path(path), blob)
     return len(blob)
-
-
-@dataclass(frozen=True)
-class SubscriptionEntry:
-    """One persisted standing query (:mod:`repro.serve.subscriptions`)."""
-
-    sub_id: int
-    terms: tuple[str, ...]
-    notify_address: str
-    created_at: float
-    #: doc ids already delivered — restored so a warm restart never
-    #: re-fires upcalls the subscriber has seen.
-    delivered: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class SubscriptionCheckpoint:
-    """A serving node's registered persistent queries at one instant."""
-
-    peer_id: int
-    written_at: float
-    next_sub_id: int
-    entries: tuple[SubscriptionEntry, ...]
-
-
-def save_subscriptions(path: str | Path, ckpt: SubscriptionCheckpoint) -> int:
-    """Durably write ``ckpt`` to ``path``; returns bytes written."""
-    payload = {
-        "peer_id": ckpt.peer_id,
-        "written_at": ckpt.written_at,
-        "next_sub_id": ckpt.next_sub_id,
-        "subs": [
-            {
-                "id": e.sub_id,
-                "terms": list(e.terms),
-                "addr": e.notify_address,
-                "at": e.created_at,
-                "delivered": sorted(e.delivered),
-            }
-            for e in ckpt.entries
-        ],
-    }
-    blob = encode_container(SUBSCRIPTIONS_MAGIC, payload)
-    atomic_write_bytes(Path(path), blob)
-    return len(blob)
-
-
-def load_subscriptions(path: str | Path) -> SubscriptionCheckpoint | None:
-    """Read subscriptions back; ``None`` if missing, torn, or corrupt."""
-    path = Path(path)
-    try:
-        payload = decode_container(SUBSCRIPTIONS_MAGIC, path.read_bytes())
-        entries = tuple(
-            SubscriptionEntry(
-                int(e["id"]),
-                tuple(str(t) for t in e["terms"]),
-                str(e["addr"]),
-                float(e["at"]),
-                tuple(str(d) for d in e["delivered"]),
-            )
-            for e in payload["subs"]
-        )
-        return SubscriptionCheckpoint(
-            int(payload["peer_id"]),
-            float(payload["written_at"]),
-            int(payload["next_sub_id"]),
-            entries,
-        )
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
 
 
 def load_checkpoint(path: str | Path) -> DirectoryCheckpoint | None:

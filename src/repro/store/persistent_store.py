@@ -1,24 +1,22 @@
-"""`PersistentDataStore`: a crash-safe, warm-restarting local data store.
+"""`PersistentDataStore`: a crash-safe journal over a local data store.
 
-Wraps :class:`~repro.core.datastore.LocalDataStore` with the WAL +
+Journals one :class:`~repro.core.datastore.LocalDataStore` with the WAL +
 snapshot machinery of this package:
 
-* every ``publish``/``remove`` is appended to the WAL (with its analyzed
-  term frequencies) and fsynced before the call returns — acknowledged
-  operations survive SIGKILL;
+* construction recovers into the (empty) store it is given: the newest
+  valid snapshot is loaded wholesale, the WAL suffix is replayed through
+  the no-Analyzer apply paths, and any torn tail is truncated.  Recovery
+  never raises on damaged files — it restores the last durable prefix;
+* from then on every ``publish``/``remove`` on that store is appended to
+  the WAL (with its analyzed term frequencies) and fsynced before the
+  call returns — acknowledged operations survive SIGKILL;
 * every ``snapshot_every`` WAL records, the full store (documents,
   inverted index, compressed Bloom filter) is snapshotted atomically and
-  the WAL is reset;
-* construction recovers: newest valid snapshot is loaded wholesale, the
-  WAL suffix is replayed through the no-Analyzer apply paths, and any
-  torn tail is truncated.  Recovery never raises on damaged files — it
-  restores the last durable prefix.
+  the WAL is reset.
 
-The wrapper duck-types the read/write surface of ``LocalDataStore``
-(``publish``, ``remove``, ``get``, ``bloom_filter``, ``index``, ``len``,
-containment, ...), so a :class:`~repro.core.peer.PlanetPPeer` — and
-therefore a live :class:`~repro.net.node.NetworkPeer` — can use it as a
-drop-in ``store``.
+Callers keep reading and writing the store itself; a
+:class:`~repro.net.node.NetworkPeer` with a ``data_dir`` journals its
+peer's own store this way.
 
 Documents must carry JSON-serializable metadata to be persisted (the
 CLI's corpus documents carry none).
@@ -28,12 +26,12 @@ from __future__ import annotations
 
 import base64
 import time
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.bloom.filter import BloomFilter
-from repro.constants import BloomConfig, StoreConfig
+from repro.constants import StoreConfig
 from repro.core.datastore import LocalDataStore
 from repro.obs import DEFAULT_LATENCY_BOUNDS, Registry, global_registry
 from repro.store.snapshot import (
@@ -42,9 +40,7 @@ from repro.store.snapshot import (
     write_snapshot,
 )
 from repro.store.wal import WriteAheadLog
-from repro.text.analyzer import Analyzer
 from repro.text.document import Document
-from repro.text.xmlsnippets import XMLSnippet
 
 __all__ = ["PersistentDataStore", "RecoveryInfo"]
 
@@ -60,22 +56,24 @@ class RecoveryInfo:
 
 
 class PersistentDataStore:
-    """A :class:`LocalDataStore` made durable under a data directory."""
+    """The durable journal of one :class:`LocalDataStore` under a data
+    directory."""
 
     def __init__(
         self,
         data_dir: str | Path,
+        store: LocalDataStore,
         *,
-        analyzer: Analyzer | None = None,
-        bloom_config: BloomConfig | None = None,
         config: StoreConfig | None = None,
         registry: Registry | None = None,
     ) -> None:
+        if len(store):
+            raise ValueError("a journal recovers into an empty data store")
         self.data_dir = Path(data_dir)
         self.data_dir.mkdir(parents=True, exist_ok=True)
         self.config = config or StoreConfig()
         self.obs = registry if registry is not None else global_registry()
-        self.store = LocalDataStore(analyzer=analyzer, bloom_config=bloom_config)
+        self.store = store
         self.wal = WriteAheadLog(
             self.data_dir / "wal.log", fsync=self.config.fsync, registry=self.obs
         )
@@ -266,65 +264,8 @@ class PersistentDataStore:
         self.wal.close()
         self._closed = True
 
-    # -- the LocalDataStore surface (delegation) ----------------------------
-
-    @property
-    def analyzer(self) -> Analyzer:
-        """The shared analysis pipeline."""
-        return self.store.analyzer
-
-    @property
-    def bloom_config(self) -> BloomConfig:
-        """The Bloom sizing of the wrapped store."""
-        return self.store.bloom_config
-
-    @property
-    def index(self):
-        """The live inverted index."""
-        return self.store.index
-
-    @property
-    def bloom_filter(self) -> BloomFilter:
-        """The current summary filter."""
-        return self.store.bloom_filter
-
-    @property
-    def filter_version(self) -> int:
-        """The gossiped filter version counter."""
-        return self.store.filter_version
-
-    def publish(self, item: Document | XMLSnippet) -> Document:
-        """Publish durably: WAL-appended and fsynced before returning."""
-        return self.store.publish(item)
-
-    def remove(self, doc_id: str) -> Document:
-        """Remove durably."""
-        return self.store.remove(doc_id)
-
-    def regenerate_filter(self) -> BloomFilter:
-        """Rebuild the Bloom filter from the live index."""
-        return self.store.regenerate_filter()
-
-    def get(self, doc_id: str) -> Document:
-        """Fetch a stored document."""
-        return self.store.get(doc_id)
-
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self.store
-
-    def __len__(self) -> int:
-        return len(self.store)
-
-    def document_ids(self) -> Iterator[str]:
-        """Iterate stored document ids."""
-        return self.store.document_ids()
-
-    def num_terms(self) -> int:
-        """Distinct indexed terms."""
-        return self.store.num_terms()
-
     def __repr__(self) -> str:
         return (
-            f"PersistentDataStore(dir={str(self.data_dir)!r}, docs={len(self)}, "
+            f"PersistentDataStore(dir={str(self.data_dir)!r}, docs={len(self.store)}, "
             f"seq={self._seq}, wal_bytes={self.wal.size_bytes})"
         )

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bloom.filter import BloomFilter
+from repro.bloom.matcher import FilterMatrix
 from repro.ranking.stopping import AdaptiveStopping, FirstKStopping, NeverStop
 from repro.ranking.tfidf import RankedDoc
 from repro.ranking.tfipf import SearchRun, TFIPFSearch, compute_ipf, rank_peers
@@ -27,8 +28,10 @@ class StubBackend:
     def online_peer_ids(self):
         return sorted(self._filters)
 
-    def peer_filter(self, pid):
-        return self._filters[pid]
+    def filter_hit_matrix(self, terms):
+        matrix = FilterMatrix()
+        matrix.sync(self._filters.items())
+        return matrix.hit_matrix(terms)
 
     def query_peer(self, pid, terms, ipf, k):
         self.queries.append(pid)

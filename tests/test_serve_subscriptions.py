@@ -12,6 +12,7 @@ checkpoints across a server restart, and checkpoint-file robustness.
 from __future__ import annotations
 
 import asyncio
+import time
 
 import pytest
 
@@ -19,16 +20,23 @@ from repro.constants import StoreConfig
 from repro.net.node import NetworkPeer
 from repro.net.transport import LoopbackNetwork, TransportError
 from repro.obs import Registry
-from repro.serve import SubscriptionClient
-from repro.store import (
-    SubscriptionCheckpoint,
-    SubscriptionEntry,
-    load_subscriptions,
-    save_subscriptions,
-)
+from repro.serve import Subscription, SubscriptionClient
 from repro.text.document import Document
 
 FAST_STORE = StoreConfig(fsync=False)
+
+#: The ``PPSUB001`` file node 0 writes for subscriptions 3 and 5 with
+#: ``next_sub_id`` 6 at ``written_at`` 1234.5 (delivered ids sorted).
+PPSUB001_GOLDEN = bytes.fromhex(
+    "5050535542303031d4872a3f00000000000000de7b22706565725f6964223a30"
+    "2c227772697474656e5f6174223a313233342e352c226e6578745f7375625f69"
+    "64223a362c2273756273223a5b7b226964223a332c227465726d73223a5b2267"
+    "6f73736970222c22626c6f6f6d225d2c2261646472223a22636c69656e743a39"
+    "222c226174223a312e302c2264656c697665726564223a5b226431222c226431"
+    "30222c226432225d7d2c7b226964223a352c227465726d73223a5b2272756d6f"
+    "72225d2c2261646472223a22636c69656e743a3130222c226174223a322e3235"
+    "2c2264656c697665726564223a5b5d7d5d7d"
+)
 
 
 def _node(net: LoopbackNetwork, pid: int, port: int | None = None, **kwargs) -> NetworkPeer:
@@ -256,6 +264,45 @@ def test_unacked_notify_is_retried_until_the_client_returns():
     asyncio.run(scenario())
 
 
+def test_unacked_notify_is_retried_without_new_gossip():
+    async def quiet_rounds(nodes, rounds):
+        # Only gossip rounds and the real worker: no drain(), no mark_dirty().
+        for _ in range(rounds):
+            for node in nodes:
+                await node.gossip_round()
+            for _ in range(10):
+                await asyncio.sleep(0)
+
+    async def scenario():
+        net = LoopbackNetwork()
+        nodes = await _boot(net, 2)
+        client = await _client(net, port=9000)
+        events = []
+        sub_id = await client.subscribe(nodes[0].address, "gossip", events.append)
+        await client.close()  # gone before anything is published
+
+        nodes[1].publish(Document("d", "gossip with nobody listening"))
+        await quiet_rounds(nodes, 10)
+        reg = nodes[0].obs
+        assert events == []
+        assert reg.value("serve", "notify_failures_total") >= 1
+
+        # The client returns; nothing new is published, so only the
+        # manager's own per-round retry can deliver the queued document.
+        revived = await _client(net, port=9000)
+        await revived.subscribe(
+            nodes[0].address, "gossip", events.append, sub_id=sub_id
+        )
+        await quiet_rounds(nodes, 10)
+        assert [e.doc_id for e in events] == ["d"]
+        assert reg.value("serve", "notifies_sent_total") == 1
+        for node in nodes:
+            await node.stop()
+        await revived.close()
+
+    asyncio.run(scenario())
+
+
 def test_subscriptions_survive_a_server_restart(tmp_path):
     async def scenario():
         net = LoopbackNetwork()
@@ -298,42 +345,58 @@ def test_subscriptions_survive_a_server_restart(tmp_path):
 # -- checkpoint file robustness ----------------------------------------------
 
 
+def test_subscription_checkpoint_matches_the_ppsub001_golden(tmp_path, monkeypatch):
+    path = tmp_path / "subscriptions.ckpt"
+    path.write_bytes(PPSUB001_GOLDEN)
+    node = _node(LoopbackNetwork(), 0, data_dir=tmp_path, store_config=FAST_STORE)
+    manager = node.subscriptions
+    assert manager.restored_subscriptions == 2
+    assert manager.subscriptions == {
+        3: Subscription(3, ("gossip", "bloom"), "client:9", 1.0, {"d1", "d10", "d2"}),
+        5: Subscription(5, ("rumor",), "client:10", 2.25),
+    }
+    path.unlink()
+    monkeypatch.setattr(time, "time", lambda: 1234.5)
+    assert manager.checkpoint() == len(PPSUB001_GOLDEN)
+    assert path.read_bytes() == PPSUB001_GOLDEN
+    node.persistence.close()
+
+
 def test_subscription_checkpoint_roundtrip(tmp_path):
-    path = tmp_path / "subs.ckpt"
-    ckpt = SubscriptionCheckpoint(
-        7,
-        123.5,
-        4,
-        (
-            SubscriptionEntry(3, ("gossip", "bloom"), "client:9", 1.0, ("d1", "d2")),
-        ),
-    )
-    assert save_subscriptions(path, ckpt) > 0
-    loaded = load_subscriptions(path)
-    assert loaded == ckpt
+    writer = _node(LoopbackNetwork(), 7, data_dir=tmp_path, store_config=FAST_STORE)
+    rows = {3: Subscription(3, ("gossip", "bloom"), "client:9", 1.0, {"d1", "d2"})}
+    writer.subscriptions.subscriptions = rows
+    assert writer.subscriptions.checkpoint() > 0
+    writer.persistence.close()
+
+    reader = _node(LoopbackNetwork(), 7, data_dir=tmp_path, store_config=FAST_STORE)
+    assert reader.subscriptions.restored_subscriptions == 1
+    assert reader.subscriptions.subscriptions == rows
+    reader.persistence.close()
 
 
 def test_corrupt_subscription_checkpoint_is_a_cold_start(tmp_path):
-    path = tmp_path / "subs.ckpt"
-    ckpt = SubscriptionCheckpoint(7, 1.0, 2, ())
-    save_subscriptions(path, ckpt)
+    path = tmp_path / "subscriptions.ckpt"
+    writer = _node(LoopbackNetwork(), 7, data_dir=tmp_path, store_config=FAST_STORE)
+    writer.subscriptions.subscriptions = {1: Subscription(1, ("t",), "x:1", 0.0)}
+    writer.subscriptions.checkpoint()
+    writer.persistence.close()
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])  # torn write
-    assert load_subscriptions(path) is None
-    assert load_subscriptions(tmp_path / "absent.ckpt") is None
+    torn = _node(LoopbackNetwork(), 7, data_dir=tmp_path, store_config=FAST_STORE)
+    assert torn.subscriptions.restored_subscriptions == 0
+    assert len(torn.subscriptions) == 0
+    torn.persistence.close()
+    path.unlink()
+    absent = _node(LoopbackNetwork(), 7, data_dir=tmp_path, store_config=FAST_STORE)
+    assert absent.subscriptions.restored_subscriptions == 0
+    absent.persistence.close()
 
 
 def test_checkpoint_for_another_peer_is_ignored(tmp_path):
-    async def scenario():
-        net = LoopbackNetwork()
-        save_subscriptions(
-            tmp_path / "subscriptions.ckpt",
-            SubscriptionCheckpoint(
-                9, 1.0, 5, (SubscriptionEntry(1, ("t",), "x:1", 0.0, ()),)
-            ),
-        )
-        node = _node(net, 0, data_dir=tmp_path, store_config=FAST_STORE)
-        assert node.subscriptions.restored_subscriptions == 0
-        assert len(node.subscriptions) == 0
-
-    asyncio.run(scenario())
+    # The golden file was written by peer 0; peer 9 must not adopt it.
+    (tmp_path / "subscriptions.ckpt").write_bytes(PPSUB001_GOLDEN)
+    node = _node(LoopbackNetwork(), 9, data_dir=tmp_path, store_config=FAST_STORE)
+    assert node.subscriptions.restored_subscriptions == 0
+    assert len(node.subscriptions) == 0
+    node.persistence.close()

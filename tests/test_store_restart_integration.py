@@ -23,10 +23,12 @@ from pathlib import Path
 import pytest
 
 from repro.constants import StoreConfig
+from repro.core.datastore import LocalDataStore
 from repro.net.codec import StatsRequest
 from repro.net.node import RID_RESTART_GAP, NetworkPeer
 from repro.net.transport import LoopbackNetwork
 from repro.obs import Registry
+from repro.store import WriteAheadLog
 from repro.text.document import Document
 
 pytestmark = pytest.mark.recovery
@@ -89,6 +91,30 @@ def test_warm_restart_recovers_store_and_rejoins_gossip(tmp_path):
         assert a.replica_of(1) == b2.peer.store.bloom_filter
         for n in (a, c, b2):
             await n.stop()
+
+    asyncio.run(scenario())
+
+
+def test_a_durable_nodes_store_is_its_local_store(tmp_path):
+    async def scenario():
+        net = LoopbackNetwork()
+        node = _node(net, 0, data_dir=tmp_path, store_config=FAST_STORE)
+        assert type(node.peer.store) is LocalDataStore
+        assert node.persistence.store is node.peer.store
+        await node.start()
+        node.publish(Document("d", "journaled through the node's own store"))
+        reader = WriteAheadLog(tmp_path / "wal.log", fsync=False, registry=Registry())
+        records = reader.open()
+        reader.close()
+        assert [(r["op"], r["id"]) for r in records] == [("publish", "d")]
+        await node.transport.close()  # SIGKILL: no stop(), no snapshot
+
+        again = _node(net, 0, port=100, data_dir=tmp_path, store_config=FAST_STORE)
+        assert type(again.peer.store) is LocalDataStore
+        assert again.persistence.last_recovery.replayed_records == 1
+        assert again.peer.store.get("d").text == "journaled through the node's own store"
+        node.persistence.close(snapshot=False)
+        again.persistence.close(snapshot=False)
 
     asyncio.run(scenario())
 
