@@ -13,7 +13,7 @@ from repro.core.datastore import LocalDataStore
 from repro.core.peer import PlanetPPeer, PeerEntry
 from repro.core.community import InProcessCommunity
 from repro.core.search import score_local_documents, exhaustive_local_match
-from repro.core.persistent import PersistentQuery, PersistentQueryManager
+from repro.core.persistent import StandingQueries, Subscription
 from repro.core.merged import MergedDirectory
 
 __all__ = [
@@ -24,6 +24,6 @@ __all__ = [
     "InProcessCommunity",
     "score_local_documents",
     "exhaustive_local_match",
-    "PersistentQuery",
-    "PersistentQueryManager",
+    "StandingQueries",
+    "Subscription",
 ]

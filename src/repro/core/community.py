@@ -15,7 +15,7 @@ directly; it also hosts the optional brokerage and persistent queries.
 from __future__ import annotations
 
 import time
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from repro.bloom.matcher import FilterMatrix
 from repro.brokerage.service import BrokerageService
 from repro.constants import BloomConfig, RankingConfig
 from repro.core.peer import PlanetPPeer
-from repro.core.persistent import PersistentQuery, PersistentQueryManager
+from repro.core.persistent import StandingQueries, Subscription
 from repro.core.search import exhaustive_local_match, score_local_documents
 from repro.ranking.stopping import AdaptiveStopping, StoppingPolicy
 from repro.ranking.tfidf import RankedDoc
@@ -56,7 +56,9 @@ class InProcessCommunity:
             for pid in range(num_peers)
         ]
         self.brokerage = BrokerageService(clock)
-        self.persistent = PersistentQueryManager()
+        #: persistent queries (Section 5.1) and their upcalls by row id.
+        self.standing = StandingQueries()
+        self._callbacks: dict[int, Callable[[Document], None]] = {}
         self._doc_owner: dict[str, int] = {}
         self._dirty = False
         #: stacked online-peer filters for batched ranking (eq. 3); synced
@@ -67,12 +69,25 @@ class InProcessCommunity:
 
     def publish(self, peer_id: int, item: Document | XMLSnippet) -> Document:
         """Publish ``item`` at ``peer_id`` and fire persistent queries."""
-        doc = self._peer(peer_id).publish(item)
+        peer = self._peer(peer_id)
+        doc = peer.publish(item)
         self._doc_owner[doc.doc_id] = peer_id
         self._dirty = True
-        term_set = set(self.analyzer.analyze(doc.text))
-        self.persistent.on_new_document(doc, term_set)
+        if self.standing:
+            self._probe(peer)
         return doc
+
+    def _probe(self, peer: PlanetPPeer) -> None:
+        """Upcall every standing query for ``peer``'s matches it has not
+        seen — the socket driver's dirty-peer probe, run synchronously.
+        Each id is acked before its upcall (at most once), and a row an
+        earlier upcall cancelled gets nothing more."""
+        may_hold = peer.store.bloom_filter.contains_all
+        for sub in self.standing.candidates(may_hold):
+            matches = exhaustive_local_match(peer.store.index, sub.terms)
+            for doc_id in self.standing.deliverable(sub, matches):
+                if self.standing.acked(sub, doc_id):
+                    self._callbacks[sub.sub_id](peer.store.get(doc_id))
 
     def publish_batch(
         self, peer_id: int, items: Sequence[Document | XMLSnippet]
@@ -199,16 +214,30 @@ class InProcessCommunity:
 
     def post_persistent_query(
         self, query: str, callback: Callable[[Document], None]
-    ) -> PersistentQuery:
+    ) -> Subscription:
         """Register a persistent exhaustive query (Section 5.1).
 
-        The callback fires for every *future* matching publication; run an
-        exhaustive search first for current matches, as PFS does.
+        The callback fires for every *future* matching publication (the
+        current matches are baselined silently); run an exhaustive search
+        first for those, as PFS does.  Raises ``ValueError`` for a query
+        that analyzes to no terms.
         """
-        terms = self.analyze_query(query)
-        if not terms:
-            raise ValueError("query analyzed to zero terms")
-        return self.persistent.post(terms, callback)
+        sub, _ = self.standing.post(self.analyze_query(query))
+        current = [
+            doc_id
+            for peer in self.peers
+            if peer.store.bloom_filter.contains_all(sub.terms)
+            for doc_id in exhaustive_local_match(peer.store.index, sub.terms)
+        ]
+        self._callbacks[sub.sub_id] = callback
+        self.standing.baseline(sub, current)
+        return sub
+
+    def cancel_persistent_query(self, sub_id: int) -> None:
+        """Deregister a persistent query; raises ``KeyError`` for an
+        unknown id."""
+        self.standing.cancel(sub_id)
+        del self._callbacks[sub_id]
 
     # -- membership -----------------------------------------------------------------------
 

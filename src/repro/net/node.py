@@ -688,15 +688,19 @@ class NetworkPeer:
             held, version = self._last_flushed
             if held is current and version == current.version:
                 return None  # not mutated since the last flush
+        self._last_flushed = (current, current.version)
+        if not current.is_superset_of(self._last_gossiped):
+            # A removal rebuilt a smaller filter, but a diff only adds
+            # bits: replicas keep the removed terms' bits (false
+            # positives, which a probe weeds out) and hear the growth.
+            current = current.union(self._last_gossiped)
         if current == self._last_gossiped:
-            self._last_flushed = (current, current.version)
             return None
         diff = diff_filters(self._last_gossiped, current)
         payload = codec.encode_update_payload(
             self.peer.store.filter_version, diff.to_bytes()
         )
         self._last_gossiped = current.copy()
-        self._last_flushed = (current, current.version)
         return self._mint(RumorKind.BF_UPDATE, payload)
 
     def announce_rejoin(self) -> WireRumor:

@@ -1,16 +1,17 @@
 """Persistent queries over the wire (paper Section 5.1).
 
-The in-process :class:`~repro.core.persistent.PersistentQueryManager`
-fires upcalls for documents published *through the same process*.  This
-module extends the idea community-wide: a remote client posts a standing
-conjunctive query to any serving node (``SubscribeRequest``), and that
-node watches its *replicated directory* — every gossip-applied filter
-update or member (re)join marks the originating peer dirty, a background
-worker probes dirty peers whose filters may match a subscription
-(exhaustive RPC), fetches fresh matching documents, and pushes them to
-the subscriber's notify address as ``Notify`` frames.  Gossip is the
-change feed, so a document published on *any* member reaches the
-subscriber without the publisher knowing the subscription exists.
+The rows and every delivery decision live in the sans-IO
+:class:`~repro.core.persistent.StandingQueries`, which the in-process
+community also drives; this module is its I/O.  A remote client posts a
+standing conjunctive query to any serving node (``SubscribeRequest``),
+and that node watches its *replicated directory* — every gossip-applied
+filter update or member (re)join marks the originating peer dirty, a
+background worker probes dirty peers whose filters may match a
+subscription (exhaustive RPC), fetches fresh matching documents, and
+pushes them to the subscriber's notify address as ``Notify`` frames.
+Gossip is the change feed, so a document published on *any* member
+reaches the subscriber without the publisher knowing the subscription
+exists.
 
 Delivery semantics:
 
@@ -20,7 +21,8 @@ Delivery semantics:
   until it succeeds;
 * **baseline at subscribe** — documents already searchable when the
   subscription is posted are marked delivered silently, so upcalls mean
-  "published after you subscribed";
+  "published after you subscribed"; peers marked dirty while a baseline's
+  RPCs are in flight are probed again once the row is registered;
 * **durable across restarts** — the :class:`Subscription` rows (with
   their delivered sets) are checkpointed in :mod:`repro.store`'s atomic
   CRC container (``PPSUB001``); a restarted node reloads them and
@@ -39,11 +41,11 @@ import asyncio
 import contextlib
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.constants import NetConfig
+from repro.core.persistent import StandingQueries, Subscription
 from repro.core.search import exhaustive_local_match
 from repro.gossip.wire import (
     AENothing,
@@ -75,19 +77,6 @@ __all__ = ["Subscription", "SubscriptionClient", "SubscriptionManager"]
 _CHECKPOINT_MAGIC = b"PPSUB001"
 
 
-@dataclass
-class Subscription:
-    """One standing query registered at a serving node."""
-
-    sub_id: int
-    terms: tuple[str, ...]
-    notify_address: str
-    created_at: float
-    #: doc ids the subscriber has acknowledged (dedup across probes,
-    #: republications, and restarts).
-    delivered: set[str] = field(default_factory=set)
-
-
 class SubscriptionManager:
     """Server half: registration, change detection, upcall delivery.
 
@@ -102,9 +91,11 @@ class SubscriptionManager:
         self.node = node
         self.obs = node.obs
         self._path = Path(checkpoint_path) if checkpoint_path is not None else None
-        self.subscriptions: dict[int, Subscription] = {}
-        self._next_id = 1
+        self.queries = StandingQueries()
         self._dirty: set[int] = set()
+        #: per subscribe awaiting its baseline RPCs, the peers marked dirty
+        #: meanwhile (marked again once its row is registered).
+        self._baseline_marks: dict[int, set[int]] = {}
         self._wake = asyncio.Event()
         self._task: asyncio.Task | None = None
         self.restored_subscriptions = 0
@@ -127,6 +118,11 @@ class SubscriptionManager:
         node.add_handler(Unsubscribe, self.handle_unsubscribe)
         node.add_round_hook(self._retry_round)
 
+    @property
+    def subscriptions(self) -> dict[int, Subscription]:
+        """The registered rows by id."""
+        return self.queries.rows
+
     # -- persistence ---------------------------------------------------------
 
     def _restore(self) -> None:
@@ -138,23 +134,11 @@ class SubscriptionManager:
             payload = decode_container(_CHECKPOINT_MAGIC, self._path.read_bytes())
             if int(payload["peer_id"]) != self.node.peer_id:
                 return
-            next_id = int(payload["next_sub_id"])
-            rows = [
-                Subscription(
-                    int(e["id"]),
-                    tuple(str(t) for t in e["terms"]),
-                    str(e["addr"]),
-                    float(e["at"]),
-                    {str(d) for d in e["delivered"]},
-                )
-                for e in payload["subs"]
-            ]
+            self.queries = StandingQueries.from_payload(payload)
         except (OSError, ValueError, KeyError, TypeError):
             return
-        self.subscriptions = {sub.sub_id: sub for sub in rows}
-        self._next_id = max(next_id, max(self.subscriptions, default=0) + 1)
-        self.restored_subscriptions = len(rows)
-        self._g_active.set(len(self.subscriptions))
+        self.restored_subscriptions = len(self.queries)
+        self._g_active.set(len(self.queries))
         if self.restored_subscriptions:
             self.obs.emit(
                 "subscriptions_restored",
@@ -173,17 +157,7 @@ class SubscriptionManager:
         payload = {
             "peer_id": self.node.peer_id,
             "written_at": time.time(),
-            "next_sub_id": self._next_id,
-            "subs": [
-                {
-                    "id": s.sub_id,
-                    "terms": list(s.terms),
-                    "addr": s.notify_address,
-                    "at": s.created_at,
-                    "delivered": sorted(s.delivered),
-                }
-                for _sid, s in sorted(self.subscriptions.items())
-            ],
+            **self.queries.to_payload(),
         }
         blob = encode_container(_CHECKPOINT_MAGIC, payload)
         try:
@@ -201,55 +175,64 @@ class SubscriptionManager:
 
     async def handle_subscribe(self, msg: SubscribeRequest) -> SubscribeAck:
         """Register (or reattach) a standing query; baseline its view."""
-        terms = tuple(self.node.analyzer.analyze_query(" ".join(msg.terms)))
-        if not terms:
-            return SubscribeAck(0, False, "query analyzed to zero terms")
-        existing = self.subscriptions.get(msg.sub_id) if msg.sub_id else None
-        if existing is not None and existing.terms == terms:
-            # Reattach after a client restart: refresh the upcall address,
-            # keep the delivered set (the dedup survives the reconnect).
-            if msg.notify_address:
-                existing.notify_address = msg.notify_address
+        try:
+            sub, reattached = self.queries.post(
+                self.node.analyzer.analyze_query(" ".join(msg.terms)),
+                sub_id=msg.sub_id,
+                notify_address=msg.notify_address,
+                created_at=msg.created_at,
+            )
+        except ValueError as exc:
+            return SubscribeAck(0, False, str(exc))
+        if reattached:
+            # After a client restart: the upcall address is refreshed and
+            # the delivered set (the dedup) survives the reconnect.
             self.checkpoint()
-            return SubscribeAck(existing.sub_id, True, "reattached")
-        sub_id = msg.sub_id if msg.sub_id else self._next_id
-        self._next_id = max(self._next_id, sub_id) + 1
-        sub = Subscription(sub_id, terms, msg.notify_address, msg.created_at)
-        await self._baseline(sub)
-        self.subscriptions[sub_id] = sub
-        self._g_active.set(len(self.subscriptions))
+            return SubscribeAck(sub.sub_id, True, "reattached")
+        marks: set[int] = set()
+        self._baseline_marks[sub.sub_id] = marks
+        try:
+            current = [
+                doc_id
+                for pid in self.node.peer.candidate_peers(list(sub.terms))
+                for doc_id in await self._matching_ids(pid, sub.terms)
+            ]
+        finally:
+            self._baseline_marks.pop(sub.sub_id, None)
+        self.queries.baseline(sub, current)
+        for pid in marks:
+            self.mark_dirty(pid)
+        self._g_active.set(len(self.queries))
         self._ensure_task()
         self.checkpoint()
         self.obs.emit(
             "subscription_posted",
             peer=self.node.peer_id,
-            sub=sub_id,
-            terms=list(terms),
+            sub=sub.sub_id,
+            terms=list(sub.terms),
         )
-        return SubscribeAck(sub_id, True, "subscribed")
+        return SubscribeAck(sub.sub_id, True, "subscribed")
 
     def handle_unsubscribe(self, msg: Unsubscribe) -> SubscribeAck:
         """Deregister a standing query (idempotent)."""
-        removed = self.subscriptions.pop(msg.sub_id, None)
-        self._g_active.set(len(self.subscriptions))
-        if removed is not None:
-            self.checkpoint()
-            return SubscribeAck(msg.sub_id, True, "unsubscribed")
-        return SubscribeAck(msg.sub_id, False, "unknown subscription")
-
-    async def _baseline(self, sub: Subscription) -> None:
-        """Mark everything already searchable as delivered, silently —
-        upcalls are for documents published *after* the subscription."""
-        for pid in self.node.peer.candidate_peers(list(sub.terms)):
-            sub.delivered.update(await self._matching_ids(pid, sub.terms))
+        try:
+            self.queries.cancel(msg.sub_id)
+        except KeyError:
+            return SubscribeAck(msg.sub_id, False, "unknown subscription")
+        self._g_active.set(len(self.queries))
+        self.checkpoint()
+        return SubscribeAck(msg.sub_id, True, "unsubscribed")
 
     # -- change detection ----------------------------------------------------
 
     def mark_dirty(self, pid: int) -> None:
         """Note that ``pid``'s content may have changed (gossip applied a
         filter update or join, or we published locally).  Cheap no-op
-        while nothing is subscribed."""
-        if not self.subscriptions:
+        while nothing is subscribed or being baselined."""
+        if self._baseline_marks:
+            for marks in self._baseline_marks.values():
+                marks.add(pid)
+        if not self.queries.rows:
             return
         self._dirty.add(pid)
         self._wake.set()
@@ -259,7 +242,7 @@ class SubscriptionManager:
         """Probe the whole directory (warm-restart catch-up: rumors that
         arrived and were checkpointed before the crash never re-apply, so
         their publishes would otherwise be missed)."""
-        if not self.subscriptions:
+        if not self.queries.rows:
             return
         self._dirty.update(self.node.peer.directory)
         self._dirty.add(self.node.peer_id)
@@ -296,7 +279,7 @@ class SubscriptionManager:
             task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await task
-        if self.subscriptions:
+        if self.queries:
             self.checkpoint()
 
     # -- probing & delivery --------------------------------------------------
@@ -308,7 +291,7 @@ class SubscriptionManager:
         deterministic delivery without sleeping.
         """
         dirty, self._dirty = self._dirty, set()
-        if not dirty or not self.subscriptions:
+        if not dirty or not self.queries:
             return 0
         fired = 0
         for pid in sorted(dirty):
@@ -318,31 +301,26 @@ class SubscriptionManager:
 
     async def _probe(self, pid: int) -> int:
         self._c_probes.inc()
+        bf = self.node.replica_of(pid)
+        if bf is None:
+            return 0
         fired = 0
-        for sub in list(self.subscriptions.values()):
-            if sub.sub_id not in self.subscriptions:
-                continue  # unsubscribed while an earlier await ran
-            if not self._filter_may_match(pid, sub.terms):
-                continue
+        for sub in self.queries.candidates(bf.contains_all):
             for doc_id in await self._matching_ids(pid, sub.terms):
-                if sub.sub_id not in self.subscriptions:
-                    break  # unsubscribe raced the probe: stop delivering
-                if doc_id in sub.delivered:
+                # Asked per id: an unsubscribe or another drain may have
+                # raced any earlier await.
+                if not self.queries.deliverable(sub, (doc_id,)):
                     continue
                 doc = await self._fetch(pid, doc_id)
                 if doc is None:
                     self._dirty.add(pid)  # fetch failed; retry next wake
                     continue
                 if await self._notify(sub, pid, doc):
-                    sub.delivered.add(doc_id)
+                    self.queries.acked(sub, doc_id)
                     fired += 1
                 else:
                     self._dirty.add(pid)  # unacked; retry next wake
         return fired
-
-    def _filter_may_match(self, pid: int, terms: tuple[str, ...]) -> bool:
-        bf = self.node.replica_of(pid)
-        return bf is not None and bf.contains_all(terms)
 
     async def _matching_ids(self, pid: int, terms: tuple[str, ...]) -> list[str]:
         if pid == self.node.peer_id:
@@ -383,7 +361,7 @@ class SubscriptionManager:
         return False
 
     def __len__(self) -> int:
-        return len(self.subscriptions)
+        return len(self.queries)
 
 
 class SubscriptionClient:

@@ -132,7 +132,7 @@ class TestPersistentQueries:
     def test_cancel(self, tiny_community):
         seen = []
         handle = tiny_community.post_persistent_query("gossip", seen.append)
-        tiny_community.persistent.cancel(handle.query_id)
+        tiny_community.cancel_persistent_query(handle.sub_id)
         tiny_community.publish(1, Document("d-y", "gossip again"))
         assert seen == []
 

@@ -90,6 +90,21 @@ def test_flush_updates_mints_only_on_growth():
     assert a.flush_updates() is None  # identical terms set no new bits
 
 
+def test_publish_after_a_removal_gossips_only_growth():
+    """A removal rebuilds a smaller filter; the next publish must still
+    mint a plain growth diff (replicas keep the removed bits)."""
+    net = LoopbackNetwork()
+    a = _node(net, 0)
+    a.publish(Document("d1", "zanzibar gossip"))
+    gossiped = a._last_gossiped.copy()
+    a.peer.remove("d1")
+    a.publish(Document("d2", "gossip bloom"))
+    assert a._last_gossiped.is_superset_of(gossiped)
+    assert a._last_gossiped.contains_all(["zanzibar", "bloom"])
+    a.peer.remove("d2")
+    assert a.flush_updates() is None  # shrinking alone gossips nothing
+
+
 def test_rumor_round_spreads_update_and_retires_rumor():
     async def scenario():
         config = GossipConfig(rumor_give_up_count=2)

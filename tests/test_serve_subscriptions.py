@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro.constants import StoreConfig
+from repro.net.codec import ExhaustiveQuery
 from repro.net.node import NetworkPeer
 from repro.net.transport import LoopbackNetwork, TransportError
 from repro.obs import Registry
@@ -126,6 +127,46 @@ def test_baseline_documents_are_silent():
         await _spread(nodes)
         assert [e.doc_id for e in events] == ["d-new"]
 
+        for node in nodes:
+            await node.stop()
+        await client.close()
+
+    asyncio.run(scenario())
+
+
+def test_publish_during_baseline_is_delivered():
+    """A document published while a subscription's baseline RPCs are in
+    flight is neither baselined nor lost: the gossip mark it raised
+    before the row existed is replayed once the row is registered."""
+
+    async def scenario():
+        net = LoopbackNetwork()
+        nodes = await _boot(net, 3)
+        nodes[1].publish(Document("d-old", "gossip existed before anyone asked"))
+        await _spread(nodes)
+        terms = nodes[0].analyzer.analyze_query("gossip")
+        request_peer = nodes[0].request_peer
+        raced: list[int] = []
+
+        async def race_the_baseline(pid, msg, **kwargs):
+            if pid == 1 and isinstance(msg, ExhaustiveQuery) and not raced:
+                raced.append(pid)
+                nodes[2].publish(Document("d-race", "gossip during baseline"))
+                for _ in range(30):
+                    if nodes[0].replica_of(2).contains_all(terms):
+                        break
+                    for node in nodes:
+                        await node.gossip_round()
+                assert nodes[0].replica_of(2).contains_all(terms)
+            return await request_peer(pid, msg, **kwargs)
+
+        nodes[0].request_peer = race_the_baseline
+        client = await _client(net)
+        events = []
+        await client.subscribe(nodes[0].address, "gossip", events.append)
+        assert raced == [1]
+        await _spread(nodes)
+        assert [e.doc_id for e in events] == ["d-race"]
         for node in nodes:
             await node.stop()
         await client.close()
@@ -365,7 +406,7 @@ def test_subscription_checkpoint_matches_the_ppsub001_golden(tmp_path, monkeypat
 def test_subscription_checkpoint_roundtrip(tmp_path):
     writer = _node(LoopbackNetwork(), 7, data_dir=tmp_path, store_config=FAST_STORE)
     rows = {3: Subscription(3, ("gossip", "bloom"), "client:9", 1.0, {"d1", "d2"})}
-    writer.subscriptions.subscriptions = rows
+    writer.subscriptions.queries.rows = rows
     assert writer.subscriptions.checkpoint() > 0
     writer.persistence.close()
 
@@ -378,7 +419,7 @@ def test_subscription_checkpoint_roundtrip(tmp_path):
 def test_corrupt_subscription_checkpoint_is_a_cold_start(tmp_path):
     path = tmp_path / "subscriptions.ckpt"
     writer = _node(LoopbackNetwork(), 7, data_dir=tmp_path, store_config=FAST_STORE)
-    writer.subscriptions.subscriptions = {1: Subscription(1, ("t",), "x:1", 0.0)}
+    writer.subscriptions.queries.rows = {1: Subscription(1, ("t",), "x:1", 0.0)}
     writer.subscriptions.checkpoint()
     writer.persistence.close()
     data = path.read_bytes()
