@@ -13,7 +13,7 @@ the three things the analytics plane promises:
   again over a quiescent tail where a converged community must go
   digest-only (entries stop moving; only (origin, epoch) digests do);
 * **browse** — popularity-ordered listings served through the
-  :class:`~repro.serve.QueryScheduler`: a repeated listing is a cache
+  :class:`~repro.serve.scheduler.QueryScheduler`: a repeated listing is a cache
   hit, and a publish moves the directory generation so the stale
   listing is evicted — never served.
 
@@ -40,12 +40,12 @@ from collections import Counter
 
 import numpy as np
 
-from repro.analytics import CommunityBrowser
+from repro.analytics.browse import CommunityBrowser
 from repro.constants import AnalyticsConfig
 from repro.net.node import NetworkPeer
 from repro.net.transport import LoopbackNetwork
 from repro.obs import Registry
-from repro.serve import QueryScheduler
+from repro.serve.scheduler import QueryScheduler
 from repro.text.document import Document
 
 #: Hard floors from the issue's acceptance criteria.

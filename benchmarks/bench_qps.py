@@ -3,7 +3,7 @@
 
 Boots a loopback community (every RPC crosses the in-memory fabric with
 a small injected latency), fronts one member with a
-:class:`~repro.serve.QueryScheduler`, and measures three things the
+:class:`~repro.serve.scheduler.QueryScheduler`, and measures three things the
 serving plane promises:
 
 * **throughput** — a repeated-query mix at the default admission limits:
@@ -43,7 +43,7 @@ from repro.constants import ServeConfig
 from repro.net.node import NetworkPeer
 from repro.net.transport import LoopbackNetwork
 from repro.obs import Registry
-from repro.serve import QueryRejected, QueryScheduler
+from repro.serve.scheduler import QueryRejected, QueryScheduler
 from repro.text.document import Document
 
 #: Hard floors from the issue's acceptance criteria.

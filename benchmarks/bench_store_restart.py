@@ -45,7 +45,7 @@ from repro.corpus.synthetic import generate_collection
 from repro.net.node import NetworkPeer
 from repro.net.transport import LoopbackNetwork
 from repro.obs import Registry
-from repro.store import PersistentDataStore
+from repro.store.persistent_store import PersistentDataStore
 from repro.text.document import Document
 
 #: Hard floors (ratios) from the issue's acceptance criteria.

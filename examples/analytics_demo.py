@@ -23,10 +23,10 @@ import asyncio
 import random
 from collections import Counter
 
-from repro.analytics import CommunityBrowser
+from repro.analytics.browse import CommunityBrowser
 from repro.constants import AnalyticsConfig
-from repro.net import NetworkPeer
-from repro.serve import QueryScheduler
+from repro.net.node import NetworkPeer
+from repro.serve.scheduler import QueryScheduler
 from repro.text.document import Document
 
 TOPICS = [

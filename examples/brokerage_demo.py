@@ -9,7 +9,7 @@ the brokers *now*, while the Bloom filter path catches up later.
 Run:  python examples/brokerage_demo.py
 """
 
-from repro.brokerage import BrokerageService
+from repro.brokerage.service import BrokerageService
 
 
 def main() -> None:

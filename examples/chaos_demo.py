@@ -20,7 +20,8 @@ import asyncio
 import sys
 
 from repro.core.community import InProcessCommunity
-from repro.net import NetworkPeer, NetworkSearchClient
+from repro.net.client import NetworkSearchClient
+from repro.net.node import NetworkPeer
 from repro.net.chaos import EdgeFaults, FaultPlan, FaultyTransport, VirtualClock
 from repro.net.transport import LoopbackNetwork, TransportError
 from repro.text.document import Document

@@ -12,7 +12,7 @@ Run:  python examples/dynamic_community.py
 
 import numpy as np
 
-from repro.gossip import run_churn
+from repro.gossip.simulation import run_churn
 from repro.utils.stats import cdf_points
 
 

@@ -15,7 +15,7 @@ Run:  python examples/gossip_scaling.py
 import math
 
 from repro.constants import GossipConfig
-from repro.gossip import run_propagation
+from repro.gossip.simulation import run_propagation
 
 
 def main() -> None:

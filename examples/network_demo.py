@@ -12,7 +12,8 @@ Run:  python examples/network_demo.py
 
 import asyncio
 
-from repro.net import NetworkPeer, NetworkSearchClient
+from repro.net.client import NetworkSearchClient
+from repro.net.node import NetworkPeer
 from repro.text.document import Document
 
 ARTICLES = [

@@ -3,13 +3,13 @@
 
 Walks the :mod:`repro.serve` subsystem end to end over real TCP sockets:
 
-1. a :class:`~repro.serve.QueryScheduler` fronts one peer — a repeated
+1. a :class:`~repro.serve.scheduler.QueryScheduler` fronts one peer — a repeated
    query is answered from the version-keyed result cache;
 2. a publish on *another* peer moves the directory generation, so the
    stale entry is evicted and the fresh answer includes the new document;
 3. an overload burst against a one-slot scheduler is shed with
    ``retry_after`` backpressure hints instead of queueing unboundedly;
-4. a :class:`~repro.serve.SubscriptionClient` posts a persistent query
+4. a :class:`~repro.serve.subscriptions.SubscriptionClient` posts a persistent query
    and receives a wire upcall for a document published on a peer that
    never heard of the subscription.
 
@@ -19,8 +19,9 @@ Run:  python examples/serve_demo.py
 import asyncio
 
 from repro.constants import ServeConfig
-from repro.net import NetworkPeer
-from repro.serve import QueryRejected, QueryScheduler, SubscriptionClient
+from repro.net.node import NetworkPeer
+from repro.serve.scheduler import QueryRejected, QueryScheduler
+from repro.serve.subscriptions import SubscriptionClient
 from repro.text.document import Document
 
 ARTICLES = [

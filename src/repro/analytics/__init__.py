@@ -12,23 +12,3 @@ Three layers, each consuming the one below:
   namespace over PFS's query-named directories, served through the
   query plane's scheduler and cache.
 """
-
-from repro.analytics.aggregate import AnalyticsPlane, SpaceSaving, TermSketch
-from repro.analytics.browse import (
-    BrowseEntry,
-    BrowseListing,
-    CommunityBrowser,
-    local_listing,
-)
-from repro.analytics.popularity import PopularityIndex
-
-__all__ = [
-    "AnalyticsPlane",
-    "SpaceSaving",
-    "TermSketch",
-    "PopularityIndex",
-    "BrowseEntry",
-    "BrowseListing",
-    "CommunityBrowser",
-    "local_listing",
-]

@@ -17,34 +17,3 @@ Golomb-code scheme (Section 7.1).  This subpackage provides:
 * :mod:`repro.bloom.matcher` — :class:`FilterMatrix`, stacked peer filters
   answering whole-directory query matching with one vectorized gather.
 """
-
-from repro.bloom.hashing import HashFamily
-from repro.bloom.filter import BloomFilter
-from repro.bloom.golomb import (
-    GolombDecoder,
-    GolombEncoder,
-    decode_gaps,
-    encode_gaps,
-    optimal_golomb_m,
-)
-from repro.bloom.compress import compress_filter, decompress_filter, compressed_size
-from repro.bloom.diff import BloomDiff, apply_diff, diff_filters
-from repro.bloom.matcher import FilterMatrix, ShardedFilterMatrix
-
-__all__ = [
-    "HashFamily",
-    "BloomFilter",
-    "GolombEncoder",
-    "GolombDecoder",
-    "optimal_golomb_m",
-    "encode_gaps",
-    "decode_gaps",
-    "compress_filter",
-    "decompress_filter",
-    "compressed_size",
-    "BloomDiff",
-    "apply_diff",
-    "diff_filters",
-    "FilterMatrix",
-    "ShardedFilterMatrix",
-]

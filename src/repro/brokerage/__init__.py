@@ -6,14 +6,3 @@ key space with consistent hashing so new content is findable before the
 publisher's next Bloom filter diffuses.  The service deliberately makes no
 safety guarantee — a broker leaving abruptly loses its snippets.
 """
-
-from repro.brokerage.broker import Broker, BrokeredSnippet
-from repro.brokerage.ring import ConsistentHashRing
-from repro.brokerage.service import BrokerageService
-
-__all__ = [
-    "ConsistentHashRing",
-    "Broker",
-    "BrokeredSnippet",
-    "BrokerageService",
-]

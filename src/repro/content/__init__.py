@@ -23,16 +23,3 @@ NetworkPeer` and the shared wire inventory
 
 See DESIGN.md §13 for the protocol walkthrough.
 """
-
-from repro.content.plane import ContentPlane, replica_ring
-from repro.content.retrieval import ContentClient
-from repro.store.chunkstore import ChunkStore, ContentNotFound, build_manifest
-
-__all__ = [
-    "ChunkStore",
-    "ContentClient",
-    "ContentNotFound",
-    "ContentPlane",
-    "build_manifest",
-    "replica_ring",
-]

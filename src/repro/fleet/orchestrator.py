@@ -46,7 +46,7 @@ from typing import Callable
 
 import repro
 from repro.constants import BloomConfig, GossipConfig, NetConfig, PartialViewConfig
-from repro.content import ContentClient, ContentNotFound
+from repro.content.retrieval import ContentClient
 from repro.fleet.invariants import (
     FleetReport,
     convergence_bound_s,
@@ -61,6 +61,7 @@ from repro.net.node import NetworkPeer
 from repro.net.transport import TcpTransport, TransportError
 from repro.obs import Registry
 from repro.serve.scheduler import QueryScheduler
+from repro.store.chunkstore import ContentNotFound
 from repro.text.document import Document
 
 __all__ = ["Fleet", "FleetError", "run_scenario", "run_scenario_async"]

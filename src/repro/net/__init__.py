@@ -21,9 +21,14 @@ objects over real transports:
 
 The whole stack records into a :mod:`repro.obs` registry (transport
 bytes/latency, gossip rounds, injected faults, Bloom compression), and
-any peer answers a :class:`StatsRequest` with its flattened samples.
+any peer answers a :class:`~repro.net.codec.StatsRequest` with its
+flattened samples.
 
 Quick start (async context)::
+
+    from repro.net.client import NetworkSearchClient
+    from repro.net.node import NetworkPeer
+    from repro.text.document import Document
 
     a = NetworkPeer(0)
     await a.start()
@@ -36,61 +41,3 @@ Quick start (async context)::
         await b.gossip_round()
     result = await NetworkSearchClient(a).ranked_search("gossip", k=5)
 """
-
-from repro.net.chaos import (
-    EdgeFaults,
-    FaultPlan,
-    FaultyTransport,
-    VirtualClock,
-)
-from repro.net.client import NetworkSearchClient
-from repro.net.codec import (
-    CodecError,
-    ErrorReply,
-    ExhaustiveQuery,
-    ExhaustiveResponse,
-    RankedQuery,
-    RankedResponse,
-    SnippetFetch,
-    SnippetResponse,
-    StatsRequest,
-    StatsResponse,
-    decode,
-    encode,
-)
-from repro.net.node import NetworkPeer
-from repro.net.transport import (
-    LoopbackNetwork,
-    LoopbackTransport,
-    RetryableTransportError,
-    TcpTransport,
-    Transport,
-    TransportError,
-)
-
-__all__ = [
-    "NetworkPeer",
-    "NetworkSearchClient",
-    "Transport",
-    "TcpTransport",
-    "LoopbackNetwork",
-    "LoopbackTransport",
-    "TransportError",
-    "RetryableTransportError",
-    "EdgeFaults",
-    "FaultPlan",
-    "FaultyTransport",
-    "VirtualClock",
-    "CodecError",
-    "encode",
-    "decode",
-    "RankedQuery",
-    "RankedResponse",
-    "ExhaustiveQuery",
-    "ExhaustiveResponse",
-    "SnippetFetch",
-    "SnippetResponse",
-    "StatsRequest",
-    "StatsResponse",
-    "ErrorReply",
-]

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import math
 import os
 import sys
 from pathlib import Path
@@ -79,6 +80,7 @@ from repro.net.client import NetworkSearchClient
 from repro.net.codec import StatsRequest, StatsResponse
 from repro.net.node import NetworkPeer, read_checkpoint
 from repro.net.transport import TcpTransport, Transport, TransportError
+from repro.obs.metrics import format_non_finite
 from repro.text.document import Document
 
 __all__ = [
@@ -344,8 +346,9 @@ async def run_subscribe(args: argparse.Namespace) -> None:
 
 
 async def run_get(args: argparse.Namespace) -> None:
-    """Fetch one document via :class:`~repro.content.ContentClient`."""
-    from repro.content import ContentClient, ContentNotFound
+    """Fetch one document via :class:`~repro.content.retrieval.ContentClient`."""
+    from repro.content.retrieval import ContentClient
+    from repro.store.chunkstore import ContentNotFound
 
     transport = TcpTransport(NetConfig())
     client = ContentClient(transport, request_timeout_s=args.timeout)
@@ -418,8 +421,18 @@ async def run_stats(args: argparse.Namespace) -> None:
     for name, value in reply.samples:
         if args.grep is not None and args.grep not in name:
             continue
-        rendered = f"{value:.6f}".rstrip("0").rstrip(".") if value != int(value) else str(int(value))
-        print(f"  {name} {rendered}")
+        print(f"  {name} {_render_sample(value)}")
+
+
+def _render_sample(value: float) -> str:
+    """A stats sample for the terminal: integers bare, at most six
+    decimals, non-finite values spelled as Prometheus spells them (a
+    remote node may send any float)."""
+    if not math.isfinite(value):
+        return format_non_finite(value)
+    if value == int(value):
+        return str(int(value))
+    return f"{value:.6f}".rstrip("0").rstrip(".")
 
 
 def _load_corpus(node: NetworkPeer, corpus: Path) -> int:

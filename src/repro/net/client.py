@@ -148,7 +148,7 @@ class NetworkSearchClient:
         #: failed contact instead of holding its whole wave (None = wait
         #: out the transport's own retry deadline).
         self.peer_deadline_s = peer_deadline_s
-        #: shared per-peer in-flight caps (``repro.serve.PeerGate``).
+        #: shared per-peer in-flight caps (``repro.serve.scheduler.PeerGate``).
         self.peer_gate = peer_gate
         self._backend = _ReplicaBackend(node)
         #: searches record into the node's registry (component ``client``).

@@ -112,13 +112,9 @@ from repro.net.partialview import PartialViewPlane
 from repro.net.transport import TcpTransport, Transport, TransportError
 from repro.obs import Counter, Registry, global_registry
 from repro.serve.subscriptions import SubscriptionManager
-from repro.store import (
-    ChunkStore,
-    DirectoryCheckpoint,
-    PersistentDataStore,
-    load_checkpoint,
-    save_checkpoint,
-)
+from repro.store.checkpoint import DirectoryCheckpoint, load_checkpoint, save_checkpoint
+from repro.store.chunkstore import ChunkStore
+from repro.store.persistent_store import PersistentDataStore
 from repro.text.analyzer import Analyzer
 from repro.text.document import Document
 from repro.text.xmlsnippets import XMLSnippet

@@ -35,11 +35,12 @@ pointed at a dump of a live node can ingest it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 import time
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from typing import Callable, Iterable
 
 from repro.obs.trace import TraceLog
 
@@ -52,6 +53,7 @@ __all__ = [
     "DEFAULT_LATENCY_BOUNDS",
     "DEFAULT_SIZE_BOUNDS",
     "DEFAULT_COUNT_BOUNDS",
+    "format_non_finite",
 ]
 
 #: Per-request latency buckets (seconds): sub-millisecond loopback up to
@@ -74,12 +76,13 @@ DEFAULT_COUNT_BOUNDS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
 class Counter:
     """A monotonically increasing float total."""
 
-    __slots__ = ("component", "name", "help", "_value", "_lock")
+    __slots__ = ("component", "name", "help", "prom_name", "_value", "_lock")
 
     def __init__(self, component: str, name: str, help: str = "") -> None:
         self.component = component
         self.name = name
         self.help = help
+        self.prom_name = _prom_name(component, name)
         self._value = 0.0
         self._lock = threading.Lock()
 
@@ -106,12 +109,13 @@ class Counter:
 class Gauge:
     """A value that can rise and fall (depths, sizes, temperatures)."""
 
-    __slots__ = ("component", "name", "help", "_value", "_lock")
+    __slots__ = ("component", "name", "help", "prom_name", "_value", "_lock")
 
     def __init__(self, component: str, name: str, help: str = "") -> None:
         self.component = component
         self.name = name
         self.help = help
+        self.prom_name = _prom_name(component, name)
         self._value = 0.0
         self._lock = threading.Lock()
 
@@ -202,7 +206,10 @@ class HistogramSnapshot:
 class Histogram:
     """Fixed-bucket histogram of non-negative observations."""
 
-    __slots__ = ("component", "name", "help", "bounds", "_counts", "_sum", "_lock")
+    __slots__ = (
+        "component", "name", "help", "prom_name", "bounds", "bucket_names",
+        "_counts", "_sum", "_lock",
+    )
 
     def __init__(
         self,
@@ -222,6 +229,11 @@ class Histogram:
         if not all(math.isfinite(b) for b in bounds):
             raise ValueError("bucket bounds must be finite (+Inf is implicit)")
         self.bounds = bounds
+        self.prom_name = base = _prom_name(component, name)
+        #: the cumulative ``_bucket{le=...}`` series names, +Inf last
+        self.bucket_names = tuple(
+            f'{base}_bucket{{le="{le}"}}' for le in (*map(_fmt, bounds), "+Inf")
+        )
         self._counts = [0] * (len(bounds) + 1)
         self._sum = 0.0
         self._lock = threading.Lock()
@@ -353,16 +365,12 @@ class Registry:
         """
         out: list[tuple[str, float]] = []
         for instrument in self.instruments():
-            base = _prom_name(instrument.component, instrument.name)
+            base = instrument.prom_name
             if isinstance(instrument, (Counter, Gauge)):
                 out.append((base, instrument.value))
             else:
                 snap = instrument.snapshot()
-                cumulative = 0
-                for bound, count in zip(snap.bounds, snap.counts):
-                    cumulative += count
-                    out.append((f'{base}_bucket{{le="{_fmt(bound)}"}}', cumulative))
-                out.append((f'{base}_bucket{{le="+Inf"}}', snap.total))
+                out.extend(zip(instrument.bucket_names, itertools.accumulate(snap.counts)))
                 out.append((f"{base}_sum", snap.sum))
                 out.append((f"{base}_count", snap.total))
         return out
@@ -371,7 +379,7 @@ class Registry:
         """The registry in Prometheus text exposition format."""
         lines: list[str] = []
         for instrument in self.instruments():
-            base = _prom_name(instrument.component, instrument.name)
+            base = instrument.prom_name
             help_text = instrument.help or f"{instrument.component} {instrument.name}"
             lines.append(f"# HELP {base} {_escape_help(help_text)}")
             if isinstance(instrument, Counter):
@@ -383,21 +391,31 @@ class Registry:
             else:
                 snap = instrument.snapshot()
                 lines.append(f"# TYPE {base} histogram")
-                cumulative = 0
-                for bound, count in zip(snap.bounds, snap.counts):
-                    cumulative += count
-                    lines.append(f'{base}_bucket{{le="{_fmt(bound)}"}} {cumulative}')
-                lines.append(f'{base}_bucket{{le="+Inf"}} {snap.total}')
+                for series, cumulative in zip(
+                    instrument.bucket_names, itertools.accumulate(snap.counts)
+                ):
+                    lines.append(f"{series} {cumulative}")
                 lines.append(f"{base}_sum {_fmt(snap.sum)}")
                 lines.append(f"{base}_count {snap.total}")
         return "\n".join(lines) + "\n"
 
 
 def _fmt(value: float) -> str:
-    """Render a sample value the way Prometheus expects (ints bare)."""
+    """Render a sample value the way Prometheus expects (ints bare;
+    ``+Inf`` / ``-Inf`` / ``NaN`` spelled as the text format spells them)."""
+    if not math.isfinite(value):
+        return format_non_finite(value)
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return repr(float(value))
+
+
+def format_non_finite(value: float) -> str:
+    """``+Inf``, ``-Inf`` or ``NaN``: a non-finite sample value as the
+    Prometheus text format spells it."""
+    if math.isnan(value):
+        return "NaN"
+    return "+Inf" if value > 0 else "-Inf"
 
 
 def _escape_help(text: str) -> str:

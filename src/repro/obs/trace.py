@@ -20,7 +20,8 @@ import json
 import threading
 import time
 from collections import deque
-from typing import Callable, NamedTuple
+from collections.abc import Callable
+from typing import NamedTuple
 
 __all__ = ["TraceEvent", "TraceLog"]
 

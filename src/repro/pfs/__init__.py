@@ -8,16 +8,3 @@ queries: opening a directory named by a query populates it with links to
 matching files, kept current by persistent-query upcalls and a staleness
 refresh.
 """
-
-from repro.pfs.fileserver import FileServer
-from repro.pfs.namespace import QueryDirectory, SemanticNamespace
-from repro.pfs.pfs import PFS
-from repro.store.chunkstore import ContentNotFound
-
-__all__ = [
-    "ContentNotFound",
-    "FileServer",
-    "QueryDirectory",
-    "SemanticNamespace",
-    "PFS",
-]

@@ -22,23 +22,3 @@ Every moving part records into the registry's ``serve`` component, and
 ``benchmarks/bench_qps.py`` turns those instruments into the committed
 QPS × latency × hit-rate trajectory.
 """
-
-from repro.serve.cache import ResultCache, directory_generation, shard_generations
-from repro.serve.scheduler import PeerGate, QueryRejected, QueryScheduler
-from repro.serve.subscriptions import (
-    Subscription,
-    SubscriptionClient,
-    SubscriptionManager,
-)
-
-__all__ = [
-    "PeerGate",
-    "QueryRejected",
-    "QueryScheduler",
-    "ResultCache",
-    "Subscription",
-    "SubscriptionClient",
-    "SubscriptionManager",
-    "directory_generation",
-    "shard_generations",
-]

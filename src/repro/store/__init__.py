@@ -24,30 +24,3 @@ stays the store its callers use;
 peer's own store and wires in all three (see ``python -m repro.net
 --data-dir``).
 """
-
-from repro.store.checkpoint import DirectoryCheckpoint, load_checkpoint, save_checkpoint
-from repro.store.chunkstore import ChunkStore, ContentNotFound, build_manifest
-from repro.store.persistent_store import PersistentDataStore, RecoveryInfo
-from repro.store.snapshot import (
-    load_latest_snapshot,
-    prune_snapshots,
-    snapshot_path,
-    write_snapshot,
-)
-from repro.store.wal import WriteAheadLog
-
-__all__ = [
-    "ChunkStore",
-    "ContentNotFound",
-    "build_manifest",
-    "DirectoryCheckpoint",
-    "PersistentDataStore",
-    "RecoveryInfo",
-    "WriteAheadLog",
-    "load_checkpoint",
-    "load_latest_snapshot",
-    "prune_snapshots",
-    "save_checkpoint",
-    "snapshot_path",
-    "write_snapshot",
-]

@@ -5,24 +5,3 @@ The paper (Section 7.3) pre-processes all traces with stop-word removal and
 stemming before indexing; Section 2 describes the per-peer local inverted
 index that Bloom filters summarize.
 """
-
-from repro.text.tokenizer import tokenize
-from repro.text.stopwords import STOPWORDS, is_stopword
-from repro.text.porter import porter_stem
-from repro.text.analyzer import Analyzer
-from repro.text.document import Document
-from repro.text.xmlsnippets import XMLSnippet, extract_text
-from repro.text.invindex import InvertedIndex, Posting
-
-__all__ = [
-    "tokenize",
-    "STOPWORDS",
-    "is_stopword",
-    "porter_stem",
-    "Analyzer",
-    "Document",
-    "XMLSnippet",
-    "extract_text",
-    "InvertedIndex",
-    "Posting",
-]

@@ -1,31 +1,2 @@
 """Shared low-level utilities: RNG handling, bit operations, statistics,
 and random distributions used across the PlanetP reproduction."""
-
-from repro.utils.rng import make_rng, spawn_rngs
-from repro.utils.bitops import BitArray
-from repro.utils.stats import (
-    LinearFit,
-    cdf_points,
-    fit_linear,
-    percentile,
-    summarize,
-)
-from repro.utils.distributions import (
-    weibull_weights,
-    zipf_pmf,
-    sample_categorical,
-)
-
-__all__ = [
-    "make_rng",
-    "spawn_rngs",
-    "BitArray",
-    "LinearFit",
-    "cdf_points",
-    "fit_linear",
-    "percentile",
-    "summarize",
-    "weibull_weights",
-    "zipf_pmf",
-    "sample_categorical",
-]

@@ -14,13 +14,13 @@ import asyncio
 
 import pytest
 
-from repro.analytics import CommunityBrowser, local_listing
+from repro.analytics.browse import CommunityBrowser, local_listing
 from repro.constants import AnalyticsConfig
 from repro.gossip.wire import BrowseRequest
 from repro.net.node import NetworkPeer
 from repro.net.transport import LoopbackNetwork
 from repro.obs import Registry
-from repro.serve import QueryScheduler
+from repro.serve.scheduler import QueryScheduler
 from repro.text.document import Document
 
 pytestmark = pytest.mark.analytics

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.analytics import SpaceSaving, TermSketch
+from repro.analytics.aggregate import SpaceSaving, TermSketch
 from repro.gossip.wire import SketchEntry
 
 pytestmark = pytest.mark.analytics

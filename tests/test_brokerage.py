@@ -231,7 +231,7 @@ class TestPlacementGoldenDigests:
     replica and shard assignment, so the exact placements are pinned."""
 
     def test_replica_ring_placement_digest(self):
-        from repro.content import replica_ring
+        from repro.content.plane import replica_ring
 
         ring = replica_ring([0, 1, 2, 3, 4, 5, 6, 7], points_per_member=32)
         lines = [

@@ -14,7 +14,7 @@ import zlib
 
 import pytest
 
-from repro.content import ChunkStore, ContentNotFound, build_manifest
+from repro.store.chunkstore import ChunkStore, ContentNotFound, build_manifest
 from repro.store.chunkstore import chunk_bounds
 
 DATA = b"planetp content plane chunked transfer payload " * 40  # ~1.9 KB

@@ -2,7 +2,7 @@
 
 Every scenario boots real :class:`~repro.net.node.NetworkPeer` instances
 on the deterministic loopback fabric with an active content config and
-drives :meth:`~repro.content.ContentPlane.maintenance_round` explicitly,
+drives :meth:`~repro.content.plane.ContentPlane.maintenance_round` explicitly,
 so replication outcomes are reproducible without sockets or timers.
 """
 
@@ -13,7 +13,7 @@ import asyncio
 import pytest
 
 from repro.constants import ContentConfig
-from repro.content import replica_ring
+from repro.content.plane import replica_ring
 from repro.gossip.wire import ManifestPush
 from repro.net.node import NetworkPeer
 from repro.net.transport import LoopbackNetwork

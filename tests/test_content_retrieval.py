@@ -2,7 +2,7 @@
 
 The servers are real :class:`~repro.net.node.NetworkPeer` content planes
 on the loopback fabric; the client is the same directory-less
-:class:`~repro.content.ContentClient` the ``python -m repro.net get``
+:class:`~repro.content.retrieval.ContentClient` the ``python -m repro.net get``
 subcommand uses, pointed at loopback addresses.
 """
 
@@ -13,10 +13,11 @@ import asyncio
 import pytest
 
 from repro.constants import ContentConfig
-from repro.content import ContentClient, ContentNotFound
+from repro.content.retrieval import ContentClient
 from repro.net.node import NetworkPeer
 from repro.net.transport import LoopbackNetwork
 from repro.obs import Registry
+from repro.store.chunkstore import ContentNotFound
 from repro.text.document import Document
 
 pytestmark = pytest.mark.content

@@ -276,3 +276,24 @@ def test_check_data_dir_accepts_missing_and_valid(tmp_path):
     (tmp_path / "directory.ckpt").write_bytes(b"\x00garbage")
     with pytest.raises(ValueError, match="corrupt directory checkpoint"):
         _check_data_dir(tmp_path)
+
+
+def test_stats_cli_renders_non_finite_samples(capsys):
+    """A remote node may report any float: ``stats`` prints ``+Inf``,
+    ``-Inf`` and ``NaN`` as Prometheus spells them instead of crashing."""
+
+    async def scenario():
+        registry = Registry()
+        registry.gauge("x", "up").set(float("inf"))
+        registry.gauge("x", "down").set(float("-inf"))
+        registry.gauge("x", "undefined").set(float("nan"))
+        a = NetworkPeer(0, "127.0.0.1", 0, registry=registry)
+        await a.start()
+        try:
+            await run_stats(build_stats_parser().parse_args([a.address, "--grep", "planetp_x_"]))
+        finally:
+            await a.stop()
+
+    asyncio.run(scenario())
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert lines == ["  planetp_x_down -Inf", "  planetp_x_undefined NaN", "  planetp_x_up +Inf"]

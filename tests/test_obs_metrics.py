@@ -348,6 +348,36 @@ class TestRenderText:
         # samples() flattens to exactly the sample names render_text emits.
         assert {name for name, _ in reg.samples()} == rendered
 
+    def test_samples_pinned(self):
+        # Names are built once per instrument; a scrape must still flatten
+        # to exactly these pairs, in this order.
+        reg = self._populated()
+        reg.gauge("serve-cache", "hit ratio").set(-3)
+        assert reg.samples() == [
+            ("planetp_node_directory_size", 6.0),
+            ("planetp_serve_cache_hit_ratio", -3.0),
+            ("planetp_transport_bytes_sent_total", 1234.0),
+            ('planetp_transport_request_latency_seconds_bucket{le="0.01"}', 1),
+            ('planetp_transport_request_latency_seconds_bucket{le="0.1"}', 2),
+            ('planetp_transport_request_latency_seconds_bucket{le="1"}', 3),
+            ('planetp_transport_request_latency_seconds_bucket{le="+Inf"}', 4),
+            ("planetp_transport_request_latency_seconds_sum", 5.555),
+            ("planetp_transport_request_latency_seconds_count", 4),
+        ]
+
+    def test_non_finite_values(self):
+        reg = Registry()
+        reg.gauge("x", "up").set(float("inf"))
+        reg.gauge("x", "down").set(float("-inf"))
+        reg.gauge("x", "undefined").set(float("nan"))
+        families = _parse_exposition(reg.render_text())
+        assert [
+            line.split()[1]
+            for line in reg.render_text().splitlines()
+            if not line.startswith("#")
+        ] == ["-Inf", "NaN", "+Inf"]
+        assert families["planetp_x_up"]["samples"][0][2] == float("inf")
+
 
 # ---------------------------------------------------------------------------
 # Global registry plumbing

@@ -29,7 +29,7 @@ from repro.net.client import NetworkSearchClient
 from repro.net.node import NetworkPeer
 from repro.net.transport import LoopbackNetwork
 from repro.obs import Registry
-from repro.serve import directory_generation
+from repro.serve.cache import directory_generation
 from repro.text.document import Document
 
 pytestmark = pytest.mark.partialview

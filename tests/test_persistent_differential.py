@@ -28,7 +28,7 @@ from repro.core.community import InProcessCommunity
 from repro.net.node import NetworkPeer
 from repro.net.transport import LoopbackNetwork
 from repro.obs import Registry
-from repro.serve import SubscriptionClient
+from repro.serve.subscriptions import SubscriptionClient
 from repro.text.document import Document
 
 PEERS = 3

@@ -17,7 +17,7 @@ import pytest
 from repro.net.node import NetworkPeer
 from repro.net.transport import LoopbackNetwork
 from repro.obs import Registry
-from repro.serve import ResultCache, directory_generation
+from repro.serve.cache import ResultCache, directory_generation
 from repro.text.document import Document
 
 
@@ -297,7 +297,7 @@ def _random_shard_of(seed: int, num_shards: int):
 @pytest.mark.parametrize("seed", range(12))
 def test_composed_shard_generations_equal_flat_generation(seed):
     from repro.gossip.directory import compose_generations
-    from repro.serve import shard_generations
+    from repro.serve.cache import shard_generations
 
     node = _StubNode(_members(seed))
     flat = directory_generation(node)
@@ -309,7 +309,7 @@ def test_composed_shard_generations_equal_flat_generation(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_single_member_perturbation_flips_composed_generation(seed):
     from repro.gossip.directory import compose_generations
-    from repro.serve import shard_generations
+    from repro.serve.cache import shard_generations
 
     shard_of = _random_shard_of(seed, 4)
     reference = shard_generations(_StubNode(_members(seed)), shard_of)

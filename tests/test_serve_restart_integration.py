@@ -25,7 +25,7 @@ from pathlib import Path
 
 from repro.net.node import NetworkPeer
 from repro.obs import Registry
-from repro.serve import SubscriptionClient
+from repro.serve.subscriptions import SubscriptionClient
 from repro.text.document import Document
 
 import pytest

@@ -22,7 +22,7 @@ from repro.net.client import NetworkSearchClient
 from repro.net.node import NetworkPeer
 from repro.net.transport import LoopbackNetwork
 from repro.obs import Registry
-from repro.serve import PeerGate, QueryRejected, QueryScheduler
+from repro.serve.scheduler import PeerGate, QueryRejected, QueryScheduler
 from repro.text.document import Document
 
 DOCS = [

@@ -21,7 +21,7 @@ from repro.net.codec import ExhaustiveQuery
 from repro.net.node import NetworkPeer
 from repro.net.transport import LoopbackNetwork, TransportError
 from repro.obs import Registry
-from repro.serve import Subscription, SubscriptionClient
+from repro.serve.subscriptions import Subscription, SubscriptionClient
 from repro.text.document import Document
 
 FAST_STORE = StoreConfig(fsync=False)

@@ -14,7 +14,7 @@ from repro.net.cli import _check_data_dir
 from repro.net.node import NetworkPeer, read_checkpoint
 from repro.net.transport import LoopbackNetwork
 from repro.obs import Registry
-from repro.store import DirectoryCheckpoint, load_checkpoint, save_checkpoint
+from repro.store.checkpoint import DirectoryCheckpoint, load_checkpoint, save_checkpoint
 from repro.store.checkpoint import CHECKPOINT_MAGIC
 from repro.store.snapshot import encode_container
 

@@ -14,7 +14,7 @@ import pytest
 from repro.constants import BloomConfig, StoreConfig
 from repro.core.datastore import LocalDataStore
 from repro.obs import Registry
-from repro.store import PersistentDataStore
+from repro.store.persistent_store import PersistentDataStore
 from repro.text.analyzer import Analyzer
 from repro.text.document import Document
 

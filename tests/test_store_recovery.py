@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.constants import StoreConfig
 from repro.core.datastore import LocalDataStore
 from repro.obs import Registry
-from repro.store import PersistentDataStore
+from repro.store.persistent_store import PersistentDataStore
 from repro.store.snapshot import snapshot_path
 from repro.text.document import Document
 

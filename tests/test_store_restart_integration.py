@@ -28,7 +28,7 @@ from repro.net.codec import StatsRequest
 from repro.net.node import RID_RESTART_GAP, NetworkPeer
 from repro.net.transport import LoopbackNetwork
 from repro.obs import Registry
-from repro.store import WriteAheadLog
+from repro.store.wal import WriteAheadLog
 from repro.text.document import Document
 
 pytestmark = pytest.mark.recovery
