@@ -79,7 +79,7 @@ async def build_community(
     num_peers: int, docs_per_peer: int, rng: np.random.Generator
 ) -> list[NetworkPeer]:
     """A converged loopback community, analytics on, skewed corpus."""
-    net = LoopbackNetwork(seed=7)
+    net = LoopbackNetwork()
     nodes = [
         NetworkPeer(
             pid, "peer", pid, transport=net.transport(), seed=pid,

@@ -52,7 +52,6 @@ _EXPORTS = {
     "BloomFilter": "repro.bloom.filter",
     "BloomConfig": "repro.constants",
     "GossipConfig": "repro.constants",
-    "RankingConfig": "repro.constants",
     "InProcessCommunity": "repro.core.community",
     "PlanetPPeer": "repro.core.peer",
     "PFS": "repro.pfs.pfs",

@@ -31,7 +31,8 @@ are dropped alongside their directory rows at T_Dead.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any
 
 from repro.analytics.browse import local_listing
 from repro.constants import AnalyticsConfig

@@ -44,6 +44,10 @@ if TYPE_CHECKING:
 
 __all__ = ["BrowseEntry", "BrowseListing", "CommunityBrowser", "local_listing"]
 
+#: A listing of k documents ranks k * OVERFETCH search results, so the
+#: popularity re-rank has candidates beyond the final page.
+OVERFETCH = 4
+
 
 def doc_link(doc_id: str) -> str:
     """The content-addressed retrieval link for a document."""
@@ -117,11 +121,8 @@ class CommunityBrowser:
     searches.
     """
 
-    def __init__(self, scheduler: QueryScheduler, overfetch: int = 4) -> None:
-        if overfetch < 1:
-            raise ValueError("overfetch must be >= 1")
+    def __init__(self, scheduler: QueryScheduler) -> None:
         self.scheduler = scheduler
-        self.overfetch = overfetch
 
     async def listing(self, path: str, k: int) -> BrowseListing:
         """One popularity-ordered community listing of ``path``."""
@@ -130,7 +131,7 @@ class CommunityBrowser:
         query = " ".join(terms)
         generation = directory_generation(node)
         result = await self.scheduler.client.ranked_search(
-            query, k * self.overfetch
+            query, k * OVERFETCH
         )
         node.analytics.refresh_local()  # fresh pre-first-round popularity
         popularity = PopularityIndex(node.analytics.sketch)

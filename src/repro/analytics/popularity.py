@@ -3,13 +3,9 @@
 The sketch carries two community-wide estimates: term frequencies (how
 much of the community's content is about a term) and per-document access
 counts (how often members actually fetched a document).  This module
-folds them into the scores the browsable namespace ranks by:
-
-* a **document's** popularity is its gossiped access count — direct
-  demand evidence, the "popularity based global namespace" signal;
-* a **term's** popularity is its estimated community frequency — used to
-  rank sibling directories and as a tiebreak for never-accessed
-  documents (content about popular topics lists above niche content).
+folds the latter into the score the browsable namespace ranks by: a
+document's popularity is its gossiped access count — direct demand
+evidence, the "popularity based global namespace" signal.
 
 Scores are plain integers (counts), so rankings are reproducible across
 nodes once the sketch has converged.
@@ -17,7 +13,8 @@ nodes once the sketch has converged.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from collections.abc import Iterable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # the plane (aggregate) serves browse, which ranks here
     from repro.analytics.aggregate import TermSketch
@@ -33,19 +30,14 @@ class PopularityIndex:
     even while gossip keeps merging entries underneath.
     """
 
-    __slots__ = ("_doc_counts", "_term_counts")
+    __slots__ = ("_doc_counts",)
 
     def __init__(self, sketch: TermSketch) -> None:
         self._doc_counts = dict(sketch.doc_counts())
-        self._term_counts = dict(sketch.term_counts())
 
     def doc_score(self, doc_id: str) -> int:
         """Community access count of ``doc_id`` (0 when never seen)."""
         return self._doc_counts.get(doc_id, 0)
-
-    def term_score(self, term: str) -> int:
-        """Estimated community frequency of ``term`` (0 when untracked)."""
-        return self._term_counts.get(term, 0)
 
     def rank_docs(
         self, entries: Iterable[tuple[str, float]]

@@ -84,19 +84,6 @@ class BloomFilter:
             num_bits = math.ceil(-k * capacity / math.log(1.0 - inner))
         return cls(max(8, num_bits), k)
 
-    @classmethod
-    def from_words(
-        cls, num_bits: int, num_hashes: int, words: np.ndarray, num_inserted: int = 0
-    ) -> "BloomFilter":
-        """Rebuild a filter around an existing word buffer (zero-copy)."""
-        bf = cls.__new__(cls)
-        bf.hashes = HashFamily(num_bits, num_hashes)
-        bf.bits = BitArray(num_bits, words)
-        bf.num_inserted = num_inserted
-        bf.version = 0
-        bf._compressed_cache = None
-        return bf
-
     # -- core operations -------------------------------------------------------
 
     @property

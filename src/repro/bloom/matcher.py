@@ -210,11 +210,6 @@ class ShardedFilterMatrix:
         """Peers with full rows, across all shards."""
         return list(self._shard_of)
 
-    @property
-    def summary_shards(self) -> list[int]:
-        """Shards currently represented by a summary row."""
-        return self._summaries.peer_ids
-
     # -- maintenance -------------------------------------------------------
 
     def update(self, shard: int, peer_id: int, bf: BloomFilter) -> None:
@@ -247,10 +242,6 @@ class ShardedFilterMatrix:
     def set_summary(self, shard: int, bf: BloomFilter) -> None:
         """Install/refresh a shard's coarse summary filter."""
         self._summaries.update(shard, bf)
-
-    def drop_summary(self, shard: int) -> None:
-        """Remove ``shard``'s summary row (a shard leaving the ring)."""
-        self._summaries.remove(shard)
 
     # -- matching ----------------------------------------------------------
 

@@ -3,8 +3,9 @@
 These mirror Table 2 of the paper ("Constants used in our simulation of
 PlanetP's gossiping algorithm") plus the protocol parameters quoted in the
 prose of Sections 3-5.  All values are plain module-level constants so that
-experiment code can reference the paper's configuration by name, and a
-:class:`GossipConfig` dataclass bundles the tunable subset for simulations.
+experiment code can reference the paper's configuration by name; the
+config dataclasses hold only what a caller actually varies (DESIGN §6,
+"Settings").
 """
 
 from __future__ import annotations
@@ -41,6 +42,20 @@ BF_SUMMARY_BYTES: int = 6
 #: Size of one peer's entry in an anti-entropy directory summary, in bytes.
 PEER_SUMMARY_BYTES: int = 48
 
+
+def bloom_filter_bytes(num_keys: int) -> int:
+    """Interpolated wire size of a compressed Bloom filter for ``num_keys``
+    keys, anchored on the two sizes given in Table 2."""
+    if num_keys < 0:
+        raise ValueError("num_keys must be non-negative")
+    if num_keys == 0:
+        return MESSAGE_HEADER_BYTES
+    # Linear model through (1000, 3000) and (20000, 16000).
+    slope = (BF_20000_KEYS_BYTES - BF_1000_KEYS_BYTES) / (20000 - 1000)
+    size = BF_1000_KEYS_BYTES + slope * (num_keys - 1000)
+    return max(MESSAGE_HEADER_BYTES, int(round(size)))
+
+
 # --------------------------------------------------------------------------
 # Section 3 protocol parameters
 # --------------------------------------------------------------------------
@@ -63,6 +78,11 @@ GOSSIP_LESS_THRESHOLD: int = 2
 #: Additive slow-down applied to the gossip interval each time the
 #: gossip-less threshold is reached (Section 3: 5 s).
 GOSSIP_SLOWDOWN_S: float = 5.0
+
+#: How many recently-learned rumor ids an anti-entropy target offers as
+#: the cheap first reconciliation level before falling back to the full
+#: directory summary.
+AE_RECENT_WINDOW: int = 50
 
 #: Time a peer may stay marked off-line before it is dropped from the
 #: directory (T_Dead).  The paper does not fix a value; we default to a week.
@@ -236,78 +256,45 @@ PFS_BROKER_DISCARD_S: float = 600.0
 #: A PFS directory older than this is fully re-run on open (seconds).
 PFS_DIR_REFRESH_S: float = 600.0
 
+# --------------------------------------------------------------------------
+# repro.content defaults (document bytes; not from the paper)
+# --------------------------------------------------------------------------
+
+#: A responder caps each ChunkReply at this many bytes — replies for
+#: bigger chunks arrive as resumable slices (offset + prefix).
+CONTENT_MAX_REPLY_BYTES: int = 65536
+
+#: Documents (re)pushed per maintenance round — bounds the per-round
+#: replication burst after a churn event.
+CONTENT_PUSH_DOCS_PER_ROUND: int = 8
+
 
 @dataclass
 class GossipConfig:
-    """Tunable gossip-protocol parameters for one simulation or community.
+    """Gossip-protocol parameters for one simulation or community.
 
-    Defaults reproduce the paper's configuration (Table 2 and Section 3).
+    Defaults reproduce the paper's configuration (Table 2 and Section 3);
+    the other Section 3 values are the module constants above.
     """
 
     base_interval_s: float = BASE_GOSSIP_INTERVAL_S
-    max_interval_s: float = MAX_GOSSIP_INTERVAL_S
-    rumor_give_up_count: int = RUMOR_GIVE_UP_COUNT
     anti_entropy_period: int = ANTI_ENTROPY_PERIOD
-    partial_ae_recent: int = PARTIAL_AE_RECENT_RUMORS
-    gossip_less_threshold: int = GOSSIP_LESS_THRESHOLD
-    slowdown_s: float = GOSSIP_SLOWDOWN_S
-    #: how many recently-learned rumor ids an anti-entropy target offers as
-    #: the cheap first reconciliation level before falling back to the full
-    #: directory summary.
-    ae_recent_window: int = 50
     t_dead_s: float = T_DEAD_S
-    #: exponential backoff applied to rumor contacts with a member after
-    #: failed contacts (anti-entropy ignores it; see NetworkPeer).
-    contact_backoff_base_s: float = NET_CONTACT_BACKOFF_BASE_S
-    contact_backoff_max_s: float = NET_CONTACT_BACKOFF_MAX_S
     use_partial_ae: bool = True
     anti_entropy_only: bool = False
     bandwidth_aware: bool = False
-    fast_to_slow_prob: float = BW_AWARE_FAST_TO_SLOW_PROB
-    fast_threshold_Bps: float = FAST_LINK_THRESHOLD_BPS
 
     def __post_init__(self) -> None:
         if self.base_interval_s <= 0:
             raise ValueError("base_interval_s must be positive")
-        if self.max_interval_s < self.base_interval_s:
-            raise ValueError("max_interval_s must be >= base_interval_s")
         if self.anti_entropy_period < 1:
             raise ValueError("anti_entropy_period must be >= 1")
-        if not 0.0 <= self.fast_to_slow_prob <= 1.0:
-            raise ValueError("fast_to_slow_prob must be a probability")
-        if self.contact_backoff_base_s < 0 or (
-            self.contact_backoff_max_s < self.contact_backoff_base_s
-        ):
-            raise ValueError("contact backoff must satisfy 0 <= base <= max")
 
-
-@dataclass
-class RankingConfig:
-    """Parameters of the adaptive stopping heuristic (eq. 4)."""
-
-    a: int = STOPPING_A
-    n_divisor: int = STOPPING_N_DIVISOR
-    k_coeff: int = STOPPING_K_COEFF
-    k_divisor: int = STOPPING_K_DIVISOR
-    #: contact at least this many peers per wave, speculatively (Section
-    #: 5.2 mentions groups of m peers); 1 contacts exactly the peers, and
-    #: returns exactly the answer, of the sequential algorithm.
-    group_size: int = 1
-
-    def __post_init__(self) -> None:
-        if self.n_divisor <= 0 or self.k_divisor <= 0:
-            raise ValueError("divisors must be positive")
-        if self.group_size < 1:
-            raise ValueError("group_size must be >= 1")
-
-    def stopping_p(self, community_size: int, k: int) -> int:
-        """Evaluate eq. 4: the number of consecutive unproductive peers
-        tolerated before the search stops."""
-        if community_size < 0 or k < 0:
-            raise ValueError("community_size and k must be non-negative")
-        return int(self.a + community_size // self.n_divisor) + self.k_coeff * (
-            k // self.k_divisor
-        )
+    @property
+    def max_interval_s(self) -> float:
+        """Where the adaptive slow-down stops: twice the base interval
+        (Table 2's 60 s over its 30 s base)."""
+        return 2 * self.base_interval_s
 
 
 @dataclass
@@ -345,7 +332,6 @@ class StoreConfig:
     """Tunables of the persistence subsystem (:mod:`repro.store`)."""
 
     snapshot_every: int = STORE_SNAPSHOT_EVERY
-    checkpoint_every_rounds: int = STORE_CHECKPOINT_EVERY_ROUNDS
     #: fsync the WAL on every append.  Turning this off trades crash
     #: durability of the most recent records for publish throughput.
     fsync: bool = True
@@ -353,8 +339,6 @@ class StoreConfig:
     def __post_init__(self) -> None:
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
-        if self.checkpoint_every_rounds < 1:
-            raise ValueError("checkpoint_every_rounds must be >= 1")
 
 
 @dataclass
@@ -363,27 +347,12 @@ class ServeConfig:
 
     max_concurrent: int = SERVE_MAX_CONCURRENT
     max_queue: int = SERVE_MAX_QUEUE
-    default_deadline_s: float = SERVE_DEFAULT_DEADLINE_S
-    cache_size: int = SERVE_CACHE_SIZE
-    per_peer_inflight: int = SERVE_PER_PEER_INFLIGHT
-    fanout_limit: int = SERVE_FANOUT_LIMIT
-    peer_deadline_s: float = SERVE_PEER_DEADLINE_S
 
     def __post_init__(self) -> None:
         if self.max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1")
         if self.max_queue < 0:
             raise ValueError("max_queue must be >= 0")
-        if self.default_deadline_s <= 0:
-            raise ValueError("default_deadline_s must be positive")
-        if self.cache_size < 0:
-            raise ValueError("cache_size must be >= 0")
-        if self.per_peer_inflight < 1:
-            raise ValueError("per_peer_inflight must be >= 1")
-        if self.fanout_limit < 1:
-            raise ValueError("fanout_limit must be >= 1")
-        if self.peer_deadline_s <= 0:
-            raise ValueError("peer_deadline_s must be positive")
 
 
 @dataclass
@@ -424,22 +393,12 @@ class ContentConfig:
     replicas: int = 0
     #: bytes per chunk; the last chunk of a document may be shorter.
     chunk_size: int = 65536
-    #: a responder caps each ChunkReply at this many bytes — replies for
-    #: big chunks arrive as resumable slices (offset + prefix).
-    max_reply_bytes: int = 65536
-    #: documents (re)pushed per maintenance round — bounds the per-round
-    #: replication burst after a churn event.
-    push_docs_per_round: int = 8
 
     def __post_init__(self) -> None:
         if self.replicas < 0:
             raise ValueError("replicas must be >= 0")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
-        if self.max_reply_bytes < 1:
-            raise ValueError("max_reply_bytes must be >= 1")
-        if self.push_docs_per_round < 1:
-            raise ValueError("push_docs_per_round must be >= 1")
 
 
 @dataclass
@@ -476,23 +435,3 @@ class BloomConfig:
         if self.num_hashes < 1:
             raise ValueError("num_hashes must be >= 1")
 
-
-@dataclass
-class WireSizes:
-    """Wire-size model used by the gossip simulator (Table 2)."""
-
-    header: int = MESSAGE_HEADER_BYTES
-    bf_1000: int = BF_1000_KEYS_BYTES
-    bf_20000: int = BF_20000_KEYS_BYTES
-
-    def bloom_filter_bytes(self, num_keys: int) -> int:
-        """Interpolated wire size of a compressed Bloom filter for
-        ``num_keys`` keys, anchored on the two sizes given in Table 2."""
-        if num_keys < 0:
-            raise ValueError("num_keys must be non-negative")
-        if num_keys == 0:
-            return self.header
-        # Linear model through (1000, 3000) and (20000, 16000).
-        slope = (self.bf_20000 - self.bf_1000) / (20000 - 1000)
-        size = self.bf_1000 + slope * (num_keys - 1000)
-        return max(self.header, int(round(size)))

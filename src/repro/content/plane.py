@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 
 from repro.bloom.hashing import fnv1a_64
 from repro.brokerage.ring import ConsistentHashRing
-from repro.constants import ContentConfig
+from repro.constants import CONTENT_MAX_REPLY_BYTES, CONTENT_PUSH_DOCS_PER_ROUND, ContentConfig
 from repro.gossip.wire import (
     ChunkPush,
     ChunkReply,
@@ -240,7 +240,7 @@ class ContentPlane:
             start = self._cursor % len(doc_ids)
             rotation = doc_ids[start:] + doc_ids[:start]
             self._cursor += 1
-            budget = self.config.push_docs_per_round
+            budget = CONTENT_PUSH_DOCS_PER_ROUND
             for doc_id in rotation:
                 if budget <= 0:
                     break
@@ -355,14 +355,14 @@ class ContentPlane:
         return ManifestReply(True, manifest, holders)
 
     def on_chunk_request(self, msg: ChunkRequest) -> ChunkReply:
-        """Serve one chunk from ``msg.offset``, capped at max_reply_bytes."""
+        """Serve one chunk from ``msg.offset``, capped at CONTENT_MAX_REPLY_BYTES."""
         try:
             data = self.store.get_chunk(msg.doc_id, msg.index)
         except ContentNotFound:
             return ChunkReply(False, msg.doc_id, msg.index, msg.offset, 0, b"")
         total = len(data)
         offset = min(max(msg.offset, 0), total)
-        window = data[offset : offset + self.config.max_reply_bytes]
+        window = data[offset : offset + CONTENT_MAX_REPLY_BYTES]
         self._c_serve_chunks.inc()
         return ChunkReply(True, msg.doc_id, msg.index, offset, total, window)
 

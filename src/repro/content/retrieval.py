@@ -12,7 +12,7 @@ Downloads are paced and fault-tolerant:
 
 * per-peer in-flight is bounded by a :class:`~repro.net.transport.
   PeerGate` (addresses hash to gate keys), with an overall
-  ``max_parallel_chunks`` cap on top;
+  ``MAX_PARALLEL_CHUNKS`` cap on top;
 * every RPC runs under ``request_timeout_s``; a slow or dead replica
   forfeits the chunk to the next holder instead of stalling the fetch;
 * a chunk larger than the server's reply window arrives in
@@ -22,8 +22,8 @@ Downloads are paced and fault-tolerant:
 * each chunk is CRC-checked and the assembled document SHA-256-checked
   against the manifest before :meth:`ContentClient.fetch` returns.
 
-Exhausting every holder raises :class:`~repro.store.chunkstore.
-ContentNotFound`.
+Exhausting every holder for any one chunk raises :class:`~repro.store.
+chunkstore.ContentNotFound` and cancels the fetch's other chunk downloads.
 """
 
 from __future__ import annotations
@@ -49,6 +49,13 @@ from repro.store.chunkstore import ContentNotFound, chunk_bounds
 
 __all__ = ["ContentClient", "TransportLike"]
 
+#: Concurrent RPCs one client keeps open to any one address.
+PER_PEER_INFLIGHT = 4
+#: Chunks of one client downloading at once, across all addresses.
+MAX_PARALLEL_CHUNKS = 8
+#: Members one resolution asks for a manifest before giving up.
+MAX_RESOLVE_HOPS = 8
+
 
 class ContentClient:
     """Fetches documents from a community's content plane by address."""
@@ -57,23 +64,15 @@ class ContentClient:
         self,
         transport: TransportLike,
         *,
-        per_peer_inflight: int = 4,
         request_timeout_s: float = 5.0,
-        max_parallel_chunks: int = 8,
-        max_resolve_hops: int = 8,
         registry: Registry | None = None,
     ) -> None:
         if request_timeout_s <= 0:
             raise ValueError("request_timeout_s must be positive")
-        if max_parallel_chunks < 1:
-            raise ValueError("max_parallel_chunks must be >= 1")
-        if max_resolve_hops < 1:
-            raise ValueError("max_resolve_hops must be >= 1")
         self.transport = transport
         self.request_timeout_s = request_timeout_s
-        self.max_resolve_hops = max_resolve_hops
-        self.gate = PeerGate(per_peer_inflight)
-        self._parallel = asyncio.Semaphore(max_parallel_chunks)
+        self.gate = PeerGate(PER_PEER_INFLIGHT)
+        self._parallel = asyncio.Semaphore(MAX_PARALLEL_CHUNKS)
         self.obs = registry if registry is not None else global_registry()
         self._c_fetches = self.obs.counter("content_client", "fetches_total", "documents fetched")
         self._c_fetch_failures = self.obs.counter(
@@ -121,16 +120,15 @@ class ContentClient:
         holders.  Returns the manifest plus holder addresses to try
         first (peers that answered "found" lead the list)."""
         queue = list(dict.fromkeys(addresses))
-        visited: set[str] = set()
+        # asked addresses, in the order asked (a dict keeps insertion order)
+        visited: dict[str, None] = {}
         manifest: ContentManifest | None = None
         holders: list[str] = []
-        hops = 0
-        while queue and hops < self.max_resolve_hops:
+        while queue and len(visited) < MAX_RESOLVE_HOPS:
             address = queue.pop(0)
             if address in visited:
                 continue
-            visited.add(address)
-            hops += 1
+            visited[address] = None
             reply = await self._rpc(address, ManifestRequest(doc_id))
             if not isinstance(reply, ManifestReply):
                 continue
@@ -145,8 +143,9 @@ class ContentClient:
         if manifest is None:
             raise ContentNotFound(doc_id, "no reachable holder has a manifest")
         # Confirmed holders first, then the rest of the frontier to fall
-        # back on (they may have chunks even if we never asked them).
-        for address in visited | set(queue):
+        # back on (they may have chunks even if we never asked them), in
+        # the order they were found.
+        for address in [*visited, *queue]:
             if address not in holders:
                 holders.append(address)
         return manifest, holders
@@ -214,10 +213,17 @@ class ContentClient:
                 async with self._parallel:
                     return await self._fetch_chunk(manifest, index, holders)
 
+            tasks = [asyncio.ensure_future(bounded(i)) for i in range(manifest.num_chunks)]
             try:
-                chunks = await asyncio.gather(*(bounded(i) for i in range(manifest.num_chunks)))
-            except ContentNotFound:
-                self._c_fetch_failures.inc()
+                chunks = await asyncio.gather(*tasks)
+            except BaseException as exc:
+                # One chunk failed the fetch: stop the others, and wait
+                # until they have handed back their permits and gate slots.
+                for task in tasks:
+                    task.cancel()
+                await asyncio.gather(*tasks, return_exceptions=True)
+                if isinstance(exc, ContentNotFound):
+                    self._c_fetch_failures.inc()
                 raise
             data = b"".join(chunks)
         if hashlib.sha256(data).digest() != manifest.digest:

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.bloom.matcher import FilterMatrix
 from repro.brokerage.service import BrokerageService
-from repro.constants import BloomConfig, RankingConfig
+from repro.constants import BloomConfig
 from repro.core.peer import PlanetPPeer
 from repro.core.persistent import StandingQueries, Subscription
 from repro.core.search import exhaustive_local_match, score_local_documents
@@ -43,14 +43,12 @@ class InProcessCommunity:
         num_peers: int,
         analyzer: Analyzer | None = None,
         bloom_config: BloomConfig | None = None,
-        ranking_config: RankingConfig | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if num_peers <= 0:
             raise ValueError("num_peers must be positive")
         self.analyzer = analyzer or Analyzer()
         self.bloom_config = bloom_config or BloomConfig()
-        self.ranking_config = ranking_config or RankingConfig()
         self.peers = [
             PlanetPPeer(pid, analyzer=self.analyzer, bloom_config=self.bloom_config)
             for pid in range(num_peers)
@@ -196,17 +194,22 @@ class InProcessCommunity:
         query: str,
         k: int = 20,
         stopping: StoppingPolicy | None = None,
-        group_size: int | None = None,
+        group_size: int = 1,
     ) -> DistributedSearchResult:
-        """Section 5.2: TF×IPF ranked search with adaptive stopping."""
+        """Section 5.2: TF×IPF ranked search with adaptive stopping.
+
+        ``group_size`` > 1 contacts at least that many peers per wave,
+        speculatively (Section 5.2's groups of m peers); 1 contacts exactly
+        the peers, and returns exactly the answer, of the sequential
+        algorithm."""
         self._ensure_replicated()
         terms = self.analyze_query(query)
         if not terms:
             raise ValueError("query analyzed to zero terms")
         search = TFIPFSearch(
             self,
-            stopping=stopping or AdaptiveStopping(self.ranking_config),
-            group_size=group_size or self.ranking_config.group_size,
+            stopping=stopping or AdaptiveStopping(),
+            group_size=group_size,
         )
         return search.search(terms, k)
 

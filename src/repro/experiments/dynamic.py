@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.constants import GossipConfig
+from repro.constants import FAST_LINK_THRESHOLD_BPS, GossipConfig
 from repro.experiments.common import Series
 from repro.gossip.simulation import DynamicResult, run_churn, run_poisson_joins
 from repro.sim.topology import make_topology
@@ -104,7 +104,7 @@ def run_figure5(
     # Reconstruct the same link assignment run_churn used (same seed and
     # construction order) to classify event origins as fast or slow.
     speeds = make_topology("mix", n_members, make_rng(seed))
-    fast = speeds >= mix_cfg.fast_threshold_Bps
+    fast = speeds >= FAST_LINK_THRESHOLD_BPS
     mix_f = [
         e.convergence_fast_s
         for e in mix.events

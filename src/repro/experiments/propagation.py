@@ -25,9 +25,9 @@ __all__ = ["PropagationSweep", "SCENARIOS", "run_figure2", "figure2_series"]
 SCENARIOS: dict[str, tuple[str, dict]] = {
     "LAN": ("lan", {}),
     "LAN-AE": ("lan", {"anti_entropy_only": True}),
-    "DSL-10": ("dsl", {"base_interval_s": 10.0, "max_interval_s": 20.0}),
+    "DSL-10": ("dsl", {"base_interval_s": 10.0}),
     "DSL-30": ("dsl", {}),
-    "DSL-60": ("dsl", {"base_interval_s": 60.0, "max_interval_s": 120.0}),
+    "DSL-60": ("dsl", {"base_interval_s": 60.0}),
     "MIX": ("mix", {}),
 }
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.constants import RankingConfig
 from repro.core.community import InProcessCommunity
 from repro.corpus.collections import make_collection
 from repro.corpus.partition import partition_documents
@@ -168,11 +167,7 @@ def evaluate_k(
         idf_docs = [r.doc_id for r in ranked]
         idf_peers = {testbed.doc_owner[d] for d in idf_docs}
         # PlanetP distributed TF×IPF.
-        policy = (
-            AdaptiveStopping(testbed.community.ranking_config)
-            if stopping == "adaptive"
-            else FirstKStopping()
-        )
+        policy = AdaptiveStopping() if stopping == "adaptive" else FirstKStopping()
         result = testbed.community.ranked_search(query.text, k=k, stopping=policy)
         ipf_docs = result.doc_ids()
         outcomes.append(

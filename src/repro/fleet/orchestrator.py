@@ -385,10 +385,7 @@ class Fleet:
             spec.num_nodes,
             "127.0.0.1",
             0,
-            gossip_config=GossipConfig(
-                base_interval_s=spec.gossip_interval_s,
-                max_interval_s=spec.gossip_interval_s * 2,
-            ),
+            gossip_config=GossipConfig(base_interval_s=spec.gossip_interval_s),
             bloom_config=BloomConfig(
                 num_bits=spec.bloom_bits, num_hashes=spec.bloom_hashes
             ),

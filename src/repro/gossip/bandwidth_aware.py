@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.constants import GossipConfig
+from repro.constants import BW_AWARE_FAST_TO_SLOW_PROB, FAST_LINK_THRESHOLD_BPS
 from repro.gossip.members import MemberTable
 
 __all__ = ["FlatSelector", "BandwidthAwareSelector"]
@@ -80,15 +80,14 @@ class FlatSelector:
 class BandwidthAwareSelector:
     """The Section 7.2 fast/slow tiered policy."""
 
-    __slots__ = ("fast_pool", "slow_pool", "is_fast", "_all", "fast_to_slow_prob")
+    __slots__ = ("fast_pool", "slow_pool", "is_fast", "_all")
 
-    def __init__(self, link_speeds: np.ndarray, config: GossipConfig) -> None:
+    def __init__(self, link_speeds: np.ndarray) -> None:
         speeds = np.asarray(link_speeds, dtype=float)
-        self.is_fast = speeds >= config.fast_threshold_Bps
+        self.is_fast = speeds >= FAST_LINK_THRESHOLD_BPS
         self.fast_pool = np.flatnonzero(self.is_fast)
         self.slow_pool = np.flatnonzero(~self.is_fast)
         self._all = np.arange(speeds.size)
-        self.fast_to_slow_prob = config.fast_to_slow_prob
 
     def rumor_target(
         self,
@@ -100,7 +99,7 @@ class BandwidthAwareSelector:
         unless the peer originated the rumor)."""
         owner_fast = bool(self.is_fast[members.owner])
         if owner_fast:
-            want_slow = rng.random() < self.fast_to_slow_prob
+            want_slow = rng.random() < BW_AWARE_FAST_TO_SLOW_PROB
             pool = self.slow_pool if want_slow else self.fast_pool
             target = _sample_from_pool(pool, members, rng)
             if target is None:  # chosen tier empty/offline: try the other

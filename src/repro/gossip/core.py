@@ -13,7 +13,7 @@ what a learned rumor does to its directory; liveness and T_Dead are
 
 A round is a **rumor round** (push the ids of all hot rumors; the target
 says which it needs and piggybacks the ids it recently retired — *partial
-anti-entropy*; a rumor retires after ``rumor_give_up_count`` consecutive
+anti-entropy*; a rumor retires after ``RUMOR_GIVE_UP_COUNT`` consecutive
 targets already knew it, Demers et al.'s counter variant) or, every
 ``anti_entropy_period``-th round and whenever nothing is hot, an
 **anti-entropy round** (compare digests; on mismatch the target offers
@@ -30,7 +30,12 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Sequence
 
-from repro.constants import GossipConfig
+from repro.constants import (
+    AE_RECENT_WINDOW,
+    PARTIAL_AE_RECENT_RUMORS,
+    RUMOR_GIVE_UP_COUNT,
+    GossipConfig,
+)
 from repro.gossip.directory import RumorKnowledge
 from repro.gossip.intervals import IntervalPolicy
 
@@ -60,9 +65,9 @@ class GossipCore:
         #: actively-spread rumors: rid -> consecutive already-knew count.
         self.hot: dict[int, int] = {}
         #: recently retired rumor ids for the partial-AE piggyback.
-        self.recent: deque[int] = deque(maxlen=config.partial_ae_recent)
+        self.recent: deque[int] = deque(maxlen=PARTIAL_AE_RECENT_RUMORS)
         #: recently learned rumor ids, anti-entropy's cheap first level.
-        self.recent_learned: deque[int] = deque(maxlen=config.ae_recent_window)
+        self.recent_learned: deque[int] = deque(maxlen=AE_RECENT_WINDOW)
         self.intervals = IntervalPolicy(config)
         self.round_counter = 0
 
@@ -143,7 +148,7 @@ class GossipCore:
                 continue  # retired while the exchange was in flight
             if rid in needed_set:
                 self.hot[rid] = 0
-            elif count + 1 >= self.config.rumor_give_up_count:
+            elif count + 1 >= RUMOR_GIVE_UP_COUNT:
                 del self.hot[rid]
                 self.recent.append(rid)
             else:

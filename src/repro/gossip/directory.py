@@ -18,7 +18,7 @@ Who is a member and who is believed reachable is
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -34,8 +34,6 @@ __all__ = [
     "mix_parts",
     "member_mix",
     "summary_mix",
-    "compose_generations",
-    "shard_generations",
     "directory_generation",
 ]
 
@@ -85,76 +83,35 @@ def summary_mix(shard: int, version: int, member_count: int) -> int:
     return mix_parts(shard, version, member_count, 2)
 
 
-def compose_generations(generations: Iterable[int]) -> int:
-    """XOR-compose per-shard generation mixes into one fingerprint.
+def directory_generation(node: NetworkPeer) -> int:
+    """Fingerprint of the directory state a search would rank against
+    (the serve cache's key, :mod:`repro.serve.cache`).
 
-    XOR keeps the composition order-free and incremental: the flat
-    directory generation equals the composition of any partition of its
-    members into shards.
+    XOR of per-member :func:`member_mix` values and, under partial
+    views, a :func:`summary_mix` per foreign shard summary, so it is
+    order-insensitive and O(members) to compute.  Every input is a
+    counter the existing layers already maintain: the store's publish
+    counter and live filter version for ourselves; the replicated
+    ``filter_version``, the replica filter's mutation ``version``, and
+    the member table's on-line belief for everyone else.
     """
-    gen = 0
-    for g in generations:
-        gen ^= g
-    return gen
-
-
-def shard_generations(
-    node: NetworkPeer, shard_of: Callable[[int], int] | None = None
-) -> dict[int, int]:
-    """Per-shard generation mixes of a socket node's directory state.
-
-    ``shard_of`` maps pids to shards; it defaults to the node's partial
-    view when one is attached, else the whole directory folds into a
-    single shard 0 (the flat case).  Each shard's value is the XOR of
-    its members' :func:`member_mix` values; a partial node's foreign
-    shards additionally fold a :func:`summary_mix` of the shard summary
-    it would fan a search out through.
-    """
-    pview = getattr(node, "pview", None)
-    if shard_of is None:
-        if pview is not None:
-            shard_of = pview.shard_of
-        else:
-            shard_of = lambda pid: 0  # noqa: E731 — the flat case
     store = node.peer.store
     own = node.peer_id
-    gens: dict[int, int] = {
-        shard_of(own): member_mix(own, store.filter_version, store.bloom_filter.version, True)
-    }
+    gen = member_mix(own, store.filter_version, store.bloom_filter.version, True)
     is_online = node.membership.is_online
     for pid, entry in node.peer.directory.items():
         if pid == own:
             continue
         bf = entry.bloom_filter
-        shard = shard_of(pid)
-        gens[shard] = gens.get(shard, 0) ^ member_mix(
-            pid,
-            entry.filter_version,
-            bf.version if bf is not None else -1,
-            is_online(pid),
+        gen ^= member_mix(
+            pid, entry.filter_version, bf.version if bf is not None else -1, is_online(pid)
         )
+    pview = getattr(node, "pview", None)
     if pview is not None:
         for shard, summary in pview.summaries.items():
-            if shard == pview.home:
-                continue
-            gens[shard] = gens.get(shard, 0) ^ summary_mix(
-                shard, summary.version, summary.member_count
-            )
-    return gens
-
-
-def directory_generation(node: NetworkPeer) -> int:
-    """Fingerprint of the directory state a search would rank against
-    (the serve cache's key, :mod:`repro.serve.cache`).
-
-    XOR of per-member (and, under partial views, per-shard-summary)
-    mixes, so it is order-insensitive and O(members) to compute.  Every
-    input is a counter the existing layers already maintain: the store's
-    publish counter and live filter version for ourselves; the
-    replicated ``filter_version``, the replica filter's mutation
-    ``version``, and the member table's on-line belief for everyone else.
-    """
-    return compose_generations(shard_generations(node).values())
+            if shard != pview.home:
+                gen ^= summary_mix(shard, summary.version, summary.member_count)
+    return gen
 
 
 def mix_rumor_id(rid: int) -> int:

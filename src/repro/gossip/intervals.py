@@ -10,7 +10,7 @@ the base immediately, so new information re-accelerates the community.
 
 from __future__ import annotations
 
-from repro.constants import GossipConfig
+from repro.constants import GOSSIP_LESS_THRESHOLD, GOSSIP_SLOWDOWN_S, GossipConfig
 
 __all__ = ["IntervalPolicy"]
 
@@ -31,11 +31,11 @@ class IntervalPolicy:
         Returns True when this contact triggered a slow-down.
         """
         self._no_news_count += 1
-        if self._no_news_count >= self.config.gossip_less_threshold:
+        if self._no_news_count >= GOSSIP_LESS_THRESHOLD:
             self._no_news_count = 0
             if self.interval < self.config.max_interval_s:
                 self.interval = min(
-                    self.config.max_interval_s, self.interval + self.config.slowdown_s
+                    self.config.max_interval_s, self.interval + GOSSIP_SLOWDOWN_S
                 )
                 return True
         return False

@@ -23,7 +23,12 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.constants import MAX_PEER_ID, GossipConfig
+from repro.constants import (
+    MAX_PEER_ID,
+    NET_CONTACT_BACKOFF_BASE_S,
+    NET_CONTACT_BACKOFF_MAX_S,
+    GossipConfig,
+)
 
 __all__ = ["MemberTable"]
 
@@ -127,8 +132,8 @@ class MemberTable:
         failures = self.contact_failures.get(pid, 0) + 1
         self.contact_failures[pid] = failures
         self.contact_backoff_until[pid] = now + min(
-            self.config.contact_backoff_base_s * 2.0 ** (failures - 1),
-            self.config.contact_backoff_max_s,
+            NET_CONTACT_BACKOFF_BASE_S * 2.0 ** (failures - 1),
+            NET_CONTACT_BACKOFF_MAX_S,
         )
         went_offline = bool(self.online[pid])
         if went_offline:

@@ -28,7 +28,7 @@ tuple to invalidate on remote publishes.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -48,11 +48,15 @@ __all__ = ["ShardMap", "ShardSummary", "PartialView"]
 _MAX_DIFF_EVENTS = 16
 _MAX_DIFF_POSITIONS = 4096
 
+#: Virtual ring positions per shard: enough that each shard's arcs stay
+#: near their fair share of the pid space.
+POINTS_PER_SHARD = 64
+
 
 class ShardMap:
     """Consistent-hash pids → shards, stable under *peer* churn.
 
-    Shards (not peers) sit on the ring, each at ``points_per_shard``
+    Shards (not peers) sit on the ring, each at :data:`POINTS_PER_SHARD`
     virtual positions; a pid maps to the shard owning its hash's
     successor position.  Because the ring's occupants are the fixed
     shard set, peers joining or leaving never remaps anyone — only
@@ -60,12 +64,9 @@ class ShardMap:
     ~1/num_shards of pids in the affected arcs.
     """
 
-    def __init__(self, num_shards: int, points_per_shard: int = 64) -> None:
+    def __init__(self, num_shards: int) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
-        if points_per_shard < 1:
-            raise ValueError("points_per_shard must be >= 1")
-        self.points_per_shard = points_per_shard
         self.ring = ConsistentHashRing()
         self._shards: set[int] = set()
         self._cache: dict[int, int] = {}
@@ -81,7 +82,7 @@ class ShardMap:
         """Place a shard's virtual points on the ring."""
         if shard in self._shards:
             raise ValueError(f"shard {shard} already on the ring")
-        for point in range(self.points_per_shard):
+        for point in range(POINTS_PER_SHARD):
             pos = fnv1a_64(f"shard:{shard}:{point}".encode(), seed=13) % self.ring.max_id
             while True:  # linear-probe the (astronomically rare) collision
                 try:
@@ -245,6 +246,9 @@ class PartialView:
         #: out-of-shard pids whose full filters we keep anyway.
         self.sample: set[int] = set()
         self.summaries: dict[int, ShardSummary] = {}
+        #: kept members whose held filter grew from diffs alone: it may
+        #: lack older terms until a full copy arrives.
+        self.diff_only: set[int] = set()
         self.matrix = ShardedFilterMatrix()
         self._rng = rng if rng is not None else random.Random(owner)
 
@@ -277,6 +281,7 @@ class PartialView:
     def forget(self, pid: int) -> None:
         """Drop a pid from the sample and the matrix (directory expiry)."""
         self.sample.discard(pid)
+        self.diff_only.discard(pid)
         self.matrix.remove(pid)
 
     # -- summary maintenance -----------------------------------------------
@@ -323,10 +328,6 @@ class PartialView:
                 self.matrix.set_summary(shard, summary.bloom)
 
     # -- accounting ---------------------------------------------------------
-
-    def held_filter_pids(self, directory: Iterable[int]) -> Iterator[int]:
-        """Of ``directory``'s pids, the ones whose filters we keep."""
-        return (pid for pid in directory if self.keeps_filter(pid))
 
     def unknown_shards(self) -> list[int]:
         """Foreign shards with no summary yet.

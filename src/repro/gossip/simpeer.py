@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.constants import PEER_SUMMARY_BYTES, GossipConfig
+from repro.constants import PEER_SUMMARY_BYTES, GossipConfig, bloom_filter_bytes
 from repro.gossip.core import AE_PUSH, RUMOR, GossipCore
 from repro.gossip.members import MemberTable
 from repro.gossip.messages import MessageSizer
@@ -126,7 +126,7 @@ class GossipPeer:
         """
         payload = PEER_SUMMARY_BYTES
         if new_keys > 0:
-            payload += self.world.wire.bloom_filter_bytes(new_keys)
+            payload += bloom_filter_bytes(new_keys)
         self.online = True
         self.world.network.set_online(self.pid, True)
         rumor = self._mint(RumorKind.REJOIN, payload)
@@ -149,7 +149,7 @@ class GossipPeer:
         payload = (
             payload_bytes
             if payload_bytes is not None
-            else self.world.wire.bloom_filter_bytes(payload_keys)
+            else bloom_filter_bytes(payload_keys)
         )
         interval = self.core.intervals.interval
         rumor = self._mint(RumorKind.BF_UPDATE, payload)
@@ -168,7 +168,7 @@ class GossipPeer:
 
         Returns the minted join rumor.
         """
-        bf_bytes = self.world.wire.bloom_filter_bytes(self.keys_shared)
+        bf_bytes = bloom_filter_bytes(self.keys_shared)
         self.online = True
         self.world.network.set_online(self.pid, True)
         rumor = self._mint(RumorKind.JOIN, PEER_SUMMARY_BYTES + bf_bytes)
@@ -178,7 +178,7 @@ class GossipPeer:
     def _send_join_request(
         self, bootstrap: int, rumor: Rumor, on_complete: Callable[[], None] | None
     ) -> None:
-        bf_bytes = self.world.wire.bloom_filter_bytes(self.keys_shared)
+        bf_bytes = bloom_filter_bytes(self.keys_shared)
         self.world.send(
             self.pid,
             bootstrap,
@@ -208,7 +208,7 @@ class GossipPeer:
     ) -> None:
         """Bootstrap side: learn the join rumor, ship the directory snapshot."""
         self._learn([join_rid], make_hot=True)
-        per_member_bf = self.world.wire.bloom_filter_bytes(
+        per_member_bf = bloom_filter_bytes(
             self.world.established_keys_per_peer
         )
         size = self.sizer.join_snapshot(len(self.membership), per_member_bf)

@@ -17,12 +17,12 @@ paper's four experiment shapes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.constants import CPU_GOSSIP_TIME_S, GossipConfig, WireSizes
+from repro.constants import CPU_GOSSIP_TIME_S, FAST_LINK_THRESHOLD_BPS, GossipConfig
 from repro.gossip.bandwidth_aware import BandwidthAwareSelector, FlatSelector
 from repro.gossip.messages import MessageSizer
 from repro.gossip.rumor import RumorRegistry
@@ -58,25 +58,18 @@ class GossipSimulation:
         config: GossipConfig | None = None,
         seed: int | np.random.Generator | None = 0,
         established_keys_per_peer: int = 20_000,
-        bandwidth_bucket_s: float = 10.0,
     ) -> None:
         self.config = config or GossipConfig()
-        self.wire = WireSizes()
         self.sizer = MessageSizer()
         self.sim = Simulator()
         # Table 2's 5 ms per-gossip-op CPU cost rides on every message.
-        self.network = Network(
-            self.sim,
-            link_speeds,
-            latency_s=_LATENCY_S + CPU_GOSSIP_TIME_S,
-            bucket_s=bandwidth_bucket_s,
-        )
+        self.network = Network(self.sim, link_speeds, latency_s=_LATENCY_S + CPU_GOSSIP_TIME_S)
         self.registry = RumorRegistry()
         self.established_keys_per_peer = established_keys_per_peer
         rng = make_rng(seed)
         self.rng = rng
         if self.config.bandwidth_aware:
-            self.selector = BandwidthAwareSelector(link_speeds, self.config)
+            self.selector = BandwidthAwareSelector(link_speeds)
         else:
             self.selector = FlatSelector(self.network.num_peers)
         peer_rngs = rng.spawn(self.network.num_peers)
@@ -387,7 +380,10 @@ def run_poisson_joins(
         world.sim.schedule_at(float(arrival_times[i]), _arrive, n_established + i)
 
     horizon = float(arrival_times[-1]) + settle_time_s
-    world.sim.run(until=horizon, stop_when=lambda: len(rid_info) == n_events and tracker.all_converged())
+    world.sim.run(
+        until=horizon,
+        stop_when=lambda: len(rid_info) == n_events and tracker.all_converged(),
+    )
     times = tracker.convergence_times()
     events = [
         DynamicEvent(rid, origin, created, label, times.get(rid))
@@ -435,7 +431,7 @@ def run_churn(
 
     tracker_all = ConvergenceTracker()
     world.trackers.append(tracker_all)
-    fast_mask = speeds >= cfg.fast_threshold_Bps
+    fast_mask = speeds >= FAST_LINK_THRESHOLD_BPS
     tracker_fast = ConvergenceTracker(required=lambda pid: bool(fast_mask[pid]))
     world.trackers.append(tracker_fast)
 

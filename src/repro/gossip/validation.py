@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from repro.bloom.compress import compressed_size
 from repro.bloom.diff import BloomDiff, apply_diff, diff_filters
 from repro.bloom.filter import BloomFilter
-from repro.constants import GossipConfig, WireSizes
+from repro.constants import GossipConfig, bloom_filter_bytes
 from repro.gossip.simulation import GossipSimulation
 from repro.sim.metrics import ConvergenceTracker
 from repro.sim.topology import make_topology
@@ -103,7 +103,6 @@ def wire_model_vs_real(
 ) -> list[WireModelRow]:
     """Compare Table 2's interpolated Bloom filter wire sizes against the
     actual Golomb-compressed sizes our implementation produces."""
-    wire = WireSizes()
     rows = []
     for n in key_counts:
         bf = BloomFilter.paper_prototype()
@@ -111,7 +110,7 @@ def wire_model_vs_real(
         rows.append(
             WireModelRow(
                 num_keys=n,
-                model_bytes=wire.bloom_filter_bytes(n),
+                model_bytes=bloom_filter_bytes(n),
                 real_bytes=compressed_size(bf),
             )
         )
@@ -146,7 +145,7 @@ def run_live_replication(
     Returns whether every online peer's replica ended up bit-identical to
     each publisher's true filter.
     """
-    cfg = config or GossipConfig(base_interval_s=2.0, max_interval_s=4.0)
+    cfg = config or GossipConfig(base_interval_s=2.0)
     rng = make_rng(seed)
     world = GossipSimulation(make_topology(topology, n_peers, rng), cfg, seed=rng)
     tracker = ConvergenceTracker()

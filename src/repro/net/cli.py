@@ -494,10 +494,7 @@ def _check_data_dir(data_dir: Path) -> None:
 
 async def run(args: argparse.Namespace) -> None:
     """Start a node per the parsed arguments and gossip until stopped."""
-    config = GossipConfig(
-        base_interval_s=args.gossip_interval,
-        max_interval_s=args.gossip_interval * 2,
-    )
+    config = GossipConfig(base_interval_s=args.gossip_interval)
     if args.data_dir is not None:
         _check_data_dir(args.data_dir)
     node = NetworkPeer(

@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.constants import RankingConfig
 from repro.core.search import exhaustive_local_match, score_local_documents
 from repro.net.codec import (
     ExhaustiveQuery,
@@ -121,18 +120,16 @@ class NetworkSearchClient:
         self,
         node: NetworkPeer,
         stopping: StoppingPolicy | None = None,
-        ranking_config: RankingConfig | None = None,
-        group_size: int | None = None,
+        group_size: int = 1,
         *,
         fanout_limit: int | None = None,
         peer_deadline_s: float | None = None,
         peer_gate: PeerGate | None = None,
     ) -> None:
         self.node = node
-        self.ranking_config = ranking_config or RankingConfig()
-        self.stopping = stopping or AdaptiveStopping(self.ranking_config)
-        self.group_size = group_size or self.ranking_config.group_size
-        if self.group_size < 1:
+        self.stopping = stopping or AdaptiveStopping()
+        self.group_size = group_size
+        if group_size < 1:
             raise ValueError("group_size must be >= 1")
         if fanout_limit is not None and fanout_limit < 1:
             raise ValueError("fanout_limit must be >= 1")

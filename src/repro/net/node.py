@@ -57,6 +57,7 @@ from repro.bloom.diff import BloomDiff, apply_diff, diff_filters
 from repro.bloom.filter import BloomFilter
 from repro.constants import (
     MAX_PEER_ID,
+    STORE_CHECKPOINT_EVERY_ROUNDS,
     AnalyticsConfig,
     BloomConfig,
     ContentConfig,
@@ -797,6 +798,10 @@ class NetworkPeer:
                     entry.bloom_filter = BloomFilter(
                         self.bloom_config.num_bits, self.bloom_config.num_hashes
                     )
+                    if self.pview is not None:
+                        # Searchable at once, but not a full copy: backfill
+                        # and home-shard fan-out go on until one arrives.
+                        self.pview.diff_only.add(rumor.origin)
                 entry.bloom_filter = apply_diff(entry.bloom_filter, diff)
                 if self.pview is not None:
                     # A sampled out-of-shard member's growth must also show
@@ -855,6 +860,8 @@ class NetworkPeer:
                     entry.bloom_filter = bf
                 else:
                     entry.bloom_filter.union_inplace(bf)
+                if self.pview is not None:
+                    self.pview.diff_only.discard(pid)
             entry.filter_version = max(entry.filter_version, record.filter_version)
 
     # ------------------------------------------------------------------
@@ -894,7 +901,7 @@ class NetworkPeer:
             await hook()
         if (
             self._checkpoint_path is not None
-            and self.core.round_counter % self.store_config.checkpoint_every_rounds == 0
+            and self.core.round_counter % STORE_CHECKPOINT_EVERY_ROUNDS == 0
         ):
             self.write_checkpoint()
 

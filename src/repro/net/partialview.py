@@ -99,6 +99,11 @@ class PartialViewPlane:
             if pid != node.peer_id and entry.bloom_filter is not None
         ]
 
+    def _lacks_full_filter(self, pid: int) -> bool:
+        """Whether we hold no full copy of ``pid``'s filter: none at all,
+        or only one grown from diffs that overtook it."""
+        return self.node.peer.directory[pid].bloom_filter is None or pid in self.pview.diff_only
+
     def sync(self) -> None:
         """Reconcile the sharded search matrix with the filters we hold."""
         self.pview.sync(self._held_filters())
@@ -143,8 +148,8 @@ class PartialViewPlane:
         if backfill:
             home = pview.home
             if not any(
-                entry.bloom_filter is None and pview.shard_of(pid) == home
-                for pid, entry in node.peer.directory.items()
+                self._lacks_full_filter(pid) and pview.shard_of(pid) == home
+                for pid in node.peer.directory
                 if pid != node.peer_id
             ):
                 return
@@ -294,6 +299,7 @@ class PartialViewPlane:
             for pid, entry in sorted(node.peer.directory.items())
             if pid != node.peer_id
             and entry.bloom_filter is not None
+            and pid not in pview.diff_only
             and pview.shard_of(pid) in shards
         ]
         return tuple(node.snapshot_entry(pid) for pid in pids)
@@ -307,21 +313,32 @@ class PartialViewPlane:
         return ViewExchange(self._sample_records(want), 0)
 
     def on_shard_match(self, msg: ShardMatchQuery) -> object:
-        """Per-peer term-hit bitmasks for one shard's rows we hold."""
+        """Per-peer term-hit bitmasks for one shard's rows we hold.
+
+        Asked about our home shard, a live member whose full filter we
+        do not hold yet (a fresh join, pre-backfill) is answered with
+        every term: "may hold" keeps the asker's search free of false
+        negatives, at the cost of one possibly wasted contact.
+        """
         if self.pview is None:
             return ErrorReply("partial-view mode is off")
         self.sync()
+        node, pview = self.node, self.pview
         terms = list(msg.terms)
-        pids, hits = self.pview.matrix.hit_matrix(terms, shards=(msg.shard,))
-        out: list[tuple[int, int]] = []
+        pids, hits = pview.matrix.hit_matrix(terms, shards=(msg.shard,))
+        masks: dict[int, int] = {}
         for i, pid in enumerate(pids):
             mask = 0
             for t in range(len(terms)):
                 if hits[i, t]:
                     mask |= 1 << t
-            if mask:
-                out.append((pid, mask))
-        return ShardMatchResponse(msg.shard, tuple(out))
+            masks[pid] = mask
+        if msg.shard == pview.home:
+            every = (1 << len(terms)) - 1
+            for pid in node.membership.live():
+                if pview.shard_of(pid) == pview.home and self._lacks_full_filter(pid):
+                    masks[pid] = every
+        return ShardMatchResponse(msg.shard, tuple((pid, m) for pid, m in masks.items() if m))
 
     # -- search fan-out -----------------------------------------------------
 
@@ -330,7 +347,7 @@ class PartialViewPlane:
         locally, shard summaries nominate the foreign shards worth
         asking, and a ``ShardMatchQuery`` per nominated shard (sent with
         ``rpc``) fetches that shard's rows.  A held full filter beats a
-        relayed answer."""
+        relayed answer; one grown from diffs alone is OR-ed with it."""
         matrix = self.pview.matrix
         self.sync()
         local_ids, local_hits = matrix.hit_matrix(terms)
@@ -340,7 +357,11 @@ class PartialViewPlane:
             "client", "shard_fanouts_total", "foreign shards asked per search"
         ).inc(len(shards))
         for pid, row in (await self._shard_fanout(shards, terms, rpc)).items():
-            rows.setdefault(pid, row)
+            held = rows.get(pid)
+            if held is None:
+                rows[pid] = row
+            elif pid in self.pview.diff_only:
+                held |= row
         return rows
 
     async def exhaustive_candidates(self, terms: Sequence[str], rpc: Rpc) -> list[int]:
@@ -353,7 +374,7 @@ class PartialViewPlane:
         candidates = set(matrix.match_all_terms(terms))
         shards = self._fanout_shards(matrix.candidate_shards(terms, all_terms=True))
         remote = await self._shard_fanout(shards, terms, rpc)
-        held = set(matrix.peer_ids)
+        held = set(matrix.peer_ids) - self.pview.diff_only
         candidates.update(pid for pid, row in remote.items() if pid not in held and row.all())
         return sorted(candidates)
 
@@ -374,7 +395,7 @@ class PartialViewPlane:
         shards = {s for s in nominated if s != pview.home}
         shards.update(pview.unknown_shards())
         if any(
-            node.peer.directory[pid].bloom_filter is None and pview.shard_of(pid) == pview.home
+            self._lacks_full_filter(pid) and pview.shard_of(pid) == pview.home
             for pid in node.membership.live()
         ):
             shards.add(pview.home)

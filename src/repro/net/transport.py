@@ -17,8 +17,8 @@ Two implementations:
   deadline (framing violations are never retried — retrying a protocol
   error cannot help).
 * :class:`LoopbackTransport` — an in-memory :class:`LoopbackNetwork` with
-  injectable latency and seeded random drops, for deterministic tests of
-  the full node logic without sockets.
+  injectable latency, for deterministic tests of the full node logic
+  without sockets.
 
 For fault injection on top of either transport (partitions, crash
 windows, per-edge loss and jitter) see :mod:`repro.net.chaos`.
@@ -38,7 +38,7 @@ import asyncio
 import struct
 import time
 from abc import ABC, abstractmethod
-from typing import Awaitable, Callable
+from collections.abc import Awaitable, Callable
 
 import numpy as np
 
@@ -392,32 +392,24 @@ class TcpTransport(Transport):
 class LoopbackNetwork:
     """Shared in-memory fabric for :class:`LoopbackTransport` endpoints.
 
-    ``latency_s`` is applied on each direction of every request;
-    ``drop_rate`` makes a request fail with :class:`TransportError`
-    (decided by a seeded generator, so tests are reproducible).
+    ``latency_s`` is applied on each direction of every request; seeded
+    drops and the other faults come from wrapping its endpoints in
+    :class:`~repro.net.chaos.FaultyTransport`.
     """
 
-    def __init__(
-        self, latency_s: float = 0.0, drop_rate: float = 0.0, seed: int = 0
-    ) -> None:
-        if not 0.0 <= drop_rate <= 1.0:
-            raise ValueError("drop_rate must be a probability")
+    def __init__(self, latency_s: float = 0.0) -> None:
         self.latency_s = latency_s
-        self.drop_rate = drop_rate
-        self.rng = np.random.default_rng(seed)
         self.handlers: dict[str, Handler] = {}
         #: total frame bodies carried, for tests that audit traffic.
         self.frames_carried = 0
         self.bytes_carried = 0
 
-    def transport(self) -> "LoopbackTransport":
+    def transport(self) -> LoopbackTransport:
         """Create a new endpoint attached to this fabric."""
         return LoopbackTransport(self)
 
     async def deliver(self, address: str, body: bytes) -> bytes:
         """Route one request to the handler serving ``address``."""
-        if self.drop_rate > 0.0 and self.rng.random() < self.drop_rate:
-            raise TransportError(f"request to {address} dropped (injected)")
         handler = self.handlers.get(address)
         if handler is None:
             raise TransportError(f"no peer serving at {address}")
@@ -455,7 +447,7 @@ class LoopbackTransport(Transport):
         return address
 
     async def request(self, address: str, body: bytes) -> bytes:
-        """Route the request through the fabric (latency/drops applied)."""
+        """Route the request through the fabric (latency applied)."""
         self._count_sent(len(body))
         started = time.monotonic()
         reply = await self.network.deliver(address, body)

@@ -28,10 +28,6 @@ class QueryDirectory:
         """Link a matching file into the directory."""
         self.links[name] = url
 
-    def remove_link(self, name: str) -> None:
-        """Drop a stale link."""
-        self.links.pop(name, None)
-
     def __len__(self) -> int:
         return len(self.links)
 

@@ -45,9 +45,6 @@ class PFS:
         community: InProcessCommunity,
         peer_id: int,
         clock: Callable[[], float] | None = None,
-        broker_term_fraction: float = PFS_BROKER_TERM_FRACTION,
-        broker_ttl_s: float = PFS_BROKER_DISCARD_S,
-        dir_refresh_s: float = PFS_DIR_REFRESH_S,
     ) -> None:
         self.community = community
         self.peer_id = peer_id
@@ -56,9 +53,6 @@ class PFS:
         # Share the community's clock by default so brokered-advert TTLs
         # and directory staleness agree on what "now" means.
         self._clock = clock if clock is not None else community.brokerage.clock
-        self.broker_term_fraction = broker_term_fraction
-        self.broker_ttl_s = broker_ttl_s
-        self.dir_refresh_s = dir_refresh_s
         #: snippet id -> local path, for deletion bookkeeping.
         self._published: dict[str, str] = {}
 
@@ -89,17 +83,17 @@ class PFS:
                 xml,
                 hot_terms,
                 publisher=self.peer_id,
-                ttl_s=self.broker_ttl_s,
+                ttl_s=PFS_BROKER_DISCARD_S,
                 attributes={"url": url, "path": path},
             )
         return doc
 
     def _top_terms(self, content: str) -> list[str]:
-        """The file's most frequent ``broker_term_fraction`` of terms."""
+        """The file's most frequent ``PFS_BROKER_TERM_FRACTION`` of terms."""
         freqs = Counter(self.community.analyzer.analyze(content))
         if not freqs:
             return []
-        count = max(1, int(len(freqs) * self.broker_term_fraction))
+        count = max(1, int(len(freqs) * PFS_BROKER_TERM_FRACTION))
         return [t for t, _ in freqs.most_common(count)]
 
     def unpublish_file(self, path: str) -> None:
@@ -151,7 +145,7 @@ class PFS:
         """Open a directory; re-run its query if it has gone stale
         (the lazy removal-reconciliation of Section 6)."""
         directory = self.namespace.get(path)
-        if self._clock() - directory.last_updated > self.dir_refresh_s:
+        if self._clock() - directory.last_updated > PFS_DIR_REFRESH_S:
             self._refresh(directory)
         return directory
 

@@ -22,7 +22,12 @@ from __future__ import annotations
 import sys
 from typing import Protocol
 
-from repro.constants import RankingConfig
+from repro.constants import (
+    STOPPING_A,
+    STOPPING_K_COEFF,
+    STOPPING_K_DIVISOR,
+    STOPPING_N_DIVISOR,
+)
 
 __all__ = [
     "StoppingPolicy",
@@ -30,7 +35,20 @@ __all__ = [
     "AdaptiveStopping",
     "FirstKStopping",
     "NeverStop",
+    "stopping_p",
 ]
+
+
+def stopping_p(community_size: int, k: int) -> int:
+    """Evaluate eq. 4: the number of consecutive unproductive peers
+    tolerated before the search stops."""
+    if community_size < 0 or k < 0:
+        raise ValueError("community_size and k must be non-negative")
+    return (
+        STOPPING_A
+        + community_size // STOPPING_N_DIVISOR
+        + STOPPING_K_COEFF * (k // STOPPING_K_DIVISOR)
+    )
 
 
 class StoppingState(Protocol):
@@ -72,12 +90,9 @@ class StoppingPolicy(Protocol):
 class AdaptiveStopping:
     """The paper's eq. 4 heuristic."""
 
-    def __init__(self, config: RankingConfig | None = None) -> None:
-        self.config = config or RankingConfig()
-
     def begin(self, community_size: int, k: int) -> AdaptiveState:
         """Begin a query: compute eq. 4's p for this N and k."""
-        return AdaptiveState(self.config.stopping_p(community_size, k), k)
+        return AdaptiveState(stopping_p(community_size, k), k)
 
 
 class AdaptiveState:

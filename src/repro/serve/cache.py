@@ -24,11 +24,8 @@ The fold lives in :mod:`repro.gossip.directory`, beside its mix
 primitives and below every plane that keys on it (the browse handler
 included), and is re-exported here.
 
-Under the partial-view mode the fingerprint is maintained *per shard*
-(:func:`shard_generations`) and XOR-composed: the composition over any
-sharding equals the flat fold, so flat and partial nodes fingerprint the
-same state identically, and a partial node's generation additionally
-covers its foreign-shard summary filters (whose freshness changes which
+Under the partial-view mode the same fold additionally covers the
+node's foreign-shard summary filters (whose freshness changes which
 shards a search fans out to).  Invalidation still covers remote
 publishes either way — a BF_UPDATE bumps the member's replicated
 ``filter_version`` even when its full filter was dropped.
@@ -40,10 +37,10 @@ from collections import OrderedDict
 from collections.abc import Hashable
 from typing import Any
 
-from repro.gossip.directory import directory_generation, shard_generations
+from repro.gossip.directory import directory_generation
 from repro.obs import Registry, global_registry
 
-__all__ = ["ResultCache", "directory_generation", "shard_generations"]
+__all__ = ["ResultCache", "directory_generation"]
 
 
 class ResultCache:

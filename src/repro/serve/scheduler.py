@@ -31,7 +31,14 @@ from __future__ import annotations
 import asyncio
 from typing import TYPE_CHECKING
 
-from repro.constants import RankingConfig, ServeConfig
+from repro.constants import (
+    SERVE_CACHE_SIZE,
+    SERVE_DEFAULT_DEADLINE_S,
+    SERVE_FANOUT_LIMIT,
+    SERVE_PEER_DEADLINE_S,
+    SERVE_PER_PEER_INFLIGHT,
+    ServeConfig,
+)
 from repro.net.client import NetworkSearchClient
 from repro.net.transport import PeerGate
 from repro.obs import Registry
@@ -68,22 +75,20 @@ class QueryScheduler:
         config: ServeConfig | None = None,
         *,
         stopping: StoppingPolicy | None = None,
-        ranking_config: RankingConfig | None = None,
         registry: Registry | None = None,
     ) -> None:
         self.node = node
         self.config = config or ServeConfig()
         self.obs = registry if registry is not None else node.obs
-        self.gate = PeerGate(self.config.per_peer_inflight)
+        self.gate = PeerGate(SERVE_PER_PEER_INFLIGHT)
         self.client = NetworkSearchClient(
             node,
             stopping=stopping,
-            ranking_config=ranking_config,
-            fanout_limit=self.config.fanout_limit,
-            peer_deadline_s=self.config.peer_deadline_s,
+            fanout_limit=SERVE_FANOUT_LIMIT,
+            peer_deadline_s=SERVE_PEER_DEADLINE_S,
             peer_gate=self.gate,
         )
-        self.cache = ResultCache(self.config.cache_size, registry=self.obs)
+        self.cache = ResultCache(SERVE_CACHE_SIZE, registry=self.obs)
         #: community browser (repro.analytics.browse); attach one to turn
         #: the ``browse`` endpoint on — listings then share the searches'
         #: admission control, caching, and generation invalidation.
@@ -168,9 +173,7 @@ class QueryScheduler:
     # -- admission -----------------------------------------------------------
 
     async def _admit(self, key, deadline_s, run):
-        deadline_s = (
-            deadline_s if deadline_s is not None else self.config.default_deadline_s
-        )
+        deadline_s = deadline_s if deadline_s is not None else SERVE_DEFAULT_DEADLINE_S
         generation = directory_generation(self.node)
         cached = self.cache.get(key, generation)
         if cached is not None:

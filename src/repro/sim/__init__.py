@@ -6,17 +6,17 @@ link/bandwidth model, the community topologies (LAN / DSL / MIX), churn
 processes, and measurement plumbing that the gossip simulation builds on.
 """
 
-from repro.sim.engine import Simulator, Event
+from repro.sim.churn import ChurnModel, OnOffSchedule
+from repro.sim.engine import Event, Simulator
+from repro.sim.metrics import BandwidthSeries, ConvergenceTracker
 from repro.sim.network import Network, TransferStats
 from repro.sim.topology import (
     TOPOLOGIES,
-    lan_topology,
     dsl_topology,
-    mix_topology,
+    lan_topology,
     make_topology,
+    mix_topology,
 )
-from repro.sim.churn import ChurnModel, OnOffSchedule
-from repro.sim.metrics import BandwidthSeries, ConvergenceTracker
 
 __all__ = [
     "Simulator",

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 __all__ = ["Simulator", "Event"]
 
@@ -24,7 +25,7 @@ class Event:
     time: float
     seq: int
 
-    def __lt__(self, other: "Event") -> bool:  # pragma: no cover - trivial
+    def __lt__(self, other: Event) -> bool:  # pragma: no cover - trivial
         return (self.time, self.seq) < (other.time, other.seq)
 
 

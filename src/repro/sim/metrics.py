@@ -13,8 +13,9 @@ simulated and measured bandwidth plot from identical instruments.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,25 +24,24 @@ if TYPE_CHECKING:  # import-light: repro.obs is only needed when used
 
 __all__ = ["BandwidthSeries", "ConvergenceTracker"]
 
+#: Width of the aggregate-bandwidth time-series buckets (seconds).
+BANDWIDTH_BUCKET_S = 10.0
+
 
 class BandwidthSeries:
-    """Bytes transferred per time bucket.
+    """Bytes transferred per :data:`BANDWIDTH_BUCKET_S` time bucket.
 
     ``registry`` (optional) mirrors each record into :mod:`repro.obs`
     counters under the given component, unifying sim and net metrics.
     """
 
-    __slots__ = ("bucket_s", "_buckets", "_bytes_counter", "_transfers_counter")
+    __slots__ = ("_buckets", "_bytes_counter", "_transfers_counter")
 
     def __init__(
         self,
-        bucket_s: float = 10.0,
-        registry: "Registry | None" = None,
+        registry: Registry | None = None,
         component: str = "sim",
     ) -> None:
-        if bucket_s <= 0:
-            raise ValueError("bucket_s must be positive")
-        self.bucket_s = bucket_s
         self._buckets: dict[int, int] = {}
         self._bytes_counter = self._transfers_counter = None
         if registry is not None:
@@ -58,7 +58,7 @@ class BandwidthSeries:
             raise ValueError("time must be non-negative")
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
-        bucket = int(time / self.bucket_s)
+        bucket = int(time / BANDWIDTH_BUCKET_S)
         self._buckets[bucket] = self._buckets.get(bucket, 0) + nbytes
         if self._bytes_counter is not None:
             self._bytes_counter.inc(nbytes)
@@ -75,9 +75,9 @@ class BandwidthSeries:
         first = min(self._buckets)
         last = max(self._buckets)
         ids = np.arange(first, last + 1)
-        times = ids * self.bucket_s
+        times = ids * BANDWIDTH_BUCKET_S
         rates = np.array(
-            [self._buckets.get(int(i), 0) / self.bucket_s for i in ids], dtype=float
+            [self._buckets.get(int(i), 0) / BANDWIDTH_BUCKET_S for i in ids], dtype=float
         )
         return times, rates
 
@@ -89,7 +89,7 @@ class BandwidthSeries:
         """Maximum bytes/second over buckets (0 when empty)."""
         if not self._buckets:
             return 0.0
-        return max(self._buckets.values()) / self.bucket_s
+        return max(self._buckets.values()) / BANDWIDTH_BUCKET_S
 
 
 @dataclass

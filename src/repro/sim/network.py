@@ -16,8 +16,8 @@ which PlanetP discovers departures (Section 3).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -25,6 +25,9 @@ from repro.sim.engine import Simulator
 from repro.sim.metrics import BandwidthSeries
 
 __all__ = ["Network", "TransferStats"]
+
+#: How long a sender waits before concluding the target is offline.
+FAILURE_TIMEOUT_S = 5.0
 
 
 @dataclass
@@ -55,10 +58,6 @@ class Network:
         Per-peer access-link speed in bytes/second.
     latency_s:
         Fixed one-way propagation latency added to every message.
-    failure_timeout_s:
-        How long a sender waits before concluding the target is offline.
-    bucket_s:
-        Width of the aggregate-bandwidth time-series buckets.
     registry:
         Optional :class:`~repro.obs.Registry`; simulated traffic then
         mirrors into the same metric vocabulary the live stack uses.
@@ -68,7 +67,6 @@ class Network:
         "sim",
         "link_speeds",
         "latency_s",
-        "failure_timeout_s",
         "online",
         "stats",
         "bandwidth",
@@ -80,8 +78,6 @@ class Network:
         sim: Simulator,
         link_speeds: np.ndarray,
         latency_s: float = 0.01,
-        failure_timeout_s: float = 5.0,
-        bucket_s: float = 10.0,
         registry=None,
     ) -> None:
         speeds = np.asarray(link_speeds, dtype=float)
@@ -92,11 +88,10 @@ class Network:
         self.sim = sim
         self.link_speeds = speeds
         self.latency_s = latency_s
-        self.failure_timeout_s = failure_timeout_s
         #: per-peer reachability; offline peers fail incoming transfers.
         self.online = np.ones(speeds.size, dtype=bool)
         self.stats = TransferStats()
-        self.bandwidth = BandwidthSeries(bucket_s, registry=registry)
+        self.bandwidth = BandwidthSeries(registry=registry)
         self._link_free = np.zeros(speeds.size, dtype=float)
 
     @property
@@ -139,7 +134,7 @@ class Network:
         if not self.online[dst]:
             self.stats.failed_messages += 1
             if on_failed is not None:
-                self.sim.schedule(self.failure_timeout_s, on_failed)
+                self.sim.schedule(FAILURE_TIMEOUT_S, on_failed)
             return
         now = self.sim.now
         start = max(now, self._link_free[src], self._link_free[dst])
@@ -161,10 +156,6 @@ class Network:
             else:
                 self.stats.failed_messages += 1
                 if on_failed is not None:
-                    self.sim.schedule(self.failure_timeout_s, on_failed)
+                    self.sim.schedule(FAILURE_TIMEOUT_S, on_failed)
 
         self.sim.schedule_at(deliver_at, _deliver)
-
-    def link_utilization_until(self, peer_id: int) -> float:
-        """Time at which the peer's link becomes free (diagnostics)."""
-        return float(self._link_free[peer_id])

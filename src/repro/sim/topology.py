@@ -19,7 +19,14 @@ from repro.constants import (
 )
 from repro.utils.rng import make_rng
 
-__all__ = ["lan_topology", "dsl_topology", "mix_topology", "modem_topology", "make_topology", "TOPOLOGIES"]
+__all__ = [
+    "lan_topology",
+    "dsl_topology",
+    "mix_topology",
+    "modem_topology",
+    "make_topology",
+    "TOPOLOGIES",
+]
 
 
 def lan_topology(n: int, rng: np.random.Generator | None = None) -> np.ndarray:

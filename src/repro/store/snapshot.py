@@ -102,9 +102,7 @@ def snapshot_path(data_dir: Path, seq: int) -> Path:
     return Path(data_dir) / f"snapshot-{seq:020d}.ppsnap"
 
 
-def write_snapshot(
-    data_dir: Path, payload: dict[str, Any], *, keep: int = STORE_SNAPSHOT_KEEP
-) -> Path:
+def write_snapshot(data_dir: Path, payload: dict[str, Any]) -> Path:
     """Durably write a snapshot payload; prune older generations.
 
     ``payload`` must carry the ``"seq"`` it covers (the file is named by
@@ -113,7 +111,7 @@ def write_snapshot(
     data_dir = Path(data_dir)
     path = snapshot_path(data_dir, int(payload["seq"]))
     atomic_write_bytes(path, encode_container(SNAPSHOT_MAGIC, payload))
-    prune_snapshots(data_dir, keep=keep)
+    prune_snapshots(data_dir)
     return path
 
 
@@ -136,13 +134,13 @@ def load_latest_snapshot(data_dir: Path) -> tuple[dict[str, Any] | None, Path | 
     return None, None
 
 
-def prune_snapshots(data_dir: Path, *, keep: int = 2) -> list[Path]:
-    """Delete all but the ``keep`` newest snapshot generations and any
-    stray temp files.  Returns the removed paths."""
+def prune_snapshots(data_dir: Path) -> list[Path]:
+    """Delete all but the ``STORE_SNAPSHOT_KEEP`` newest snapshot
+    generations and any stray temp files.  Returns the removed paths."""
     data_dir = Path(data_dir)
     removed: list[Path] = []
     generations = sorted(data_dir.glob(_SNAPSHOT_GLOB), reverse=True)
-    for stale in generations[keep:]:
+    for stale in generations[STORE_SNAPSHOT_KEEP:]:
         stale.unlink(missing_ok=True)
         removed.append(stale)
     for tmp in data_dir.glob(_SNAPSHOT_GLOB + ".tmp"):

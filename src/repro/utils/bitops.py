@@ -120,11 +120,6 @@ class BitArray:
         self._check_compatible(other)
         return self.words & ~other.words
 
-    def xor_words(self, other: "BitArray") -> np.ndarray:
-        """Return ``self ^ other`` as a raw word buffer."""
-        self._check_compatible(other)
-        return self.words ^ other.words
-
     def _check_compatible(self, other: "BitArray") -> None:
         if self.num_bits != other.num_bits:
             raise ValueError(

@@ -29,7 +29,7 @@ def small_filter() -> BloomFilter:
 @pytest.fixture
 def fast_gossip_config() -> GossipConfig:
     """A gossip config with short intervals for quick simulations."""
-    return GossipConfig(base_interval_s=5.0, max_interval_s=10.0)
+    return GossipConfig(base_interval_s=5.0)
 
 
 @pytest.fixture

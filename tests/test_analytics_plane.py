@@ -37,7 +37,7 @@ class Community:
         config: AnalyticsConfig | None = AnalyticsConfig(),
         seed: int = 0,
     ) -> None:
-        self.net = LoopbackNetwork(seed=seed)
+        self.net = LoopbackNetwork()
         self.registries = {pid: Registry() for pid in range(n)}
         self.nodes = {
             pid: NetworkPeer(

@@ -4,10 +4,13 @@ These pin the reproduction's constants to the values the paper publishes,
 so a refactor can't silently drift from the paper's configuration.
 """
 
+import dataclasses
+
 import pytest
 
 from repro import constants as c
-from repro.constants import BloomConfig, GossipConfig, RankingConfig
+from repro.constants import BloomConfig, GossipConfig
+from repro.ranking.stopping import stopping_p
 
 
 class TestTable2:
@@ -71,6 +74,7 @@ class TestConfigValidation:
     def test_gossip_config_defaults_are_paper_values(self):
         cfg = GossipConfig()
         assert cfg.base_interval_s == 30.0
+        assert cfg.max_interval_s == c.MAX_GOSSIP_INTERVAL_S
         assert cfg.anti_entropy_period == 10
         assert cfg.use_partial_ae and not cfg.anti_entropy_only
 
@@ -78,11 +82,7 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             GossipConfig(base_interval_s=0)
         with pytest.raises(ValueError):
-            GossipConfig(max_interval_s=10.0, base_interval_s=30.0)
-        with pytest.raises(ValueError):
             GossipConfig(anti_entropy_period=0)
-        with pytest.raises(ValueError):
-            GossipConfig(fast_to_slow_prob=2.0)
 
     def test_bloom_config_validation(self):
         with pytest.raises(ValueError):
@@ -91,4 +91,45 @@ class TestConfigValidation:
             BloomConfig(num_hashes=0)
 
     def test_ranking_config_is_equation4(self):
-        assert RankingConfig().stopping_p(300, 50) == 3 + 2
+        assert stopping_p(300, 50) == 3 + 2
+
+
+#: Every settable field of every config dataclass.  A field belongs here
+#: only when a caller outside the tests sets it to more than one value, or
+#: it is a deployment setting; fixed protocol values are module constants
+#: (DESIGN §6, "Settings").  Adding a knob means editing this table.
+CONFIG_FIELDS = {
+    "AnalyticsConfig": ["sketch_capacity"],
+    "BloomConfig": ["num_bits", "num_hashes"],
+    "ContentConfig": ["replicas", "chunk_size"],
+    "GossipConfig": [
+        "base_interval_s",
+        "anti_entropy_period",
+        "t_dead_s",
+        "use_partial_ae",
+        "anti_entropy_only",
+        "bandwidth_aware",
+    ],
+    "NetConfig": [
+        "max_frame_bytes",
+        "connect_timeout_s",
+        "request_timeout_s",
+        "request_retries",
+        "retry_backoff_s",
+        "retry_backoff_max_s",
+        "retry_jitter_frac",
+        "request_deadline_s",
+    ],
+    "PartialViewConfig": ["num_shards", "sample_size"],
+    "ServeConfig": ["max_concurrent", "max_queue"],
+    "StoreConfig": ["snapshot_every", "fsync"],
+}
+
+
+def test_config_fields_are_pinned():
+    found = {
+        name: [f.name for f in dataclasses.fields(obj)]
+        for name, obj in vars(c).items()
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+    }
+    assert found == CONFIG_FIELDS

@@ -15,6 +15,7 @@ import pytest
 from repro.constants import ContentConfig
 from repro.content.plane import replica_ring
 from repro.gossip.wire import ManifestPush
+from repro.net.chaos import EdgeFaults, FaultPlan, FaultyTransport
 from repro.net.node import NetworkPeer
 from repro.net.transport import LoopbackNetwork
 from repro.obs import Registry
@@ -26,17 +27,20 @@ DOC_TEXT = "planetp replicates chunked content across ring successors " * 20
 
 
 class Community:
-    """N loopback peers with an active content plane."""
+    """N loopback peers with an active content plane; every RPC goes
+    through one seeded :class:`FaultPlan`, fault-free until a test sets
+    its default."""
 
     def __init__(self, n: int, config: ContentConfig, seed: int = 0) -> None:
-        self.net = LoopbackNetwork(seed=seed)
+        self.net = LoopbackNetwork()
+        self.plan = FaultPlan(seed=seed)
         self.registries = {pid: Registry() for pid in range(n)}
         self.nodes = {
             pid: NetworkPeer(
                 pid,
                 "peer",
                 pid,
-                transport=self.net.transport(),
+                transport=FaultyTransport(self.net.transport(), self.plan),
                 seed=(seed << 16) | pid,
                 registry=self.registries[pid],
                 content_config=config,
@@ -214,7 +218,7 @@ def test_replication_completes_under_lossy_transport():
     async def scenario():
         community = Community(5, ContentConfig(replicas=2, chunk_size=128), seed=3)
         await community.boot()
-        community.net.drop_rate = 0.25  # every RPC now fails 1-in-4
+        community.plan.set_default(EdgeFaults(drop_rate=0.25))  # every RPC fails 1-in-4
         origin = community.nodes[0]
         origin.publish(Document("doc-l", DOC_TEXT))
         for _ in range(120):
@@ -225,7 +229,7 @@ def test_replication_completes_under_lossy_transport():
                 await node.gossip_round()
             if len(community.complete_holders("doc-l")) >= 3:
                 break
-        community.net.drop_rate = 0.0
+        community.plan.set_default(EdgeFaults())  # the latest default wins
         assert len(community.complete_holders("doc-l")) >= 3
         assert community.registries[0].value("content", "push_failures_total") > 0
         await community.stop()

@@ -12,12 +12,14 @@ import asyncio
 
 import pytest
 
-from repro.constants import ContentConfig
-from repro.content.retrieval import ContentClient
+from repro.constants import CONTENT_MAX_REPLY_BYTES, ContentConfig
+from repro.content.retrieval import MAX_PARALLEL_CHUNKS, ContentClient
+from repro.gossip.wire import ChunkReply, ChunkRequest, ManifestReply, ManifestRequest
+from repro.net import codec
 from repro.net.node import NetworkPeer
 from repro.net.transport import LoopbackNetwork
 from repro.obs import Registry
-from repro.store.chunkstore import ContentNotFound
+from repro.store.chunkstore import ContentNotFound, build_manifest
 from repro.text.document import Document
 
 pytestmark = pytest.mark.content
@@ -27,8 +29,8 @@ DOC_BYTES = DOC_TEXT.encode("utf-8")
 
 
 class Fixture:
-    def __init__(self, n: int, config: ContentConfig, seed: int = 0) -> None:
-        self.net = LoopbackNetwork(seed=seed)
+    def __init__(self, n: int, config: ContentConfig) -> None:
+        self.net = LoopbackNetwork()
         self.nodes = {
             pid: NetworkPeer(
                 pid,
@@ -59,8 +61,8 @@ class Fixture:
             for node in self.nodes.values():
                 await node.gossip_round()
 
-    async def replicate(self, origin: int, doc_id: str) -> None:
-        self.nodes[origin].publish(Document(doc_id, DOC_TEXT))
+    async def replicate(self, origin: int, doc_id: str, text: str = DOC_TEXT) -> None:
+        self.nodes[origin].publish(Document(doc_id, text))
         for _ in range(5):
             await self.nodes[origin].content.maintenance_round()
 
@@ -70,17 +72,18 @@ class Fixture:
 
 
 def test_fetch_resumes_when_replies_are_windowed():
-    """chunk_size 4x the reply cap: every chunk needs 4 resumed slices."""
+    """chunk_size 4x the reply cap: every full chunk arrives in 4 slices."""
 
     async def scenario():
-        config = ContentConfig(replicas=1, chunk_size=256, max_reply_bytes=64)
-        fx = Fixture(3, config)
+        chunk_size = 4 * CONTENT_MAX_REPLY_BYTES
+        text = DOC_TEXT * (chunk_size // len(DOC_BYTES) + 1)  # one full chunk and a tail
+        fx = Fixture(3, ContentConfig(replicas=1, chunk_size=chunk_size))
         await fx.boot()
-        await fx.replicate(0, "doc-r")
+        await fx.replicate(0, "doc-r", text)
         data = await fx.client.fetch(["peer:0"], "doc-r")
-        assert data == DOC_BYTES
+        assert data == text.encode("utf-8")
         resumes = fx.registry.value("content_client", "chunk_resumes_total")
-        assert resumes >= 3 * (len(DOC_BYTES) // 256)
+        assert resumes >= 3 * (len(data) // chunk_size) >= 3
         await fx.stop()
 
     asyncio.run(scenario())
@@ -208,7 +211,74 @@ def test_client_parameter_validation():
     net = LoopbackNetwork()
     with pytest.raises(ValueError, match="request_timeout_s"):
         ContentClient(net.transport(), request_timeout_s=0.0)
-    with pytest.raises(ValueError, match="max_parallel_chunks"):
-        ContentClient(net.transport(), max_parallel_chunks=0)
-    with pytest.raises(ValueError, match="max_resolve_hops"):
-        ContentClient(net.transport(), max_resolve_hops=0)
+
+
+# -- a scripted transport: replies chosen per message, no nodes -----------------
+
+
+class ScriptedTransport:
+    """Answers each frame with ``reply(address, msg)``; a None reply
+    blocks forever (a peer that never answers)."""
+
+    def __init__(self, reply) -> None:
+        self.reply = reply
+        self.requests: list[tuple[str, object]] = []
+
+    async def request(self, address: str, body: bytes) -> bytes:
+        msg = codec.decode(body)
+        self.requests.append((address, msg))
+        answer = self.reply(address, msg)
+        if answer is None:
+            await asyncio.Event().wait()
+        return codec.encode(answer)
+
+
+def test_a_failed_chunk_cancels_its_siblings():
+    """Chunk 0 is found nowhere while chunks 1 and 2 hang: the fetch
+    fails, and by the time it has raised no sibling download is still
+    running, holding a permit or about to send another ChunkRequest."""
+    data = b"x" * 300
+    manifest = build_manifest("doc-o", 0, data, 100)
+
+    def reply(address, msg):
+        if isinstance(msg, ManifestRequest):
+            return ManifestReply(True, manifest, ())
+        if msg.index == 0:
+            return ChunkReply(False, msg.doc_id, 0, msg.offset, 0, b"")
+        return None
+
+    async def scenario():
+        transport = ScriptedTransport(reply)
+        client = ContentClient(transport, request_timeout_s=60.0, registry=Registry())
+        with pytest.raises(ContentNotFound, match="chunk 0"):
+            await client.fetch(["peer:0"], "doc-o")
+        assert asyncio.all_tasks() == {asyncio.current_task()}
+        assert client._parallel._value == MAX_PARALLEL_CHUNKS
+        sent = len(transport.requests)
+        await asyncio.sleep(0)
+        assert len(transport.requests) == sent
+
+    asyncio.run(scenario())
+
+
+def test_fallback_holders_keep_discovery_order():
+    """Unconfirmed holders follow the confirmed ones in the order they
+    were found, whatever the string hash seed."""
+    manifest = build_manifest("doc-h", 0, b"y" * 10, 10)
+    advertised = {
+        "seed:0": ("h:1", "h:2", "h:3", "h:4", "h:5", "h:6", "h:7", "h:8", "h:9", "h:10")
+    }
+
+    def reply(address, msg):
+        if address == "h:5":
+            return ManifestReply(True, manifest, ())
+        return ManifestReply(False, None, advertised.get(address, ()))
+
+    async def scenario():
+        client = ContentClient(ScriptedTransport(reply), registry=Registry())
+        found, holders = await client.resolve(["seed:0"], "doc-h")
+        assert found == manifest
+        frontier = ["seed:0", *(f"h:{i}" for i in range(1, 11))]
+        assert holders == ["h:5", *(a for a in frontier if a != "h:5")]
+
+    asyncio.run(scenario())

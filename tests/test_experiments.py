@@ -69,9 +69,8 @@ class TestFigure2:
     @pytest.fixture(scope="class")
     def sweep(self):
         fast = {
-            "LAN": ("lan", {"base_interval_s": 2.0, "max_interval_s": 4.0}),
-            "LAN-AE": ("lan", {"base_interval_s": 2.0, "max_interval_s": 4.0,
-                               "anti_entropy_only": True}),
+            "LAN": ("lan", {"base_interval_s": 2.0}),
+            "LAN-AE": ("lan", {"base_interval_s": 2.0, "anti_entropy_only": True}),
         }
         original = dict(SCENARIOS)
         SCENARIOS.update(fast)

@@ -4,7 +4,7 @@ member tables, interval policy, message sizing, and target selection."""
 import numpy as np
 import pytest
 
-from repro.constants import MAX_PEER_ID, GossipConfig, WireSizes
+from repro.constants import MAX_PEER_ID, MESSAGE_HEADER_BYTES, GossipConfig, bloom_filter_bytes
 from repro.gossip.bandwidth_aware import BandwidthAwareSelector, FlatSelector
 from repro.gossip.directory import RumorKnowledge
 from repro.gossip.intervals import IntervalPolicy
@@ -150,24 +150,25 @@ class TestMemberTable:
         assert len(d) == 4
 
     def test_failures_back_off_exponentially_up_to_the_cap(self):
-        d = _table(0, contact_backoff_base_s=1.0, contact_backoff_max_s=3.0)
+        d = _table(0)
         d.seen_alive(5)
         assert d.contact_failed(5, now=10.0) == (True, 1)
-        assert d.contact_backoff_until[5] == 11.0
-        assert d.contact_failed(5, now=10.0) == (False, 2)
-        assert d.contact_backoff_until[5] == 12.0
-        d.contact_failed(5, now=10.0)
-        assert d.contact_backoff_until[5] == 13.0  # capped at 3 s
+        assert d.contact_backoff_until[5] == 10.0 + 30.0
+        backoffs = []
+        for failures in range(2, 8):
+            assert d.contact_failed(5, now=10.0) == (False, failures)
+            backoffs.append(d.contact_backoff_until[5] - 10.0)
+        assert backoffs == [60.0, 120.0, 240.0, 480.0, 480.0, 480.0]  # capped at 480 s
         assert d.offline_since == {5: 10.0}  # the first failure started the clock
 
     def test_hearsay_readmits_but_keeps_the_backoff(self):
-        d = _table(0, contact_backoff_base_s=2.0)
+        d = _table(0)
         d.seen_alive(5)
         d.contact_failed(5, now=0.0)
         assert d.seen_alive(5, hearsay=True)  # a relayed online row
         assert d.is_online(5) and d.live() == [5]
-        assert d.live(now=1.0) == []  # rumor rounds wait out the backoff
-        assert d.live(now=2.0) == [5]
+        assert d.live(now=29.0) == []  # rumor rounds wait out the 30 s backoff
+        assert d.live(now=30.0) == [5]
         d.seen_alive(5)  # first-hand evidence ends it
         assert d.live(now=0.0) == [5] and not d.contact_failures
 
@@ -248,11 +249,10 @@ class TestIntervalPolicy:
         assert policy.interval == 35.0
 
     def test_capped_at_max(self):
-        cfg = GossipConfig(base_interval_s=30.0, max_interval_s=40.0)
-        policy = IntervalPolicy(cfg)
+        policy = IntervalPolicy(GossipConfig(base_interval_s=30.0))
         for _ in range(100):
             policy.record_no_news_contact()
-        assert policy.interval == 40.0
+        assert policy.interval == 60.0  # twice the base (Table 2)
 
     def test_reset_snaps_to_base(self):
         policy = IntervalPolicy(GossipConfig())
@@ -279,20 +279,18 @@ class TestMessageSizer:
 
     def test_join_sizes_match_section72(self):
         """Downloading 1000 filters of 20 000 keys ≈ 16 MB (Section 7.2)."""
-        wire = WireSizes()
-        snapshot = MessageSizer().join_snapshot(1000, wire.bloom_filter_bytes(20_000))
+        snapshot = MessageSizer().join_snapshot(1000, bloom_filter_bytes(20_000))
         assert snapshot == pytest.approx(16e6, rel=0.05)
 
     def test_bf_interpolation(self):
-        wire = WireSizes()
-        assert wire.bloom_filter_bytes(1000) == 3000
-        assert wire.bloom_filter_bytes(20000) == 16000
-        assert 3000 < wire.bloom_filter_bytes(10000) < 16000
-        assert wire.bloom_filter_bytes(0) == wire.header
+        assert bloom_filter_bytes(1000) == 3000
+        assert bloom_filter_bytes(20000) == 16000
+        assert 3000 < bloom_filter_bytes(10000) < 16000
+        assert bloom_filter_bytes(0) == MESSAGE_HEADER_BYTES
 
     def test_bf_negative_rejected(self):
         with pytest.raises(ValueError):
-            WireSizes().bloom_filter_bytes(-1)
+            bloom_filter_bytes(-1)
 
 
 class TestSelectors:
@@ -319,7 +317,7 @@ class TestSelectors:
         from repro.constants import LINK_DSL, LINK_MODEM
 
         speeds = np.array([LINK_DSL] * 8 + [LINK_MODEM] * 2)
-        selector = BandwidthAwareSelector(speeds, GossipConfig(bandwidth_aware=True))
+        selector = BandwidthAwareSelector(speeds)
         assert selector.fast_pool.tolist() == list(range(8))
         assert selector.slow_pool.tolist() == [8, 9]
 
@@ -327,7 +325,7 @@ class TestSelectors:
         from repro.constants import LINK_DSL, LINK_MODEM
 
         speeds = np.array([LINK_DSL] * 8 + [LINK_MODEM] * 2)
-        selector = BandwidthAwareSelector(speeds, GossipConfig(bandwidth_aware=True))
+        selector = BandwidthAwareSelector(speeds)
         d = self._directory(0, 10)
         rng = make_rng(1)
         targets = [selector.rumor_target(d, rng) for _ in range(500)]
@@ -338,7 +336,7 @@ class TestSelectors:
         from repro.constants import LINK_DSL, LINK_MODEM
 
         speeds = np.array([LINK_DSL] * 8 + [LINK_MODEM] * 2)
-        selector = BandwidthAwareSelector(speeds, GossipConfig(bandwidth_aware=True))
+        selector = BandwidthAwareSelector(speeds)
         d = self._directory(9, 10)
         rng = make_rng(2)
         # As rumor source, a slow peer targets the fast tier.
@@ -352,7 +350,7 @@ class TestSelectors:
         from repro.constants import LINK_DSL, LINK_MODEM
 
         speeds = np.array([LINK_DSL] * 5 + [LINK_MODEM] * 5)
-        selector = BandwidthAwareSelector(speeds, GossipConfig(bandwidth_aware=True))
+        selector = BandwidthAwareSelector(speeds)
         d = self._directory(0, 10)
         rng = make_rng(3)
         targets = {selector.ae_target(d, rng) for _ in range(100)}

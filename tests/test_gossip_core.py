@@ -13,7 +13,13 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.constants import GossipConfig
+from repro.constants import (
+    AE_RECENT_WINDOW,
+    GOSSIP_SLOWDOWN_S,
+    PARTIAL_AE_RECENT_RUMORS,
+    RUMOR_GIVE_UP_COUNT,
+    GossipConfig,
+)
 from repro.gossip import core as core_module
 from repro.gossip.core import AE_PULL, AE_PUSH, RUMOR, GossipCore
 from repro.gossip import members as members_module
@@ -31,9 +37,9 @@ def reference_exchange(config, pusher, target):
             pusher["hot"][r] = 0
         else:
             pusher["hot"][r] += 1
-    for r in [r for r in pushed if pusher["hot"][r] >= config.rumor_give_up_count]:
+    for r in [r for r in pushed if pusher["hot"][r] >= RUMOR_GIVE_UP_COUNT]:
         del pusher["hot"][r]
-        pusher["recent"] = (pusher["recent"] + [r])[-config.partial_ae_recent :]
+        pusher["recent"] = (pusher["recent"] + [r])[-PARTIAL_AE_RECENT_RUMORS:]
     for r in needed:  # pushed payloads are learned hot
         target["known"].add(r)
         target["hot"][r] = 0
@@ -69,19 +75,10 @@ _steps = st.lists(
 
 
 class TestAgainstReference:
-    @given(
-        steps=_steps,
-        give_up=st.integers(1, 4),
-        window=st.integers(1, 5),
-        partial_ae=st.booleans(),
-    )
+    @given(steps=_steps, partial_ae=st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_counter_retire_and_piggyback_rules(self, steps, give_up, window, partial_ae):
-        config = GossipConfig(
-            rumor_give_up_count=give_up,
-            partial_ae_recent=window,
-            use_partial_ae=partial_ae,
-        )
+    def test_counter_retire_and_piggyback_rules(self, steps, partial_ae):
+        config = GossipConfig(use_partial_ae=partial_ae)
         cores = [GossipCore(config) for _ in range(4)]
         model = [{"known": set(), "hot": {}, "recent": []} for _ in range(4)]
         next_rid = 0
@@ -99,7 +96,7 @@ class TestAgainstReference:
         # retired at one peer: retiring needs knowing, and a known rumor is
         # never needed (so never made hot) again.
         for c in cores:
-            assert all(0 <= n < give_up for n in c.hot.values())
+            assert all(0 <= n < RUMOR_GIVE_UP_COUNT for n in c.hot.values())
             assert not set(c.hot) & set(c.recent)
             assert set(c.hot) | set(c.recent) <= c.known
 
@@ -127,9 +124,10 @@ class TestRounds:
         assert [c.begin_round()[0] for _ in range(12)] == [AE_PUSH] * 12
 
     def test_in_flight_retirement_is_tolerated(self):
-        c = GossipCore(GossipConfig(rumor_give_up_count=1))
+        c = GossipCore(GossipConfig())
         c.learn(1, make_hot=True)
-        assert c.on_rumor_reply([1], [], []) == ([], [])
+        for _ in range(RUMOR_GIVE_UP_COUNT):
+            assert c.on_rumor_reply([1], [], []) == ([], [])
         assert c.on_rumor_reply([1], [], []) == ([], [])  # already retired
         assert list(c.recent) == [1]
 
@@ -141,7 +139,7 @@ class TestRounds:
 
 class TestAntiEntropy:
     def _pair(self):
-        config = GossipConfig(ae_recent_window=3)
+        config = GossipConfig()
         return GossipCore(config), GossipCore(config)
 
     def test_equal_digests_answer_nothing_and_slow_the_idle_down(self):
@@ -155,7 +153,7 @@ class TestAntiEntropy:
         assert a.intervals.interval == base  # had news of its own: no slow-down
         a.on_ae_nothing(had_hot=False)
         a.on_ae_nothing(had_hot=False)
-        assert a.intervals.interval == base + a.config.slowdown_s
+        assert a.intervals.interval == base + GOSSIP_SLOWDOWN_S
         a.on_rumor_push([])  # any rumor message re-accelerates
         assert a.intervals.interval == base
 
@@ -169,12 +167,13 @@ class TestAntiEntropy:
 
     def test_gap_beyond_the_window_escalates_to_the_summary(self):
         a, b = self._pair()
-        for rid in range(5):
+        learned = list(range(AE_RECENT_WINDOW + 2))
+        for rid in learned:
             b.learn(rid, make_hot=False)
         recent, count = b.on_ae_request(a.digest)
-        assert (recent, count) == ([2, 3, 4], 5)  # window of 3
-        assert a.on_ae_recent(recent, count) == (True, [2, 3, 4])
-        assert a.missing(sorted(b.known)) == [0, 1, 2, 3, 4]
+        assert (recent, count) == (learned[2:], len(learned))  # the newest window
+        assert a.on_ae_recent(recent, count) == (True, learned[2:])
+        assert a.missing(sorted(b.known)) == learned
 
     def test_knowing_more_than_the_target_is_left_to_the_target(self):
         a, b = self._pair()

@@ -30,7 +30,7 @@ import asyncio
 
 import numpy as np
 
-from repro.constants import GossipConfig
+from repro.constants import AE_RECENT_WINDOW, GossipConfig
 from repro.gossip.simpeer import GossipPeer
 from repro.gossip.simulation import GossipSimulation
 from repro.gossip.wire import PeerRecord
@@ -42,7 +42,7 @@ from repro.text.document import Document
 ESTABLISHED = 6
 SLOTS = 8  # peers 6 and 7 join mid-script
 
-CONFIG = GossipConfig(rumor_give_up_count=2, anti_entropy_period=4, ae_recent_window=2)
+CONFIG = GossipConfig(anti_entropy_period=4)
 
 #: ("round", peer, target) | ("update", peer) | ("join", peer, bootstrap)
 #: | ("offline", peer) | ("rejoin", peer)
@@ -78,9 +78,11 @@ SCRIPT = [
     ("round", 1, 3),
     ("round", 2, 4),
     ("round", 2, 0),
-    # -- 3 drops out and misses three updates and a join
+    # -- 3 drops out and misses a window's worth of updates and a join
     ("offline", 3),
-    ("update", 1),  # news of its own snaps 1's interval back
+    # news of its own snaps 1's interval back; more updates than a
+    # recently-learned window holds, so 3's gap will outgrow it
+    *[("update", 1)] * AE_RECENT_WINDOW,
     ("round", 1, 3),  # a failed contact changes nothing but liveness
     ("round", 1, 2),  # a rumor message snaps 2's interval back
     ("round", 2, 0),
@@ -104,7 +106,7 @@ SCRIPT = [
     ("round", 4, 0),
     # -- 3 returns: forced anti-entropy, a gap wider than 0's recent window
     ("rejoin", 3),
-    ("round", 3, 0),  # escalates to the full summary and pulls four rumors
+    ("round", 3, 0),  # escalates to the full summary and pulls every rumor it missed
     ("round", 3, 1),
     ("round", 1, 2),
     ("round", 3, 4),
@@ -286,5 +288,5 @@ def test_simulator_and_socket_node_agree_after_every_step(monkeypatch):
     assert {state[3] for state in final} == {CONFIG.base_interval_s}
     # ... and the community ends consistent, joiners included.
     assert len({frozenset(state[0]) for state in final}) == 1
-    assert len(final[0][0]) == 9  # 6 updates, 2 joins, 1 rejoin
+    assert len(final[0][0]) == AE_RECENT_WINDOW + 5 + 3  # updates, 2 joins, 1 rejoin
     assert all(state[5] == list(range(SLOTS)) for state in final)

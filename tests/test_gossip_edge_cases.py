@@ -10,7 +10,7 @@ from repro.sim.topology import lan_topology
 
 
 def _world(n, seed=0, **overrides):
-    defaults = dict(base_interval_s=2.0, max_interval_s=4.0)
+    defaults = dict(base_interval_s=2.0)
     defaults.update(overrides)
     cfg = GossipConfig(**defaults)
     world = GossipSimulation(lan_topology(n), cfg, seed=seed)

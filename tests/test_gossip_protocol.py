@@ -9,7 +9,7 @@ gaps, anti-entropy reconciles rejoiners, and intervals adapt.
 import numpy as np
 import pytest
 
-from repro.constants import GossipConfig
+from repro.constants import AE_RECENT_WINDOW, GossipConfig
 from repro.gossip.simulation import (
     GossipSimulation,
     run_churn,
@@ -22,7 +22,7 @@ from repro.sim.topology import lan_topology
 
 
 def _world(n, config=None, seed=0):
-    cfg = config or GossipConfig(base_interval_s=2.0, max_interval_s=4.0)
+    cfg = config or GossipConfig(base_interval_s=2.0)
     world = GossipSimulation(lan_topology(n), cfg, seed=seed)
     tracker = ConvergenceTracker()
     world.trackers.append(tracker)
@@ -75,11 +75,9 @@ class TestRumorSpreading:
 
     def test_volume_scales_with_payload_not_community(self):
         """PlanetP's claim: message sizes track the change being spread."""
-        small = run_propagation(40, "lan", GossipConfig(base_interval_s=2.0,
-                                                        max_interval_s=4.0),
+        small = run_propagation(40, "lan", GossipConfig(base_interval_s=2.0),
                                 payload_keys=1000, seed=1)
-        large = run_propagation(80, "lan", GossipConfig(base_interval_s=2.0,
-                                                        max_interval_s=4.0),
+        large = run_propagation(80, "lan", GossipConfig(base_interval_s=2.0),
                                 payload_keys=1000, seed=1)
         # Twice the community should cost roughly twice the bytes — not
         # four times (which per-message-summary scaling would give).
@@ -88,10 +86,8 @@ class TestRumorSpreading:
 
 class TestAntiEntropy:
     def test_ae_only_baseline_converges_but_costs_more(self):
-        fast_cfg = GossipConfig(base_interval_s=2.0, max_interval_s=4.0)
-        ae_cfg = GossipConfig(
-            base_interval_s=2.0, max_interval_s=4.0, anti_entropy_only=True
-        )
+        fast_cfg = GossipConfig(base_interval_s=2.0)
+        ae_cfg = GossipConfig(base_interval_s=2.0, anti_entropy_only=True)
         planetp = run_propagation(40, "lan", fast_cfg, seed=2)
         ae_only = run_propagation(40, "lan", ae_cfg, seed=2)
         assert planetp.converged and ae_only.converged
@@ -112,13 +108,13 @@ class TestAntiEntropy:
     def test_long_offline_peer_uses_full_summary(self):
         """A peer that missed more rumors than the recent window holds
         still reconciles (the full-summary fallback)."""
-        cfg = GossipConfig(base_interval_s=2.0, max_interval_s=4.0, ae_recent_window=3)
+        cfg = GossipConfig(base_interval_s=2.0)
         world = GossipSimulation(lan_topology(8), cfg, seed=3)
         world.establish(range(8))
         world.peers[7].go_offline()
         rumors = []
-        for i in range(10):  # far more than the window of 3
-            world.sim.schedule(float(i * 5), lambda i=i: rumors.append(
+        for i in range(AE_RECENT_WINDOW + 10):  # more than the window holds
+            world.sim.schedule(float(i), lambda i=i: rumors.append(
                 world.peers[i % 7].originate_update(50)
             ))
         world.sim.run(until=120.0)
@@ -154,13 +150,13 @@ class TestFailureHandling:
 
 class TestJoinScenario:
     def test_join_reaches_consistency(self):
-        cfg = GossipConfig(base_interval_s=2.0, max_interval_s=4.0)
+        cfg = GossipConfig(base_interval_s=2.0)
         result = run_join(20, 5, "lan", cfg, keys_per_peer=1000, seed=4)
         assert result.converged
         assert result.consistency_time_s > 0
 
     def test_joiners_know_each_other(self):
-        cfg = GossipConfig(base_interval_s=2.0, max_interval_s=4.0)
+        cfg = GossipConfig(base_interval_s=2.0)
         world = GossipSimulation(lan_topology(12), cfg, seed=5)
         tracker = ConvergenceTracker()
         world.trackers.append(tracker)
@@ -177,14 +173,14 @@ class TestJoinScenario:
 
 class TestScenarioRunners:
     def test_run_propagation_deterministic(self):
-        cfg = GossipConfig(base_interval_s=2.0, max_interval_s=4.0)
+        cfg = GossipConfig(base_interval_s=2.0)
         a = run_propagation(30, "lan", cfg, seed=6)
         b = run_propagation(30, "lan", cfg, seed=6)
         assert a.propagation_time_s == b.propagation_time_s
         assert a.total_bytes == b.total_bytes
 
     def test_run_poisson_joins_tracks_every_event(self):
-        cfg = GossipConfig(base_interval_s=2.0, max_interval_s=4.0)
+        cfg = GossipConfig(base_interval_s=2.0)
         result = run_poisson_joins(
             n_established=20, n_events=5, mean_interarrival_s=10.0,
             topology="lan", config=cfg, seed=7,
@@ -193,7 +189,7 @@ class TestScenarioRunners:
         assert all(e.convergence_s is not None for e in result.events)
 
     def test_run_churn_produces_events_and_bandwidth(self):
-        cfg = GossipConfig(base_interval_s=2.0, max_interval_s=4.0)
+        cfg = GossipConfig(base_interval_s=2.0)
         result = run_churn(
             n_members=30, horizon_s=1800.0, topology="lan", config=cfg,
             mean_online_s=300.0, mean_offline_s=300.0, seed=8,
@@ -207,7 +203,7 @@ class TestScenarioRunners:
 
     def test_propagation_time_grows_slowly(self):
         """Log-like scaling: 4x community, far less than 4x time."""
-        cfg = GossipConfig(base_interval_s=2.0, max_interval_s=4.0)
+        cfg = GossipConfig(base_interval_s=2.0)
         small = run_propagation(25, "lan", cfg, seed=9)
         large = run_propagation(100, "lan", cfg, seed=9)
         assert large.propagation_time_s < 2.5 * small.propagation_time_s

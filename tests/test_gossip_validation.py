@@ -58,7 +58,7 @@ class TestLiveReplication:
         assert result.replicas_exact
 
     def test_custom_config(self):
-        cfg = GossipConfig(base_interval_s=1.0, max_interval_s=2.0)
+        cfg = GossipConfig(base_interval_s=1.0)
         result = run_live_replication(n_peers=8, n_publishers=1, config=cfg, seed=4)
         assert result.replicas_exact
         assert result.convergence_time_s < 600.0

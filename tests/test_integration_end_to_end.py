@@ -8,7 +8,7 @@ search agree on directory contents; PFS rides on top of everything.
 import numpy as np
 import pytest
 
-from repro.constants import GossipConfig, RankingConfig
+from repro.constants import GossipConfig
 from repro.core.community import InProcessCommunity
 from repro.corpus.collections import make_collection
 from repro.experiments.search_quality import build_testbed, evaluate_k
@@ -55,7 +55,7 @@ class TestSearchPipeline:
 
 class TestGossipDirectoryAgreement:
     def test_converged_community_has_identical_directories(self):
-        cfg = GossipConfig(base_interval_s=1.0, max_interval_s=2.0)
+        cfg = GossipConfig(base_interval_s=1.0)
         world = GossipSimulation(lan_topology(15), cfg, seed=33)
         tracker = ConvergenceTracker()
         world.trackers.append(tracker)
@@ -71,7 +71,7 @@ class TestGossipDirectoryAgreement:
     def test_conservation_of_knowledge(self):
         """No peer ever knows a rumor that was never created, and the
         origin always knows its own rumor."""
-        cfg = GossipConfig(base_interval_s=1.0, max_interval_s=2.0)
+        cfg = GossipConfig(base_interval_s=1.0)
         world = GossipSimulation(lan_topology(10), cfg, seed=34)
         world.establish(range(10))
         rumor = world.peers[3].originate_update(100)

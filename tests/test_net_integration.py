@@ -50,7 +50,7 @@ async def _converge(nodes: list[NetworkPeer], max_rounds: int = 30) -> int:
 
 def test_loopback_community_converges_bit_identical():
     async def scenario():
-        net = LoopbackNetwork(seed=42)
+        net = LoopbackNetwork()
         nodes = [
             NetworkPeer(pid, "peer", pid, transport=net.transport(), seed=pid)
             for pid in range(3)

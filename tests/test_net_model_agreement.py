@@ -379,7 +379,7 @@ def test_partialview_search_traffic_accounted_within_2x_of_model():
         )
 
     async def scenario():
-        net = LoopbackNetwork(seed=7)
+        net = LoopbackNetwork()
         registries = [Registry() for _ in range(8)]
         nodes = [
             NetworkPeer(

@@ -9,7 +9,7 @@ import struct
 
 import pytest
 
-from repro.constants import GossipConfig
+from repro.constants import RUMOR_GIVE_UP_COUNT, GossipConfig
 from repro.gossip.rumor import RumorKind
 from repro.gossip.wire import (
     ROW_OF,
@@ -107,9 +107,8 @@ def test_publish_after_a_removal_gossips_only_growth():
 
 def test_rumor_round_spreads_update_and_retires_rumor():
     async def scenario():
-        config = GossipConfig(rumor_give_up_count=2)
         net = LoopbackNetwork()
-        a, b = _node(net, 0, gossip_config=config), _node(net, 1, gossip_config=config)
+        a, b = _node(net, 0), _node(net, 1)
         await a.start()
         await b.start()
         await b.join(a.address)
@@ -120,7 +119,7 @@ def test_rumor_round_spreads_update_and_retires_rumor():
         assert hot_rid in b.core.known
         assert b.replica_of(0) == a.peer.store.bloom_filter
         # Keep pushing to the only peer until the rumor goes cold.
-        for _ in range(config.rumor_give_up_count + 1):
+        for _ in range(RUMOR_GIVE_UP_COUNT + 1):
             await a.gossip_round()
         assert hot_rid not in a.core.hot
         assert hot_rid in a.core.recent  # retired into the partial-AE window
@@ -227,11 +226,10 @@ def test_a_relayed_online_row_readmits_but_keeps_the_failure_history():
 
     async def scenario():
         now = [0.0]
-        config = GossipConfig(contact_backoff_base_s=10.0, contact_backoff_max_s=100.0)
         registry = Registry()
         net = LoopbackNetwork()
-        a = _node(net, 0, clock=lambda: now[0], gossip_config=config, registry=registry)
-        b = _node(net, 1, clock=lambda: now[0], gossip_config=config)
+        a = _node(net, 0, clock=lambda: now[0], registry=registry)
+        b = _node(net, 1, clock=lambda: now[0])
         await a.start()
         await b.start()
         await b.join(a.address)
@@ -239,16 +237,16 @@ def test_a_relayed_online_row_readmits_but_keeps_the_failure_history():
         a.core.hot.clear()  # anti-entropy rounds: they probe b whatever we believe
         await a.gossip_round()
         assert a.membership.contact_failures[1] == 1
-        assert a.membership.contact_backoff_until[1] == 10.0
+        assert a.membership.contact_backoff_until[1] == 30.0
         a.install_records([PeerRecord(1, b.address, True, 0)])
         assert a.membership.is_online(1)
         assert a.pick_target() is None  # rumor rounds still wait out the backoff
-        now[0] = 20.0
+        now[0] = 40.0
         assert a.pick_target() == 1
         await a.gossip_round()
         assert not a.membership.is_online(1)
         assert a.membership.contact_failures[1] == 2
-        assert a.membership.contact_backoff_until[1] == 40.0  # 20 s, doubled
+        assert a.membership.contact_backoff_until[1] == 100.0  # 60 s, doubled
         assert registry.value("node", "contact_failures_total") == 2
         await a.stop()
 
@@ -356,7 +354,7 @@ def test_push_reply_reports_needed_and_piggyback():
 
 def test_background_loop_converges_two_nodes():
     async def scenario():
-        config = GossipConfig(base_interval_s=0.02, max_interval_s=0.05)
+        config = GossipConfig(base_interval_s=0.02)
         net = LoopbackNetwork()
         a, b = _node(net, 0, gossip_config=config), _node(net, 1, gossip_config=config)
         await a.start()
@@ -406,7 +404,7 @@ def test_stop_cancels_inflight_gossip_cleanly():
         loop.set_exception_handler(
             lambda _loop, context: problems.append(context["message"])
         )
-        config = GossipConfig(base_interval_s=0.005, max_interval_s=0.01)
+        config = GossipConfig(base_interval_s=0.005)
         net = LoopbackNetwork()
         bootstrap = _node(net, 0, gossip_config=config)
         await bootstrap.start()

@@ -5,6 +5,7 @@ import asyncio
 import pytest
 
 from repro.constants import NetConfig
+from repro.net.chaos import EdgeFaults, FaultPlan, FaultyTransport
 from repro.net.transport import (
     LoopbackNetwork,
     TcpTransport,
@@ -54,8 +55,9 @@ def test_loopback_duplicate_address_rejected():
 
 def test_loopback_injected_drops_are_deterministic():
     async def drops_with(seed: int) -> list[bool]:
-        net = LoopbackNetwork(drop_rate=0.5, seed=seed)
-        t = net.transport()
+        net = LoopbackNetwork()
+        plan = FaultPlan(seed=seed, default=EdgeFaults(drop_rate=0.5))
+        t = FaultyTransport(net.transport(), plan)
         await t.serve("a:1", _echo)
         outcomes = []
         for _ in range(20):

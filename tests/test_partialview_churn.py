@@ -36,14 +36,14 @@ PVIEW = PartialViewConfig(num_shards=3, sample_size=2)
 
 # -- consistent-hash rebalance bounds -----------------------------------------
 
-#: (num_pids, num_shards, points_per_shard) — virtual-point counts high
-#: enough that the arcs stay near their fair share.
-REBALANCE_CONFIGS = [(200, 8, 64), (500, 8, 128), (256, 8, 192)]
+#: (num_pids, num_shards) — the bounds below hold at POINTS_PER_SHARD
+#: virtual points per shard for each of these.
+REBALANCE_CONFIGS = [(200, 8), (500, 8), (256, 8)]
 
 
-@pytest.mark.parametrize("n,s,points", REBALANCE_CONFIGS)
-def test_adding_a_shard_moves_at_most_its_fair_share(n, s, points):
-    smap = ShardMap(s, points_per_shard=points)
+@pytest.mark.parametrize("n,s", REBALANCE_CONFIGS)
+def test_adding_a_shard_moves_at_most_its_fair_share(n, s):
+    smap = ShardMap(s)
     before = {pid: smap.shard_of(pid) for pid in range(n)}
     smap.add_shard(s)  # shard id s joins the ring
     after = {pid: smap.shard_of(pid) for pid in range(n)}
@@ -54,9 +54,9 @@ def test_adding_a_shard_moves_at_most_its_fair_share(n, s, points):
     assert all(after[pid] == s for pid in movers)
 
 
-@pytest.mark.parametrize("n,s,points", REBALANCE_CONFIGS)
-def test_removing_a_shard_moves_only_its_own_pids(n, s, points):
-    smap = ShardMap(s + 1, points_per_shard=points)
+@pytest.mark.parametrize("n,s", REBALANCE_CONFIGS)
+def test_removing_a_shard_moves_only_its_own_pids(n, s):
+    smap = ShardMap(s + 1)
     before = {pid: smap.shard_of(pid) for pid in range(n)}
     victim = s  # the highest shard id leaves the ring
     smap.remove_shard(victim)
@@ -69,9 +69,9 @@ def test_removing_a_shard_moves_only_its_own_pids(n, s, points):
     assert len(movers) <= bound, (len(movers), bound)
 
 
-@pytest.mark.parametrize("n,s,points", REBALANCE_CONFIGS)
-def test_shard_churn_round_trip_restores_assignments(n, s, points):
-    smap = ShardMap(s, points_per_shard=points)
+@pytest.mark.parametrize("n,s", REBALANCE_CONFIGS)
+def test_shard_churn_round_trip_restores_assignments(n, s):
+    smap = ShardMap(s)
     before = {pid: smap.shard_of(pid) for pid in range(n)}
     smap.add_shard(s)
     smap.remove_shard(s)
@@ -115,7 +115,7 @@ async def _converge(nodes: list[NetworkPeer], rounds: int = 40) -> None:
 
 def test_killed_shard_member_neither_breaks_search_nor_loses_filters():
     async def scenario():
-        net = LoopbackNetwork(seed=23)
+        net = LoopbackNetwork()
         nodes = [_pv_node(net, pid) for pid in range(9)]
         for node in nodes:
             await node.start()

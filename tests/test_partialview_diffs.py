@@ -24,7 +24,13 @@ from repro.gossip.partialview import (
     _MAX_DIFF_EVENTS,
     ShardSummary,
 )
-from repro.gossip.wire import ShardSummaryReply, ShardSummaryRequest
+from repro.gossip.wire import (
+    RumorKind,
+    ShardMatchQuery,
+    ShardSummaryReply,
+    ShardSummaryRequest,
+    SnapshotEntry,
+)
 from repro.net.node import NetworkPeer
 from repro.net.transport import LoopbackNetwork
 from repro.obs import Registry
@@ -142,7 +148,7 @@ class Community:
     """N loopback peers in partial-view mode."""
 
     def __init__(self, n: int, seed: int = 0) -> None:
-        self.net = LoopbackNetwork(seed=seed)
+        self.net = LoopbackNetwork()
         self.registries = {pid: Registry() for pid in range(n)}
         self.nodes = {
             pid: NetworkPeer(
@@ -248,3 +254,65 @@ def test_unknown_token_gets_the_full_bloom():
         await community.stop()
 
     asyncio.run(scenario())
+
+
+def test_a_diff_ahead_of_the_full_filter_keeps_the_backfill_asking():
+    """A home member's BF_UPDATE can land before its full filter (a fresh
+    join, pre-backfill).  The filter it grows is searchable at once but
+    lacks the member's older terms, so it must not pass for a full copy:
+    backfill and home-shard fan-out go on, and it is not served onward,
+    until the full filter arrives and completes it."""
+    config = PartialViewConfig(num_shards=4)
+    node = NetworkPeer(0, registry=Registry(), partial_view=config)
+    plane, home = node.partialview, node.pview.home
+    pid = next(p for p in range(1, 64) if node.pview.shard_of(p) == home)
+    donor = NetworkPeer(pid, registry=Registry(), partial_view=config)
+    donor.publish(Document("old", "archived corpus terms"))
+    full_then = donor.peer.store.bloom_filter.copy()
+    seen = set(donor.rumors)
+    donor.publish(Document("new", "fresh wave terms"))
+    (update,) = (
+        r for rid, r in donor.rumors.items()
+        if rid not in seen and r.kind is RumorKind.BF_UPDATE
+    )
+    node.install_records([donor.own_record()])
+    assert node._learn_rumor(update, make_hot=False)
+    entry = node.peer.directory[pid]
+    assert entry.bloom_filter is not None
+    assert not entry.bloom_filter.is_superset_of(full_then)
+    assert plane._lacks_full_filter(pid)
+    assert home in plane._fanout_shards([])
+    assert [e.record.peer_id for e in plane._member_entries({home})] == [0]
+    # The full filter arrives, older than the diff: the union is complete.
+    node.install_entries([SnapshotEntry(donor.own_record(), full_then.to_compressed())])
+    assert entry.bloom_filter.is_superset_of(donor.peer.store.bloom_filter)
+    assert not plane._lacks_full_filter(pid)
+    assert home not in plane._fanout_shards([])
+
+
+def test_a_home_member_without_a_full_filter_may_hold_every_term():
+    """Asked about its home shard, a node answers "may hold" for a live
+    home member whose full filter it lacks, so a search relayed through
+    it cannot miss that member's documents.  A foreign shard's members
+    it knows only by record are not padded."""
+    config = PartialViewConfig(num_shards=4)
+    node = NetworkPeer(0, registry=Registry(), partial_view=config)
+    plane, home = node.partialview, node.pview.home
+    mate = next(p for p in range(1, 64) if node.pview.shard_of(p) == home)
+    stranger = next(p for p in range(1, 64) if node.pview.shard_of(p) != home)
+    peers = {
+        pid: NetworkPeer(pid, registry=Registry(), partial_view=config)
+        for pid in (mate, stranger)
+    }
+    node.install_records([peer.own_record() for peer in peers.values()])
+    terms = tuple(node.analyzer.analyze_query("gossip filters"))
+    assert len(terms) == 2
+    reply = plane.on_shard_match(ShardMatchQuery(home, terms))
+    assert dict(reply.hits)[mate] == 0b11
+    foreign = node.pview.shard_of(stranger)
+    assert plane.on_shard_match(ShardMatchQuery(foreign, terms)).hits == ()
+    # Once the full filter is held, the answer is the filter's own.
+    peers[mate].publish(Document("d", "gossip"))
+    node.install_entries([peers[mate].snapshot_entry(mate)])
+    reply = plane.on_shard_match(ShardMatchQuery(home, terms))
+    assert dict(reply.hits)[mate] == 0b01

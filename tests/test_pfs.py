@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.constants import PFS_BROKER_DISCARD_S, PFS_DIR_REFRESH_S
 from repro.core.community import InProcessCommunity
 from repro.pfs.fileserver import FileServer
 from repro.pfs.namespace import SemanticNamespace
@@ -101,7 +102,7 @@ class TestPFS:
     def test_brokered_advert_expires(self, setup):
         community, pfs, clock = setup
         pfs.publish_file("/hot.txt", "gossip " * 10)
-        clock[0] = pfs.broker_ttl_s + 1
+        clock[0] = PFS_BROKER_DISCARD_S + 1
         assert community.brokerage.lookup("gossip") == []
 
     def test_directory_populated_on_create(self, setup):
@@ -134,7 +135,7 @@ class TestPFS:
         pfs.unpublish_file("/temp.txt")
         # Link lingers until the staleness refresh...
         assert "temp.txt" in d.links
-        clock[0] = pfs.dir_refresh_s + 1
+        clock[0] = PFS_DIR_REFRESH_S + 1
         d = pfs.open_directory("/gossip")
         assert "temp.txt" not in d.links
 

@@ -2,30 +2,23 @@
 
 import pytest
 
-from repro.constants import RankingConfig
-from repro.ranking.stopping import AdaptiveStopping, FirstKStopping, NeverStop
+from repro.ranking.stopping import AdaptiveStopping, FirstKStopping, NeverStop, stopping_p
 
 
 class TestEquation4:
     def test_paper_formula(self):
-        cfg = RankingConfig()
         # p = floor(2 + N/300) + 2*floor(k/50)
-        assert cfg.stopping_p(0, 0) == 2
-        assert cfg.stopping_p(300, 0) == 3
-        assert cfg.stopping_p(900, 0) == 5
-        assert cfg.stopping_p(0, 50) == 4
-        assert cfg.stopping_p(0, 100) == 6
-        assert cfg.stopping_p(600, 150) == 10
+        assert stopping_p(0, 0) == 2
+        assert stopping_p(300, 0) == 3
+        assert stopping_p(900, 0) == 5
+        assert stopping_p(0, 50) == 4
+        assert stopping_p(0, 100) == 6
+        assert stopping_p(600, 150) == 10
+        assert stopping_p(300, 50) == 3 + 2
 
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
-            RankingConfig().stopping_p(-1, 10)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            RankingConfig(n_divisor=0)
-        with pytest.raises(ValueError):
-            RankingConfig(group_size=0)
+            stopping_p(-1, 10)
 
 
 class TestAdaptiveStopping:

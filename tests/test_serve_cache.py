@@ -268,52 +268,12 @@ def test_generation_distinguishes_missing_filter_from_version_zero():
     )
 
 
-# -- sharded generations: the partial-view decomposition ----------------------
-#
-# Under --partial-view the serve cache keys results on
-# compose_generations(shard_generations(node).values()) — per-shard XOR
-# mixes, XOR-composed.  Because XOR is associative and commutative, the
-# composition must be invariant under *any* pid→shard partition (a shard
-# boundary can never change what the fingerprint covers), and any single
-# member field change must still flip the composed value — exactly one
-# shard's mix, propagated through the composition.  Hypothesis-style:
-# many seeded random directories and partitions, one invariant each.
-
-
-def _random_shard_of(seed: int, num_shards: int):
-    import random
-
-    rng = random.Random(seed)
-    table: dict[int, int] = {}
-
-    def shard_of(pid: int) -> int:
-        if pid not in table:
-            table[pid] = rng.randrange(num_shards)
-        return table[pid]
-
-    return shard_of
-
-
-@pytest.mark.parametrize("seed", range(12))
-def test_composed_shard_generations_equal_flat_generation(seed):
-    from repro.gossip.directory import compose_generations
-    from repro.serve.cache import shard_generations
-
-    node = _StubNode(_members(seed))
-    flat = directory_generation(node)
-    for num_shards in (1, 2, 3, 5, 8):
-        gens = shard_generations(node, _random_shard_of(seed ^ num_shards, num_shards))
-        assert compose_generations(gens.values()) == flat, (seed, num_shards)
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_single_member_perturbation_flips_composed_generation(seed):
-    from repro.gossip.directory import compose_generations
-    from repro.serve.cache import shard_generations
-
-    shard_of = _random_shard_of(seed, 4)
-    reference = shard_generations(_StubNode(_members(seed)), shard_of)
-    composed = compose_generations(reference.values())
+    """The generation XOR-composes one mix per member, so over any seeded
+    directory a change to any one member's fields survives the
+    composition: the serve cache invalidates on any remote change."""
+    composed = directory_generation(_StubNode(_members(seed)))
     for pid in _members(seed):
         for mutate in (
             lambda e: setattr(e, "filter_version", e.filter_version + 1),
@@ -324,13 +284,7 @@ def test_single_member_perturbation_flips_composed_generation(seed):
         ):
             perturbed = _members(seed)
             mutate(perturbed[pid])
-            gens = shard_generations(_StubNode(perturbed), shard_of)
-            # Exactly the perturbed member's shard moved ...
-            moved = {s for s in gens if gens[s] != reference.get(s)}
-            assert moved == {shard_of(pid)}, (pid, mutate)
-            # ... and the movement survives the XOR composition, so the
-            # serve cache invalidates on any remote member's change.
-            assert compose_generations(gens.values()) != composed, (pid, mutate)
+            assert directory_generation(_StubNode(perturbed)) != composed, (pid, mutate)
 
 
 def test_generation_changes_when_membership_changes():

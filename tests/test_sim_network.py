@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from repro.sim.engine import Simulator
-from repro.sim.network import Network
+from repro.sim.network import FAILURE_TIMEOUT_S, Network
 
 
-def _net(speeds, latency=0.0, timeout=5.0):
+def _net(speeds, latency=0.0):
     sim = Simulator()
-    return sim, Network(sim, np.asarray(speeds, dtype=float), latency_s=latency,
-                        failure_timeout_s=timeout)
+    return sim, Network(sim, np.asarray(speeds, dtype=float), latency_s=latency)
 
 
 class TestTransfers:
@@ -66,16 +65,16 @@ class TestTransfers:
 
 class TestFailures:
     def test_send_to_offline_fails_after_timeout(self):
-        sim, net = _net([100.0, 100.0], timeout=3.0)
+        sim, net = _net([100.0, 100.0])
         failed = []
         net.set_online(1, False)
         net.send(0, 1, 100, on_failed=lambda: failed.append(sim.now))
         sim.run()
-        assert failed == [pytest.approx(3.0)]
+        assert failed == [pytest.approx(FAILURE_TIMEOUT_S)]
         assert net.stats.failed_messages == 1
 
     def test_target_goes_offline_mid_flight(self):
-        sim, net = _net([100.0, 100.0], timeout=1.0)
+        sim, net = _net([100.0, 100.0])
         outcomes = []
         net.send(0, 1, 100, on_delivered=lambda: outcomes.append("ok"),
                  on_failed=lambda: outcomes.append("fail"))

@@ -62,8 +62,8 @@ def test_write_then_load_newest_generation(tmp_path):
 def test_seq_names_sort_in_recovery_order(tmp_path):
     # Zero-padding is what makes lexicographic order numeric: seq 9 must
     # not shadow seq 100.
-    write_snapshot(tmp_path, {"seq": 9}, keep=10)
-    write_snapshot(tmp_path, {"seq": 100}, keep=10)
+    write_snapshot(tmp_path, {"seq": 9})
+    write_snapshot(tmp_path, {"seq": 100})
     payload, _ = load_latest_snapshot(tmp_path)
     assert payload["seq"] == 100
 
@@ -86,13 +86,13 @@ def test_stray_tmp_from_torn_write_is_ignored_and_cleaned(tmp_path):
     torn.write_bytes(b"half a snapsho")
     payload, _ = load_latest_snapshot(tmp_path)
     assert payload == {"seq": 3}
-    removed = prune_snapshots(tmp_path, keep=2)
+    removed = prune_snapshots(tmp_path)
     assert torn in removed and not torn.exists()
     assert snapshot_path(tmp_path, 3).exists()
 
 
 def test_pruning_keeps_newest_generations(tmp_path):
     for seq in range(1, 6):
-        write_snapshot(tmp_path, {"seq": seq}, keep=2)
+        write_snapshot(tmp_path, {"seq": seq})
     remaining = sorted(tmp_path.glob("snapshot-*.ppsnap"))
     assert remaining == [snapshot_path(tmp_path, 4), snapshot_path(tmp_path, 5)]
