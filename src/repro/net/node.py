@@ -8,7 +8,9 @@ in :class:`~repro.gossip.core.GossipCore`, the same object the
 simulator's :class:`~repro.gossip.simpeer.GossipPeer` drives; where that
 driver moves byte *counts*, this one moves the actual bytes: join rumors
 carry member records plus compressed Bloom filters, update rumors carry
-Golomb-coded filter diffs.
+Golomb-coded filter diffs.  A publish mints nothing: each gossip round
+first announces the filter growth since the last round as one update
+rumor, as one simulated ``originate_update`` is one announcement.
 
 Replica maintenance is monotone: filters only grow, diffs are sets of
 newly-set bits, and snapshots/records are merged by union — so rumors can
@@ -46,6 +48,7 @@ import asyncio
 import contextlib
 import struct
 import time
+import traceback
 from collections.abc import Awaitable, Callable, Iterable
 from pathlib import Path
 from typing import Any
@@ -596,8 +599,21 @@ class NetworkPeer:
         intervals = self.core.intervals
         await asyncio.sleep(float(self.rng.uniform(0.0, intervals.interval)))
         while self.running:
-            with contextlib.suppress(TransportError, CodecError):
+            try:
                 await self.gossip_round()
+            except (TransportError, CodecError):
+                pass
+            except Exception as exc:  # noqa: BLE001 - one bad round must not end gossip
+                self._count(
+                    "round_failures_total", 1, "gossip rounds ended by an unexpected error"
+                )
+                frame = traceback.extract_tb(exc.__traceback__)[-1]
+                self.obs.emit(
+                    "round_failed",
+                    peer=self.peer_id,
+                    error=f"{type(exc).__name__}: {exc}",
+                    where=f"{Path(frame.filename).name}:{frame.lineno} in {frame.name}",
+                )
             await asyncio.sleep(intervals.interval)
 
     async def stop(self) -> None:
@@ -665,18 +681,19 @@ class NetworkPeer:
     # ------------------------------------------------------------------
 
     def publish(self, item: Document | XMLSnippet) -> Document:
-        """Publish a document locally and gossip the filter growth."""
+        """Publish a document locally; the next gossip round announces the
+        filter growth (every publish since the last round in one diff)."""
         doc = self.peer.publish(item)
         # Chunk the content for the transfer plane: from here on any
         # member (or a directory-less client) can fetch the bytes by doc
         # id; replication to ring successors happens in gossip rounds.
         self.content.add_local(doc.doc_id, doc.text.encode("utf-8"))
-        self.flush_updates()
         self.subscriptions.mark_dirty(self.peer_id)
         return doc
 
     def flush_updates(self) -> WireRumor | None:
-        """Mint a BF_UPDATE rumor for filter growth since the last one.
+        """Announce now: mint a BF_UPDATE rumor for the filter growth
+        since the last one.  Every gossip round starts with this call.
 
         Returns the minted rumor, or None if the filter is unchanged.
         """
@@ -698,6 +715,7 @@ class NetworkPeer:
             self.peer.store.filter_version, diff.to_bytes()
         )
         self._last_gossiped = current.copy()
+        self._count("filter_announcements_total", 1, "BF_UPDATE rumors minted")
         return self._mint(RumorKind.BF_UPDATE, payload)
 
     def announce_rejoin(self) -> WireRumor:
@@ -869,7 +887,9 @@ class NetworkPeer:
     # ------------------------------------------------------------------
 
     async def gossip_round(self) -> None:
-        """Run one gossip round: rumor push, or periodic anti-entropy."""
+        """Run one gossip round: announce the filter growth since the last
+        round, then rumor push or periodic anti-entropy."""
+        self.flush_updates()
         mode, hot_ids = self.core.begin_round()
         for pid in self.membership.expire(self.clock()):
             self.peer.drop_peer(pid)
@@ -1071,8 +1091,9 @@ class NetworkPeer:
 
     def _on_publish(self, msg: PublishRequest) -> PublishAck:
         # The fleet control plane: a remotely injected document takes
-        # the exact local-publish path (WAL when durable, index,
-        # filter flush + BF_UPDATE rumor) and is acked only after it.
+        # the exact local-publish path (WAL when durable, index, filter,
+        # chunks), so the ack means "indexed and journaled"; the next
+        # gossip round announces it.
         if msg.doc_id in self.peer.store:
             return PublishAck(False, msg.doc_id, self.peer.store.filter_version)
         self.publish(Document(msg.doc_id, msg.text))

@@ -225,7 +225,10 @@ class NetWorld:
             await node.gossip_round()
         elif kind == "update":
             self.docs += 1
+            # The simulator's originate_update is one announcement: the
+            # node's is a publish plus the flush its next round would make.
             node.publish(Document(f"d{self.docs}", f"term{self.docs}a term{self.docs}b"))
+            node.flush_updates()
         elif kind == "join":
             await node.join(self.nodes[other].address)
         elif kind == "offline":

@@ -259,6 +259,7 @@ def test_a_member_without_an_address_is_not_a_candidate():
         try:
             full = await client.ranked_search(query, k=4)
             late.publish(Document("d-late", query))
+            late.flush_updates()  # the announcement its next round would make
             (update,) = late.rumors.values()
             await late.request_address(querier.address, RumorData((update,)))
             assert querier.replica_of(3) is not None and 3 not in querier.membership

@@ -9,6 +9,7 @@ import struct
 
 import pytest
 
+from repro.bloom.diff import BloomDiff, diff_filters
 from repro.constants import RUMOR_GIVE_UP_COUNT, GossipConfig
 from repro.gossip.rumor import RumorKind
 from repro.gossip.wire import (
@@ -85,7 +86,8 @@ def test_flush_updates_mints_only_on_growth():
     a = _node(net, 0)
     assert a.flush_updates() is None  # nothing published yet
     a.publish(Document("d", "some fresh terms here"))
-    assert a.flush_updates() is None  # publish() already flushed this growth
+    assert a.flush_updates() is not None  # the announcement of this growth
+    assert a.flush_updates() is None  # already announced
     a.publish(Document("d2", "some fresh terms here"))
     assert a.flush_updates() is None  # identical terms set no new bits
 
@@ -96,13 +98,105 @@ def test_publish_after_a_removal_gossips_only_growth():
     net = LoopbackNetwork()
     a = _node(net, 0)
     a.publish(Document("d1", "zanzibar gossip"))
+    a.flush_updates()
     gossiped = a._last_gossiped.copy()
     a.peer.remove("d1")
     a.publish(Document("d2", "gossip bloom"))
+    assert a.flush_updates() is not None
     assert a._last_gossiped.is_superset_of(gossiped)
     assert a._last_gossiped.contains_all(["zanzibar", "bloom"])
     a.peer.remove("d2")
     assert a.flush_updates() is None  # shrinking alone gossips nothing
+
+
+def test_publishes_between_rounds_leave_as_one_announcement():
+    """A round announces every publish since the last one as one BF_UPDATE
+    whose diff is the union of their growth, as the paper's per-interval
+    filter diff; one rumor round brings a peer's replica level."""
+
+    async def scenario():
+        registry = Registry()
+        net = LoopbackNetwork()
+        a = _node(net, 0, registry=registry)
+        b = _node(net, 1)
+        await a.start()
+        await b.start()
+        await b.join(a.address)
+        before = a.peer.store.bloom_filter.copy()
+        for i, text in enumerate(["gossip rumors", "bloom filters", "golomb diffs"]):
+            a.publish(Document(f"d{i}", text))
+        after = a.peer.store.bloom_filter.copy()
+        minted = set(a.rumors)
+        await a.gossip_round()  # b is a's only target
+        (update,) = (r for rid, r in a.rumors.items() if rid not in minted)
+        assert update.kind is RumorKind.BF_UPDATE
+        _version, blob = codec.decode_update_payload(update.payload)
+        want = diff_filters(before, after).positions
+        assert BloomDiff.from_bytes(blob).positions.tolist() == want.tolist()
+        assert registry.value("node", "filter_announcements_total") == 1
+        assert b.replica_of(0) == a.peer.store.bloom_filter
+        await a.gossip_round()
+        assert registry.value("node", "filter_announcements_total") == 1  # no growth
+        await a.stop()
+        await b.stop()
+
+    asyncio.run(scenario())
+
+
+def test_a_corpus_published_before_join_leaves_two_own_rumors():
+    """A node that loads its corpus and then joins spreads its JOIN and,
+    in its first round, one diff: not a rumor per document."""
+
+    async def scenario():
+        net = LoopbackNetwork()
+        a, b = _node(net, 0), _node(net, 1)
+        await a.start()
+        await b.start()
+        for i in range(20):
+            b.publish(Document(f"d{i}", f"corpus term{i}"))
+        await b.join(a.address)
+        await b.gossip_round()
+        own = [b.rumors[rid].kind for rid in sorted(b.rumors) if rid >> 32 == 1]
+        assert own == [RumorKind.JOIN, RumorKind.BF_UPDATE]
+        assert a.replica_of(1) == b.peer.store.bloom_filter
+        await a.stop()
+        await b.stop()
+
+    asyncio.run(scenario())
+
+
+def test_the_gossip_loop_survives_a_failing_round():
+    """A round that raises something other than a network error is
+    counted and traced, and the loop goes on to the next round."""
+
+    async def scenario():
+        registry = Registry()
+        node = _node(
+            LoopbackNetwork(), 0, registry=registry,
+            gossip_config=GossipConfig(base_interval_s=0.01),
+        )
+        rounds = []
+
+        async def hook():
+            rounds.append(len(rounds))
+            if len(rounds) == 1:
+                raise OSError("disk full")
+
+        node.add_round_hook(hook)
+        await node.start()
+        node.run()
+        async with asyncio.timeout(10):
+            while len(rounds) < 3:
+                await asyncio.sleep(0.01)
+        await node.stop()
+        assert registry.value("node", "round_failures_total") == 1
+        (failed,) = registry.trace.events("round_failed")
+        assert failed.fields["peer"] == 0
+        assert failed.fields["error"] == "OSError: disk full"
+        assert failed.fields["where"].startswith("test_net_node.py:")
+        assert failed.fields["where"].endswith(" in hook")
+
+    asyncio.run(scenario())
 
 
 def test_rumor_round_spreads_update_and_retires_rumor():
@@ -113,6 +207,7 @@ def test_rumor_round_spreads_update_and_retires_rumor():
         await b.start()
         await b.join(a.address)
         a.publish(Document("d", "unique gossip terminology"))
+        a.flush_updates()  # what the round below would do first
         # a's hot set holds b's JOIN rumor too; pick a's own update rumor.
         hot_rid = next(rid for rid in a.core.hot if rid >> 32 == 0)
         await a.gossip_round()
@@ -138,6 +233,7 @@ def test_anti_entropy_reconciles_a_cold_gap():
         await b.join(a.address)
         # Give b knowledge a lacks, without rumoring: learn quietly.
         b.publish(Document("d", "anti entropy repairs gaps"))
+        b.flush_updates()
         b.core.hot.clear()  # b will never push it
         assert a.core.digest != b.core.digest
         # Force a's next round to be anti-entropy (no hot rumors at a).
@@ -210,6 +306,7 @@ def test_a_row_or_rumor_naming_an_out_of_range_id_is_dropped():
     assert not node._learn_rumor(WireRumor(8 << 32, RumorKind.JOIN, 8, 0.0, join), True)
     donor = NetworkPeer(2, registry=Registry())
     donor.publish(Document("d", "a well formed filter diff"))
+    donor.flush_updates()
     update = next(r for r in donor.rumors.values() if r.kind is RumorKind.BF_UPDATE)
     forged = WireRumor(big << 32, RumorKind.BF_UPDATE, big, 0.0, update.payload)
     assert node._decode_rumor(update) is not None  # the payload itself is sound

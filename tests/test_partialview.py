@@ -257,6 +257,7 @@ def test_partialview_community_bounds_filters_and_answers_searches():
         late = _pv_node(net, 9)
         await late.start()
         late.publish(Document("doc-9", "topic9 shared corpus term"))
+        late.flush_updates()  # the announcement its next round would make
         (update,) = late.rumors.values()
         await late.request_address(nodes[2].address, RumorData((update,)))
         assert 9 in nodes[2].peer.directory and 9 not in nodes[2].membership

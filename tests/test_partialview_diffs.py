@@ -268,13 +268,11 @@ def test_a_diff_ahead_of_the_full_filter_keeps_the_backfill_asking():
     pid = next(p for p in range(1, 64) if node.pview.shard_of(p) == home)
     donor = NetworkPeer(pid, registry=Registry(), partial_view=config)
     donor.publish(Document("old", "archived corpus terms"))
+    donor.flush_updates()
     full_then = donor.peer.store.bloom_filter.copy()
-    seen = set(donor.rumors)
     donor.publish(Document("new", "fresh wave terms"))
-    (update,) = (
-        r for rid, r in donor.rumors.items()
-        if rid not in seen and r.kind is RumorKind.BF_UPDATE
-    )
+    update = donor.flush_updates()  # the diff covers only the new terms
+    assert update is not None and update.kind is RumorKind.BF_UPDATE
     node.install_records([donor.own_record()])
     assert node._learn_rumor(update, make_hot=False)
     entry = node.peer.directory[pid]
