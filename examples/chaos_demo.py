@@ -5,9 +5,10 @@ Ten PlanetP peers run over the in-memory loopback fabric, but every
 request passes through a seeded :class:`~repro.net.chaos.FaultPlan`:
 20 % of requests vanish, the rest suffer 50–500 ms of jitter, and for a
 twenty-minute window the community is split into two halves that cannot
-reach each other.  A :class:`~repro.net.chaos.VirtualClock` advances
-simulated time, so hours of chaos replay in well under a second — and the
-same seed always produces byte-identical results.
+reach each other.  Each peer runs its real background gossip loop on a
+virtual-time event loop (:mod:`repro.net.vtime`), so hours of chaos replay
+in well under a second — and the same seed always produces byte-identical
+results.
 
 After the fault window closes, the directories converge bit-for-bit and a
 ranked TF×IPF search returns exactly what the in-process reference
@@ -22,7 +23,8 @@ import sys
 from repro.core.community import InProcessCommunity
 from repro.net.client import NetworkSearchClient
 from repro.net.node import NetworkPeer
-from repro.net.chaos import EdgeFaults, FaultPlan, FaultyTransport, VirtualClock
+from repro.net import vtime
+from repro.net.chaos import EdgeFaults, FaultPlan, FaultyTransport
 from repro.net.transport import LoopbackNetwork, TransportError
 from repro.text.document import Document
 
@@ -45,8 +47,8 @@ GOSSIP_DT = 30.0  # the paper's base gossip interval T_g
 
 
 async def main(seed: int) -> None:
-    clock = VirtualClock()
-    plan = FaultPlan(seed=seed, clock=clock)
+    clock = asyncio.get_running_loop().time  # virtual seconds
+    plan = FaultPlan(seed=seed)
     plan.set_default(
         EdgeFaults(drop_rate=0.2, latency_min_s=0.05, latency_max_s=0.5),
         start=0.0,
@@ -64,9 +66,8 @@ async def main(seed: int) -> None:
             pid,
             "peer",
             pid,
-            transport=FaultyTransport(net.transport(), plan, sleep=clock.sleep),
+            transport=FaultyTransport(net.transport(), plan),
             seed=(seed << 16) | pid,
-            clock=clock,
         )
         for pid in range(NUM_PEERS)
     ]
@@ -78,9 +79,10 @@ async def main(seed: int) -> None:
                 await node.join(nodes[0].address)
                 break
             except TransportError:
-                clock.advance(1.0)
+                await asyncio.sleep(1.0)
     for node, (doc_id, text) in zip(nodes, ARTICLES):
         node.publish(Document(doc_id, text))
+        node.run()  # the shipping background gossip loop
     print(f"{NUM_PEERS} peers joined and published under fire")
 
     def converged() -> bool:
@@ -95,22 +97,23 @@ async def main(seed: int) -> None:
             for b in nodes
         )
 
-    rounds = 0
-    for rounds in range(1, 400):
-        clock.advance(GOSSIP_DT)
-        for node in nodes:
-            await node.gossip_round()
+    intervals = 0
+    for intervals in range(1, 400):
+        await asyncio.sleep(GOSSIP_DT)  # the peers' own loops gossip meanwhile
         if clock() > CHAOS_END and converged():
             break
-        if rounds % 40 == 0:
+        if intervals % 40 == 0:
             digests = len({n.core.digest for n in nodes})
             print(
-                f"  t={clock():7.0f}s round {rounds:3d}: {digests} distinct "
+                f"  t={clock():7.0f}s: {digests} distinct "
                 f"digests, {plan.dropped} dropped, {plan.blocked} blocked"
             )
     if not converged():
         raise SystemExit(f"did not converge (seed {seed})")
-    print(f"\nconverged bit-for-bit after {rounds} rounds, t={clock():.0f}s")
+    print(
+        f"\nconverged bit-for-bit after {intervals} gossip intervals, "
+        f"t={clock():.0f}s"
+    )
     print(
         f"faults injected: {plan.dropped} dropped, {plan.blocked} blocked, "
         f"{plan.resets} resets, {plan.delivered} delivered, "
@@ -139,4 +142,4 @@ async def main(seed: int) -> None:
 
 
 if __name__ == "__main__":
-    asyncio.run(main(int(sys.argv[1]) if len(sys.argv) > 1 else 1337))
+    vtime.run(main(int(sys.argv[1]) if len(sys.argv) > 1 else 1337))

@@ -94,7 +94,7 @@ class MessageSizer:
 
         This is the bridge between the two views of the inventory: the
         real codec encodes the message's contents, this method prices the
-        same object under the simulator's byte model, and the validation
+        same object under the simulator's byte model, and the model-agreement
         suite holds the two within a factor of two of each other.  The
         ten Table-2 types go through the by-count methods above; the rest
         are the header plus the width of their row's layout.

@@ -138,21 +138,11 @@ class GossipPeer:
         self.world.notify_online(self.pid)
         return rumor
 
-    def originate_update(
-        self, payload_keys: int, payload_bytes: int | None = None
-    ) -> Rumor:
-        """Publish a Bloom filter update rumor of ``payload_keys`` new keys.
-
-        ``payload_bytes`` overrides the Table 2 wire-size interpolation
-        with an exact size (used when gossiping real compressed diffs).
-        """
-        payload = (
-            payload_bytes
-            if payload_bytes is not None
-            else bloom_filter_bytes(payload_keys)
-        )
+    def originate_update(self, payload_keys: int) -> Rumor:
+        """Publish a Bloom filter update rumor of ``payload_keys`` new keys,
+        priced by the Table 2 wire-size interpolation."""
         interval = self.core.intervals.interval
-        rumor = self._mint(RumorKind.BF_UPDATE, payload)
+        rumor = self._mint(RumorKind.BF_UPDATE, bloom_filter_bytes(payload_keys))
         self._sooner_if_reset(interval)
         return rumor
 

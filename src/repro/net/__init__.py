@@ -12,8 +12,10 @@ objects over real transports:
                latency/drops
 ``chaos``      seeded fault injection over any transport: drops, resets,
                jitter, MIX bandwidth caps, partitions, crash windows
+``vtime``      a virtual-time event loop: loopback communities run their
+               real gossip loops deterministically, minutes in milliseconds
 ``node``       :class:`NetworkPeer` — a peer as an asyncio server running
-               the Section 3 gossip state machine on wall-clock time
+               the Section 3 gossip state machine on the event loop's clock
 ``client``     :class:`NetworkSearchClient` — ranked TF×IPF and
                exhaustive search issued over the wire
 ``cli``        ``python -m repro.net`` to launch a node, and

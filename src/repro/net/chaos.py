@@ -13,10 +13,11 @@ injectable and reproducible so the claim can be tested end-to-end:
   Every random decision comes from a per-edge generator derived from the
   plan seed, so a run is reproducible from its seed alone.
 * :class:`FaultyTransport` — wraps any :class:`~repro.net.transport.
-  Transport` (loopback or TCP) and applies the plan to each request.
-* :class:`VirtualClock` — an injectable clock whose ``sleep`` advances
-  virtual time instead of wall time, so chaos scenarios with seconds of
-  simulated jitter run in milliseconds and stay deterministic.
+  Transport` (loopback or TCP) and applies the plan to each request,
+  at the running event loop's time.  On a
+  :class:`~repro.net.vtime.VirtualTimeLoop` that time is virtual, so
+  chaos scenarios with minutes of simulated jitter run in milliseconds
+  and stay deterministic.
 
 Faults are injected *above* the wrapped transport, so a fault-injected
 drop is seen by the caller even when the inner transport retries: the
@@ -35,8 +36,8 @@ from __future__ import annotations
 import asyncio
 import math
 import zlib
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Awaitable, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -50,7 +51,6 @@ __all__ = [
     "FaultDecision",
     "FaultPlan",
     "FaultyTransport",
-    "VirtualClock",
 ]
 
 
@@ -85,7 +85,7 @@ class EdgeFaults:
 
 @dataclass(frozen=True)
 class Window:
-    """Half-open time window ``[start, end)`` on the plan's clock."""
+    """Half-open time window ``[start, end)`` in event-loop seconds."""
 
     start: float = 0.0
     end: float = math.inf
@@ -113,22 +113,16 @@ class FaultPlan:
     """A seeded, scriptable schedule of network faults.
 
     One plan is shared by every :class:`FaultyTransport` of a community.
-    Time comes from the injectable ``clock`` (default: a frozen zero
-    clock, so un-windowed faults apply always); partitions and crash
-    windows are evaluated against it.  Randomness is per-edge: edge
+    Partitions and crash windows are evaluated at the time each request
+    is decided (the event loop's, passed in by the transport; 0 when a
+    test decides by hand).  Randomness is per-edge: edge
     ``(src, dst)`` gets its own generator seeded from ``(seed, src,
     dst)``, so adding traffic on one edge never perturbs another edge's
     fault sequence.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        default: EdgeFaults | None = None,
-        clock: Callable[[], float] | None = None,
-    ) -> None:
+    def __init__(self, seed: int = 0, default: EdgeFaults | None = None) -> None:
         self.seed = int(seed)
-        self.clock = clock or (lambda: 0.0)
         #: windowed default fault rules, last matching window wins.
         self._defaults: list[tuple[Window, EdgeFaults]] = []
         if default is not None:
@@ -212,10 +206,9 @@ class FaultPlan:
 
     # -- evaluation ----------------------------------------------------------
 
-    def is_down(self, address: str, now: float | None = None) -> bool:
-        """Whether ``address`` is inside one of its crash windows."""
-        t = self.clock() if now is None else now
-        return any(w.contains(t) for w in self._down.get(address, ()))
+    def is_down(self, address: str, now: float = 0.0) -> bool:
+        """Whether ``address`` is inside one of its crash windows at ``now``."""
+        return any(w.contains(now) for w in self._down.get(address, ()))
 
     def _partitioned(self, src: str, dst: str, now: float) -> bool:
         return any(
@@ -242,14 +235,16 @@ class FaultPlan:
             self._edge_rngs[key] = rng
         return rng
 
-    def decide(self, src: str, dst: str, num_bytes: int) -> FaultDecision:
-        """Decide the fate of one ``num_bytes`` request ``src -> dst``.
+    def decide(
+        self, src: str, dst: str, num_bytes: int, now: float = 0.0
+    ) -> FaultDecision:
+        """Decide the fate of one ``num_bytes`` request ``src -> dst``
+        sent at time ``now``.
 
         The drop, reset, and latency draws are taken unconditionally so
         the per-edge random stream depends only on how many requests have
         crossed the edge, not on which faults were configured.
         """
-        now = self.clock()
         if self.is_down(dst, now):
             return FaultDecision(blocked=f"peer {dst} is down")
         if self.is_down(src, now):
@@ -286,22 +281,15 @@ class FaultyTransport(Transport):
     Composes over both :class:`~repro.net.transport.LoopbackTransport`
     and :class:`~repro.net.transport.TcpTransport`.  The endpoint's own
     served address names the source side of each edge (``name`` overrides
-    it, e.g. for pure clients); ``sleep`` is how injected latency is
-    awaited — pass :meth:`VirtualClock.sleep` for virtual-time tests.
+    it, e.g. for pure clients).  Injected latency is an ``asyncio.sleep``.
     """
 
     def __init__(
-        self,
-        inner: Transport,
-        plan: FaultPlan,
-        *,
-        name: str | None = None,
-        sleep: Callable[[float], Awaitable[None]] | None = None,
+        self, inner: Transport, plan: FaultPlan, *, name: str | None = None
     ) -> None:
         self.inner = inner
         self.plan = plan
         self.name = name
-        self._sleep = sleep or asyncio.sleep
 
     def bind_registry(self, registry: Registry) -> None:
         """Bind this decorator *and* the wrapped transport, so injected
@@ -329,7 +317,9 @@ class FaultyTransport(Transport):
         """One RPC with the plan's faults applied on this edge."""
         plan = self.plan
         src = self.name or "client"
-        decision = plan.decide(src, address, len(body))
+        decision = plan.decide(
+            src, address, len(body), asyncio.get_running_loop().time()
+        )
         if decision.blocked is not None:
             plan.blocked += 1
             self._count_fault("blocked", address, reason=decision.blocked)
@@ -342,7 +332,7 @@ class FaultyTransport(Transport):
                     "injected_delay_seconds_total",
                     "cumulative injected latency",
                 ).inc(decision.delay_s)
-            await self._sleep(decision.delay_s)
+            await asyncio.sleep(decision.delay_s)
         if decision.drop:
             plan.dropped += 1
             self._count_fault("drops", address)
@@ -363,32 +353,3 @@ class FaultyTransport(Transport):
         """Close the wrapped transport."""
         await self.inner.close()
 
-
-class VirtualClock:
-    """A monotonically advancing fake clock for deterministic chaos runs.
-
-    Pass the instance itself as a node's ``clock`` (it is callable) and
-    its :meth:`sleep` as a :class:`FaultyTransport`'s sleeper: injected
-    latency then advances virtual time instantly, so a scenario with
-    minutes of simulated jitter finishes in real milliseconds and its
-    outcome depends only on the seeds, never on host scheduling.
-    """
-
-    def __init__(self, start: float = 0.0) -> None:
-        self.now = float(start)
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> float:
-        """Advance virtual time by ``seconds`` (>= 0); returns the time."""
-        if seconds < 0:
-            raise ValueError("time only moves forward")
-        self.now += seconds
-        return self.now
-
-    async def sleep(self, seconds: float) -> None:
-        """Advance virtual time, yielding once to the event loop."""
-        if seconds > 0:
-            self.now += seconds
-        await asyncio.sleep(0)

@@ -162,7 +162,6 @@ class NetworkPeer:
         gossip_config: GossipConfig | None = None,
         net_config: NetConfig | None = None,
         seed: int | None = None,
-        clock: Callable[[], float] = time.monotonic,
         registry: Registry | None = None,
         data_dir: str | Path | None = None,
         store_config: StoreConfig | None = None,
@@ -188,7 +187,6 @@ class NetworkPeer:
             analyzer=self.analyzer,
             bloom_config=self.bloom_config,
         )
-        self.clock = clock
         self.rng = np.random.default_rng(peer_id if seed is None else seed)
         #: rumor knowledge and every Section 3 decision over it.
         self.core = GossipCore(self.config)
@@ -329,8 +327,8 @@ class NetworkPeer:
         """Track one encoded gossip message: real bytes vs Table-2 model.
 
         The same two totals the simulator reasons with, now measured on
-        a live node — their ratio is the model-agreement envelope the
-        validation suite pins to [0.5, 2.0].
+        a live node — their ratio is the model-agreement envelope
+        ``tests/test_net_model_agreement.py`` pins to [0.5, 2.0].
         """
         row = ROW_OF.get(type(msg))
         pair = self._family_bytes.get(row.family) if row is not None else None
@@ -501,6 +499,15 @@ class NetworkPeer:
     # ------------------------------------------------------------------
     # identity & lifecycle
     # ------------------------------------------------------------------
+
+    def clock(self) -> float:
+        """The running event loop's time: ``time.monotonic()`` on a stock
+        loop, virtual seconds on :class:`~repro.net.vtime.VirtualTimeLoop`.
+        Outside any loop it reads ``time.monotonic()`` as a stock loop does."""
+        try:
+            return asyncio.get_running_loop().time()
+        except RuntimeError:
+            return time.monotonic()
 
     @property
     def peer_id(self) -> int:

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import asyncio
 import struct
-import time
 from abc import ABC, abstractmethod
 from collections.abc import Awaitable, Callable
 
@@ -286,14 +285,15 @@ class TcpTransport(Transport):
         """
         cfg = self.config
         reg = self.registry
-        started = time.monotonic()
+        clock = asyncio.get_running_loop().time
+        started = clock()
         deadline = started + cfg.request_deadline_s
         attempt = 0
         self._count_sent(0)  # the request itself; bytes counted per attempt
         while True:
             try:
                 reply = await self._attempt(address, body)
-                self._count_reply(len(reply), time.monotonic() - started)
+                self._count_reply(len(reply), clock() - started)
                 return reply
             except RetryableTransportError:
                 attempt += 1
@@ -305,7 +305,7 @@ class TcpTransport(Transport):
                     cfg.retry_backoff_max_s,
                 )
                 delay *= 1.0 + cfg.retry_jitter_frac * float(self._rng.random())
-                if time.monotonic() + delay > deadline:
+                if clock() + delay > deadline:
                     self._count_failed(reg)
                     raise
                 self.retried_requests += 1
@@ -449,9 +449,10 @@ class LoopbackTransport(Transport):
     async def request(self, address: str, body: bytes) -> bytes:
         """Route the request through the fabric (latency applied)."""
         self._count_sent(len(body))
-        started = time.monotonic()
+        clock = asyncio.get_running_loop().time
+        started = clock()
         reply = await self.network.deliver(address, body)
-        self._count_reply(len(reply), time.monotonic() - started)
+        self._count_reply(len(reply), clock() - started)
         return reply
 
     async def close(self) -> None:

@@ -274,8 +274,8 @@ def _prom_name(component: str, name: str) -> str:
 class Registry:
     """One process-wide home for every instrument, keyed by component.
 
-    ``clock`` stamps trace events (inject a
-    :class:`~repro.net.chaos.VirtualClock` for deterministic tests);
+    ``clock`` stamps trace events (pass the event loop's ``time`` to
+    stamp them in virtual seconds under :mod:`repro.net.vtime`);
     the embedded :attr:`trace` ring buffer makes the registry the single
     observability hand-off between a node and its tests.
     """

@@ -2,12 +2,13 @@
 
 Boots N :class:`~repro.net.node.NetworkPeer` instances over the in-memory
 loopback fabric, wraps every endpoint in a fault-injecting
-:class:`~repro.net.chaos.FaultyTransport`, and advances time through a
-shared :class:`~repro.net.chaos.VirtualClock` — so a scenario with
-minutes of simulated jitter and partitions runs in real milliseconds and
-is reproducible from its seed alone.
+:class:`~repro.net.chaos.FaultyTransport`, and runs each node's shipping
+gossip loop (:meth:`~repro.net.node.NetworkPeer.run`).  Scenarios run on
+:func:`repro.net.vtime.run`, so a scenario with minutes of simulated
+jitter and partitions runs in real milliseconds and is reproducible from
+its seed alone.
 
-The harness drives gossip rounds explicitly (never wall-clock timers),
+The harness lets virtual time pass (never calling a round by hand),
 tracks which peers are alive across scripted crash/restart schedules, and
 mirrors every publish into an :class:`~repro.core.community.
 InProcessCommunity` oracle so ranked-search results can be checked for
@@ -16,11 +17,12 @@ exact agreement once the network converges.
 
 from __future__ import annotations
 
+import asyncio
 from typing import Callable
 
 from repro.constants import BloomConfig, GossipConfig
 from repro.core.community import InProcessCommunity
-from repro.net.chaos import FaultPlan, FaultyTransport, VirtualClock
+from repro.net.chaos import FaultPlan, FaultyTransport
 from repro.net.client import NetworkSearchClient
 from repro.net.node import NetworkPeer
 from repro.net.transport import LoopbackNetwork, TransportError
@@ -39,8 +41,7 @@ class ChaosCommunity:
         bloom_config: BloomConfig | None = None,
     ) -> None:
         self.seed = seed
-        self.clock = VirtualClock()
-        self.plan = FaultPlan(seed=seed, clock=self.clock)
+        self.plan = FaultPlan(seed=seed)
         self.config = gossip_config or GossipConfig()
         self.bloom_config = bloom_config or BloomConfig()
         self.net = LoopbackNetwork()
@@ -57,17 +58,19 @@ class ChaosCommunity:
                 pid,
                 "peer",
                 pid,
-                transport=FaultyTransport(
-                    self.net.transport(), self.plan, sleep=self.clock.sleep
-                ),
+                transport=FaultyTransport(self.net.transport(), self.plan),
                 gossip_config=self.config,
                 bloom_config=self.bloom_config,
                 seed=(seed << 16) | pid,
-                clock=self.clock,
                 registry=self.registries[pid],
             )
             for pid in range(num_peers)
         }
+
+    @staticmethod
+    def clock() -> float:
+        """The running event loop's time: virtual seconds under vtime."""
+        return asyncio.get_running_loop().time()
 
     def address(self, pid: int) -> str:
         """The loopback address peer ``pid`` serves at."""
@@ -80,14 +83,16 @@ class ChaosCommunity:
     # -- lifecycle -----------------------------------------------------------
 
     async def boot(self, bootstrap: int = 0, join_attempts: int = 50) -> None:
-        """Start every peer and join them all through ``bootstrap``,
-        retrying joins that the fault plan kills."""
+        """Start every peer, join them all through ``bootstrap`` (retrying
+        joins that the fault plan kills), then start every gossip loop."""
         for pid in sorted(self.nodes):
             await self.nodes[pid].start()
             self.alive.add(pid)
         for pid in sorted(self.nodes):
             if pid != bootstrap:
                 await self.join(pid, bootstrap, attempts=join_attempts)
+        for pid in sorted(self.nodes):
+            self.nodes[pid].run()
 
     async def join(self, pid: int, via: int, attempts: int = 50) -> None:
         """Join ``pid`` through ``via``, retrying under injected faults."""
@@ -96,7 +101,7 @@ class ChaosCommunity:
                 await self.nodes[pid].join(self.address(via))
                 return
             except TransportError:
-                self.clock.advance(1.0)
+                await asyncio.sleep(1.0)
         raise AssertionError(
             f"peer {pid} failed to join via {via} in {attempts} attempts "
             f"(seed {self.seed})"
@@ -114,36 +119,38 @@ class ChaosCommunity:
         self.alive.discard(pid)
 
     async def restart(self, pid: int) -> None:
-        """Bring a crashed peer back at the same address and announce a
-        REJOIN rumor so gossip heals its membership."""
+        """Bring a crashed peer back at the same address, announce a
+        REJOIN rumor so gossip heals its membership, and restart its
+        gossip loop."""
         node = self.nodes[pid]
         await node.start()
         self.alive.add(pid)
         node.announce_rejoin()
+        node.run()
+
+    async def stop(self) -> None:
+        """Stop every alive peer (cancelling its gossip loop)."""
+        for pid in sorted(self.alive):
+            await self.nodes[pid].stop()
 
     # -- driving -------------------------------------------------------------
 
-    async def run_rounds(
-        self,
-        rounds: int,
-        dt: float | None = None,
-        until: Callable[[], bool] | None = None,
+    async def elapse(
+        self, intervals: int, until: Callable[[], bool] | None = None
     ) -> int:
-        """Advance the clock and run one gossip round per alive peer, up
-        to ``rounds`` times; stops early when ``until()`` turns true.
-        Returns the number of rounds actually run."""
-        dt = self.config.base_interval_s if dt is None else dt
-        for done in range(1, rounds + 1):
-            self.clock.advance(dt)
-            for pid in sorted(self.alive):
-                await self.nodes[pid].gossip_round()
+        """Let up to ``intervals`` base gossip intervals pass while the
+        peers' own loops gossip, checking ``until()`` after each one and
+        stopping early once it holds.  Returns the intervals elapsed."""
+        for done in range(1, intervals + 1):
+            await asyncio.sleep(self.config.base_interval_s)
             if until is not None and until():
                 return done
-        return rounds
+        return intervals
 
-    async def converge(self, max_rounds: int = 200, dt: float | None = None) -> int:
-        """Run rounds until every alive peer agrees; returns rounds used."""
-        used = await self.run_rounds(max_rounds, dt=dt, until=self.converged)
+    async def converge(self, max_intervals: int = 200) -> int:
+        """Let time pass until every alive peer agrees; returns the base
+        intervals it took."""
+        used = await self.elapse(max_intervals, until=self.converged)
         self.assert_converged()
         return used
 

@@ -39,7 +39,6 @@ NOT_ON_NODE_PATH = (
     "repro.fleet",
     "repro.gossip.simulation",
     "repro.gossip.simpeer",
-    "repro.gossip.validation",
     "repro.pfs.pfs",
     "repro.core.community",
     "repro.brokerage.service",

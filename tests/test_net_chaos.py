@@ -1,20 +1,19 @@
 """Chaos suite: the gossip layer earns its keep under injected failure.
 
-Every scenario is reproducible from the seed it prints: the FaultPlan,
-every NetworkPeer RNG, and the virtual clock are all derived from it, and
-latency is awaited in virtual time, so reruns are bit-for-bit identical.
+Every scenario is reproducible from the seed it prints: the FaultPlan
+and every NetworkPeer RNG are derived from it, and the nodes' own gossip
+loops and the injected latency run on a virtual-time event loop
+(:mod:`repro.net.vtime`), so reruns are bit-for-bit identical.
 """
-
-import asyncio
 
 import pytest
 
 from repro.constants import GossipConfig
+from repro.net import vtime
 from repro.net.chaos import (
     EdgeFaults,
     FaultPlan,
     FaultyTransport,
-    VirtualClock,
     Window,
 )
 from repro.net.transport import LoopbackNetwork, TransportError
@@ -66,15 +65,12 @@ def test_fault_plan_edges_are_independent_streams():
 
 
 def test_partition_blocks_then_heals():
-    clock = VirtualClock()
-    plan = FaultPlan(seed=0, clock=clock)
+    plan = FaultPlan(seed=0)
     plan.partition(["peer:0"], ["peer:1"], start=10.0, end=20.0)
-    assert plan.decide("peer:0", "peer:1", 1).blocked is None
-    clock.advance(10.0)
-    assert "partitioned" in plan.decide("peer:0", "peer:1", 1).blocked
-    assert "partitioned" in plan.decide("peer:1", "peer:0", 1).blocked  # 2-way
-    clock.advance(10.0)
-    assert plan.decide("peer:0", "peer:1", 1).blocked is None  # healed
+    assert plan.decide("peer:0", "peer:1", 1, now=0.0).blocked is None
+    assert "partitioned" in plan.decide("peer:0", "peer:1", 1, now=10.0).blocked
+    assert "partitioned" in plan.decide("peer:1", "peer:0", 1, now=10.0).blocked  # 2-way
+    assert plan.decide("peer:0", "peer:1", 1, now=20.0).blocked is None  # healed
 
 
 def test_asymmetric_partition_blocks_one_direction():
@@ -85,14 +81,11 @@ def test_asymmetric_partition_blocks_one_direction():
 
 
 def test_crash_window_blocks_both_directions():
-    clock = VirtualClock()
-    plan = FaultPlan(seed=0, clock=clock)
+    plan = FaultPlan(seed=0)
     plan.crash("peer:3", start=5.0, end=8.0)
-    clock.advance(6.0)
-    assert "down" in plan.decide("peer:0", "peer:3", 1).blocked
-    assert "down" in plan.decide("peer:3", "peer:0", 1).blocked
-    clock.advance(3.0)
-    assert plan.decide("peer:0", "peer:3", 1).blocked is None
+    assert "down" in plan.decide("peer:0", "peer:3", 1, now=6.0).blocked
+    assert "down" in plan.decide("peer:3", "peer:0", 1, now=6.0).blocked
+    assert plan.decide("peer:0", "peer:3", 1, now=9.0).blocked is None
 
 
 def test_mix_bandwidth_assignment_is_deterministic_and_slows_requests():
@@ -132,16 +125,7 @@ def test_faulty_transport_drop_and_reset_semantics():
             await resetter.request("peer:1", b"delivered")
         assert calls == [b"delivered"] and plan.resets == 1
 
-    asyncio.run(scenario())
-
-
-def test_virtual_clock_sleep_advances_without_wall_time():
-    async def scenario():
-        clock = VirtualClock()
-        await clock.sleep(3600.0)
-        assert clock() == 3600.0
-
-    asyncio.run(scenario())
+    vtime.run(scenario())
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +157,8 @@ async def _acceptance_run(seed: int) -> ChaosCommunity:
     community.publish(0, Document("epidemic", "epidemic gossip protocols converge"))
     community.publish(7, Document("bloom", "bloom filters summarize gossip state"))
     # Ride out the chaos window, then allow a quiet tail to converge.
-    await community.run_rounds(int(CHAOS_END / community.config.base_interval_s))
-    await community.converge(max_rounds=150)
+    await community.elapse(int(CHAOS_END / community.config.base_interval_s))
+    await community.converge(max_intervals=150)
     return community
 
 
@@ -197,7 +181,7 @@ def test_chaos_acceptance_converges_and_matches_oracle():
             await community.nodes[pid].stop()
         return community
 
-    asyncio.run(scenario())
+    vtime.run(scenario())
 
 
 def test_chaos_acceptance_is_deterministic():
@@ -215,8 +199,8 @@ def test_chaos_acceptance_is_deterministic():
             await community.nodes[pid].stop()
         return fp
 
-    first = asyncio.run(fingerprint())
-    second = asyncio.run(fingerprint())
+    first = vtime.run(fingerprint())
+    second = vtime.run(fingerprint())
     assert first == second, f"seed {SEED} did not reproduce"
 
 
@@ -245,8 +229,8 @@ async def _accounting_run(seed: int, faulty: bool) -> ChaosCommunity:
         community.publish(
             pid, Document(f"doc-{pid}", f"fault accounting shard {pid}")
         )
-    await community.run_rounds(40)
-    await community.converge(max_rounds=200)
+    await community.elapse(40)
+    await community.converge(max_intervals=200)
     for pid in community.nodes:
         await community.nodes[pid].stop()
     return community
@@ -281,7 +265,7 @@ def test_chaos_registry_accounting_matches_plan_exactly(seed):
         assert fault_events, f"seed {seed}: no fault_injected trace events"
         assert {e.fields["fault"] for e in fault_events} >= {"drops", "resets"}
 
-    asyncio.run(scenario())
+    vtime.run(scenario())
 
 
 def test_chaos_registry_zero_fault_control():
@@ -299,7 +283,7 @@ def test_chaos_registry_zero_fault_control():
         for reg in community.registries.values():
             assert reg.trace.events("fault_injected") == []
 
-    asyncio.run(scenario())
+    vtime.run(scenario())
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +331,11 @@ def test_churn_soak_crash_expiry_and_rejoin():
                 for pid in community.alive
             )
 
-        await community.run_rounds(200, until=five_is_gone)
+        await community.elapse(200, until=five_is_gone)
         assert five_is_gone(), f"seed {SEED}: peer 5 survived T_Dead"
         community.assert_converged()
         assert sorted(community.alive) == [0, 1, 2, 3, 4, 6, 7]
         for pid in community.alive:
             await community.nodes[pid].stop()
 
-    asyncio.run(scenario())
+    vtime.run(scenario())

@@ -82,6 +82,7 @@ from repro.net.codec import (
     encode_member_payload,
 )
 from repro.net.client import NetworkSearchClient
+from repro.net import vtime
 from repro.net.node import NetworkPeer
 from repro.net.transport import LoopbackNetwork
 from repro.obs import Registry
@@ -344,13 +345,13 @@ def test_live_community_traffic_within_2x_of_model():
                 pid,
                 Document(f"doc-{pid}", f"peer {pid} shares gossip corpus shard {pid}"),
             )
-        await community.run_rounds(30)
+        await community.elapse(30)
         await community.converge()
         for pid in community.nodes:
             await community.nodes[pid].stop()
         return community
 
-    community = asyncio.run(scenario())
+    community = vtime.run(scenario())
     measured = community.metric_sum("transport", "bytes_sent_total")
     accounted = community.metric_sum("node", "gossip_real_bytes_total")
     model = community.metric_sum("node", "gossip_model_bytes_total")

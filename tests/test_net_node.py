@@ -1,7 +1,9 @@
 """NetworkPeer behaviour: join, publish, rumor spread, liveness, serving.
 
 Everything runs over the deterministic loopback fabric with seeded RNGs,
-so each scenario is reproducible without real sockets.
+so each scenario is reproducible without real sockets.  Scenarios that
+let time pass (the background gossip loop, T_Dead, contact backoff) run
+on :func:`repro.net.vtime.run` and sleep in virtual seconds.
 """
 
 import asyncio
@@ -29,7 +31,7 @@ from repro.gossip.wire import (
     ViewExchange,
     WireRumor,
 )
-from repro.net import codec
+from repro.net import codec, vtime
 from repro.net.codec import ErrorReply, StatsRequest
 from repro.net.node import NetworkPeer
 from repro.net.transport import LoopbackNetwork
@@ -37,11 +39,8 @@ from repro.obs import Registry
 from repro.text.document import Document
 
 
-def _node(net: LoopbackNetwork, pid: int, clock=None, **kwargs) -> NetworkPeer:
-    extra = {"clock": clock} if clock is not None else {}
-    return NetworkPeer(
-        pid, "peer", pid, transport=net.transport(), seed=pid, **extra, **kwargs
-    )
+def _node(net: LoopbackNetwork, pid: int, **kwargs) -> NetworkPeer:
+    return NetworkPeer(pid, "peer", pid, transport=net.transport(), seed=pid, **kwargs)
 
 
 def test_peer_id_must_fit_16_bits():
@@ -171,10 +170,7 @@ def test_the_gossip_loop_survives_a_failing_round():
 
     async def scenario():
         registry = Registry()
-        node = _node(
-            LoopbackNetwork(), 0, registry=registry,
-            gossip_config=GossipConfig(base_interval_s=0.01),
-        )
+        node = _node(LoopbackNetwork(), 0, registry=registry)
         rounds = []
 
         async def hook():
@@ -185,9 +181,9 @@ def test_the_gossip_loop_survives_a_failing_round():
         node.add_round_hook(hook)
         await node.start()
         node.run()
-        async with asyncio.timeout(10):
+        async with asyncio.timeout(600):
             while len(rounds) < 3:
-                await asyncio.sleep(0.01)
+                await asyncio.sleep(1.0)
         await node.stop()
         assert registry.value("node", "round_failures_total") == 1
         (failed,) = registry.trace.events("round_failed")
@@ -196,7 +192,7 @@ def test_the_gossip_loop_survives_a_failing_round():
         assert failed.fields["where"].startswith("test_net_node.py:")
         assert failed.fields["where"].endswith(" in hook")
 
-    asyncio.run(scenario())
+    vtime.run(scenario())
 
 
 def test_rumor_round_spreads_update_and_retires_rumor():
@@ -249,11 +245,10 @@ def test_anti_entropy_reconciles_a_cold_gap():
 
 def test_failed_contacts_mark_offline_and_t_dead_drops():
     async def scenario():
-        now = [0.0]
         config = GossipConfig(t_dead_s=100.0)
         net = LoopbackNetwork()
-        a = _node(net, 0, clock=lambda: now[0], gossip_config=config)
-        b = _node(net, 1, clock=lambda: now[0], gossip_config=config)
+        a = _node(net, 0, gossip_config=config)
+        b = _node(net, 1, gossip_config=config)
         await a.start()
         await b.start()
         await b.join(a.address)
@@ -262,31 +257,35 @@ def test_failed_contacts_mark_offline_and_t_dead_drops():
         await a.gossip_round()  # contact fails
         assert not a.membership.is_online(1)
         assert 1 in a.membership.offline_since
-        now[0] = 50.0
+        await asyncio.sleep(50.0)
         await a.gossip_round()  # still within T_Dead
         assert 1 in a.peer.directory
-        now[0] = 101.0
+        await asyncio.sleep(51.0)
         await a.gossip_round()  # past T_Dead: dropped
         assert 1 not in a.peer.directory
         await a.stop()
 
-    asyncio.run(scenario())
+    vtime.run(scenario())
 
 
 def test_a_row_sent_as_dead_admits_an_unknown_member_offline():
     """A row its sender believes dead — an anti-entropy summary row, a
     JoinSnapshot entry — never makes an unknown member a rumor target:
     it is admitted offline, with its T_Dead clock running."""
-    now = [5.0]
-    node = NetworkPeer(1, clock=lambda: now[0], registry=Registry())
-    node.install_records([PeerRecord(9, "127.0.0.1:9", False, 0)])
-    node.install_entries([SnapshotEntry(PeerRecord(8, "127.0.0.1:8", False, 0), b"")])
-    for pid in (8, 9):
-        assert pid in node.membership and not node.membership.is_online(pid)
-        assert node.membership.offline_since[pid] == 5.0
-        assert not node.record_of(pid).online  # and is relayed as dead
-    assert node.pick_target() is None
-    assert node.pick_target(include_offline=True) in (8, 9)  # AE still probes
+
+    async def scenario():
+        node = NetworkPeer(1, registry=Registry())
+        await asyncio.sleep(5.0)
+        node.install_records([PeerRecord(9, "127.0.0.1:9", False, 0)])
+        node.install_entries([SnapshotEntry(PeerRecord(8, "127.0.0.1:8", False, 0), b"")])
+        for pid in (8, 9):
+            assert pid in node.membership and not node.membership.is_online(pid)
+            assert node.membership.offline_since[pid] == 5.0
+            assert not node.record_of(pid).online  # and is relayed as dead
+        assert node.pick_target() is None
+        assert node.pick_target(include_offline=True) in (8, 9)  # AE still probes
+
+    vtime.run(scenario())
 
 
 def test_a_row_or_rumor_naming_an_out_of_range_id_is_dropped():
@@ -322,11 +321,10 @@ def test_a_relayed_online_row_readmits_but_keeps_the_failure_history():
     (only the member's own rumor or a successful contact clears them)."""
 
     async def scenario():
-        now = [0.0]
         registry = Registry()
         net = LoopbackNetwork()
-        a = _node(net, 0, clock=lambda: now[0], registry=registry)
-        b = _node(net, 1, clock=lambda: now[0])
+        a = _node(net, 0, registry=registry)
+        b = _node(net, 1)
         await a.start()
         await b.start()
         await b.join(a.address)
@@ -338,7 +336,7 @@ def test_a_relayed_online_row_readmits_but_keeps_the_failure_history():
         a.install_records([PeerRecord(1, b.address, True, 0)])
         assert a.membership.is_online(1)
         assert a.pick_target() is None  # rumor rounds still wait out the backoff
-        now[0] = 40.0
+        await asyncio.sleep(40.0)
         assert a.pick_target() == 1
         await a.gossip_round()
         assert not a.membership.is_online(1)
@@ -347,7 +345,7 @@ def test_a_relayed_online_row_readmits_but_keeps_the_failure_history():
         assert registry.value("node", "contact_failures_total") == 2
         await a.stop()
 
-    asyncio.run(scenario())
+    vtime.run(scenario())
 
 
 def test_rejoin_refreshes_address():
@@ -451,9 +449,8 @@ def test_push_reply_reports_needed_and_piggyback():
 
 def test_background_loop_converges_two_nodes():
     async def scenario():
-        config = GossipConfig(base_interval_s=0.02)
         net = LoopbackNetwork()
-        a, b = _node(net, 0, gossip_config=config), _node(net, 1, gossip_config=config)
+        a, b = _node(net, 0), _node(net, 1)
         await a.start()
         await b.start()
         a.publish(Document("d", "looped gossip convergence"))
@@ -463,13 +460,13 @@ def test_background_loop_converges_two_nodes():
         for _ in range(100):
             if a.core.digest == b.core.digest and b.replica_of(0) is not None:
                 break
-            await asyncio.sleep(0.02)
+            await asyncio.sleep(1.0)
         assert a.core.digest == b.core.digest
         await a.stop()
         await b.stop()
         assert a._gossip_task is None and b._gossip_task is None
 
-    asyncio.run(scenario())
+    vtime.run(scenario())
 
 
 def test_ack_for_rumor_data_is_nothing():
@@ -522,7 +519,7 @@ def test_stop_cancels_inflight_gossip_cleanly():
         leftovers = [t for t in asyncio.all_tasks() if t is not current]
         assert leftovers == [], f"tasks survived stop(): {leftovers}"
 
-    asyncio.run(scenario())
+    vtime.run(scenario())
     gc.collect()  # would emit "Task was destroyed" through the handler
     assert problems == []
 
