@@ -94,7 +94,8 @@ class ContentPlane:
         self.config = config
         self.store = store
         #: doc id -> holder pids that have confirmed a complete copy.
-        self._confirmed: dict[str, set[int]] = {}
+        #: (Tuples: a few pids each, where a set costs 216 bytes.)
+        self._confirmed: dict[str, tuple[int, ...]] = {}
         #: rotation cursor so bounded maintenance visits every doc fairly.
         self._cursor = 0
         #: memoised ring, keyed by the membership view that built it.
@@ -132,20 +133,23 @@ class ContentPlane:
         self._c_chunk_rejects = obs.counter(
             "content", "chunk_rejects_total", "pushed chunks failing manifest CRC"
         )
-        self._g_docs = obs.gauge("content", "docs_held", "documents with chunks held")
-        self._g_bytes = obs.gauge("content", "bytes_held", "chunk bytes held")
-        self._g_orphan_bytes = obs.gauge(
-            "content",
-            "orphan_chunk_bytes",
-            "bytes held for docs this node no longer replicates (pre-GC)",
-        )
-        self._g_replicated = obs.gauge(
-            "content",
-            "docs_fully_replicated",
-            "held docs whose current replica targets have all confirmed "
-            "(== docs_held at the replication fixed point)",
-        )
-        self._update_gauges()
+        # Each gauge is a pass over the held documents: run at a scrape.
+        for name, help_text, fn in (
+            ("docs_held", "documents with chunks held", lambda: len(self.store.doc_ids())),
+            ("bytes_held", "chunk bytes held", self.held_bytes),
+            (
+                "orphan_chunk_bytes",
+                "bytes held for docs this node no longer replicates (pre-GC)",
+                self.orphan_bytes,
+            ),
+            (
+                "docs_fully_replicated",
+                "held docs whose current replica targets have all confirmed "
+                "(== docs_held at the replication fixed point)",
+                self.fully_replicated_docs,
+            ),
+        ):
+            obs.gauge("content", name, help_text).set_function(fn)
         node.add_handler(ManifestRequest, self.on_manifest_request)
         node.add_handler(ChunkRequest, self.on_chunk_request)
         node.add_handler(ManifestPush, self.on_manifest_push)
@@ -217,22 +221,19 @@ class ContentPlane:
     def add_local(self, doc_id: str, data: bytes) -> ContentManifest:
         """Chunk a locally-published document (the publish hook)."""
         manifest = self.store.ingest(doc_id, self.node.peer_id, data, self.config.chunk_size)
-        self._confirmed[doc_id] = set()
-        self._update_gauges()
+        self._confirmed[doc_id] = ()
         return manifest
 
     def remove_local(self, doc_id: str) -> None:
         """Forget a document (unpublish path)."""
         self.store.remove_doc(doc_id)
         self._confirmed.pop(doc_id, None)
-        self._update_gauges()
 
     # -- replication (initiator side) ---------------------------------------
 
     async def maintenance_round(self) -> None:
         """One bounded replication/handoff/GC step (per gossip round)."""
         if not self.active:
-            self._update_gauges()
             return
         self._invalidate_confirmations()
         doc_ids = self.store.doc_ids()
@@ -246,18 +247,17 @@ class ContentPlane:
                     break
                 if await self._maintain_doc(doc_id):
                     budget -= 1
-        self._update_gauges()
 
     def _invalidate_confirmations(self) -> None:
         """Drop confirmations for holders no longer alive — the handoff
         trigger.  Reuses the member table's liveness evidence directly."""
         node = self.node
         for doc_id, holders in self._confirmed.items():
-            gone = {pid for pid in holders if not node.membership.is_online(pid)}
-            if gone:
-                holders -= gone
-                self._c_handoffs.inc(len(gone))
-                node.obs.emit("content_handoff", peer=node.peer_id, doc=doc_id, lost=len(gone))
+            alive = tuple(pid for pid in holders if node.membership.is_online(pid))
+            if gone := len(holders) - len(alive):
+                self._confirmed[doc_id] = alive
+                self._c_handoffs.inc(gone)
+                node.obs.emit("content_handoff", peer=node.peer_id, doc=doc_id, lost=gone)
 
     async def _maintain_doc(self, doc_id: str) -> bool:
         """Bring one document's replica set up to date.  Returns True if
@@ -274,14 +274,16 @@ class ContentPlane:
             if manifest.origin != self.node.peer_id and self.node.peer_id not in targets:
                 self._drop_copy(manifest.doc_id)
             return False
-        confirmed = self._confirmed.setdefault(doc_id, set())
+        confirmed = self._confirmed.setdefault(doc_id, ())
         worked = False
         for pid in targets:
             if pid == self.node.peer_id or pid in confirmed:
                 continue
             worked = True
             if await self.replicate_to(pid, manifest):
-                confirmed.add(pid)
+                confirmed += (pid,)
+                if doc_id in self._confirmed:  # not dropped meanwhile
+                    self._confirmed[doc_id] = confirmed
         self._maybe_drop_orphan(manifest, targets, confirmed)
         return worked
 
@@ -314,7 +316,7 @@ class ContentPlane:
         return False
 
     def _maybe_drop_orphan(
-        self, manifest: ContentManifest, targets: list[int], confirmed: set[int]
+        self, manifest: ContentManifest, targets: list[int], confirmed: tuple[int, ...]
     ) -> None:
         """GC our copy once we are neither origin nor target — but only
         after every *current* target confirmed a complete copy, so a
@@ -373,9 +375,8 @@ class ContentPlane:
             self.store.put_manifest(manifest)
         except (OSError, ValueError):
             return ManifestAck(manifest.doc_id, False, ())
-        self._confirmed.setdefault(manifest.doc_id, set())
+        self._confirmed.setdefault(manifest.doc_id, ())
         missing = self.store.missing_chunks(manifest.doc_id)
-        self._update_gauges()
         return ManifestAck(manifest.doc_id, True, missing)
 
     def on_chunk_push(self, msg: ChunkPush) -> ManifestAck:
@@ -393,10 +394,13 @@ class ContentPlane:
         else:
             self._c_recv_chunks.inc()
         missing = self.store.missing_chunks(msg.doc_id)
-        self._update_gauges()
         return ManifestAck(msg.doc_id, True, missing)
 
     # -- observability ------------------------------------------------------
+
+    def held_bytes(self) -> int:
+        """Chunk bytes held across every document."""
+        return sum(map(self.store.bytes_held, self.store.doc_ids()))
 
     def orphan_bytes(self) -> int:
         """Bytes held for docs we are neither origin nor target of."""
@@ -430,14 +434,7 @@ class ContentPlane:
             except ContentNotFound:
                 continue
             targets = self.replica_targets(doc_id, manifest.origin) if self.active else []
-            confirmed = self._confirmed.get(doc_id, set())
+            confirmed = self._confirmed.get(doc_id, ())
             if all(pid == self.node.peer_id or pid in confirmed for pid in targets):
                 count += 1
         return count
-
-    def _update_gauges(self) -> None:
-        doc_ids = self.store.doc_ids()
-        self._g_docs.set(len(doc_ids))
-        self._g_bytes.set(sum(self.store.bytes_held(d) for d in doc_ids))
-        self._g_orphan_bytes.set(self.orphan_bytes())
-        self._g_replicated.set(self.fully_replicated_docs())

@@ -492,7 +492,7 @@ class ShardMatchResponse:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContentManifest:
     """A document's transfer contract (component, not a message).
 

@@ -65,19 +65,20 @@ class PartialViewPlane:
         self.pview = node.pview
         obs = node.obs
         # Directory memory is gauged in both modes so the two compare
-        # (the fleet harness's partial-view memory gate reads these).
-        self._g_filters_held = obs.gauge(
+        # (the fleet harness's partial-view memory gate reads these); both
+        # are computed when the registry is scraped.
+        obs.gauge(
             "node", "full_filters_held", "Bloom filters stored in full (incl. own)"
-        )
-        self._g_filter_bytes = obs.gauge(
+        ).set_function(lambda: len(self._held_filters()))
+        obs.gauge(
             "node", "directory_filter_bytes", "bytes pinned by full filters plus shard summaries"
-        )
+        ).set_function(self.filter_bytes)
         node.add_handler(ShardSummaryRequest, self.on_shard_summaries)
         node.add_handler(ViewExchange, self.on_view_exchange)
         node.add_handler(ShardMatchQuery, self.on_shard_match)
-        node.add_round_hook(self.maintenance_round)
         if self.pview is None:
             return
+        node.add_round_hook(self.maintenance_round)
         self._c_backfills = obs.counter(
             "node", "partialview_backfills_total", "home-shard filter backfill requests"
         )
@@ -111,26 +112,22 @@ class PartialViewPlane:
     # -- maintenance (initiator side) ---------------------------------------
 
     async def maintenance_round(self) -> None:
-        """One step per gossip round, rotating through the three
-        exchanges — foreign summary pull, membership record trade, and
-        home-shard filter backfill — then the directory-memory gauges
-        (a flat node only updates the gauges)."""
-        if self.pview is not None:
-            step = self.node.core.round_counter % 3
-            if step == 1:
-                await self.exchange_views()
-            else:
-                await self.pull_summaries(backfill=step == 2)
-        self._update_gauges()
+        """One step per gossip round (partial-view mode only), rotating
+        through the three exchanges — foreign summary pull, membership
+        record trade, and home-shard filter backfill."""
+        step = self.node.core.round_counter % 3
+        if step == 1:
+            await self.exchange_views()
+        else:
+            await self.pull_summaries(backfill=step == 2)
 
-    def _update_gauges(self) -> None:
-        """Full filters held (our own included) plus shard-summary bytes."""
-        held = len(self._held_filters())
-        nbytes = held * (self.node.bloom_config.num_bits // 8)
+    def filter_bytes(self) -> int:
+        """Bytes pinned by the full filters held (our own included) plus
+        the shard summaries."""
+        nbytes = len(self._held_filters()) * (self.node.bloom_config.num_bits // 8)
         if self.pview is not None:
             nbytes += self.pview.summary_bytes()
-        self._g_filters_held.set(held)
-        self._g_filter_bytes.set(nbytes)
+        return nbytes
 
     async def pull_summaries(self, *, backfill: bool = False, address: str | None = None) -> None:
         """One ``ShardSummaryRequest`` to a random member, its reply installed.

@@ -19,7 +19,7 @@ worker threads even though the node itself is asyncio single-threaded):
 * :class:`Counter` — monotone float accumulator (``inc`` rejects
   negative deltas);
 * :class:`Gauge` — a value that can go both ways (queue depths,
-  directory size);
+  directory size), pushed or computed at read time;
 * :class:`Histogram` — fixed upper-bound buckets in the Prometheus
   style.  :meth:`Histogram.snapshot` returns an immutable
   :class:`HistogramSnapshot` that merges associatively across peers —
@@ -109,7 +109,7 @@ class Counter:
 class Gauge:
     """A value that can rise and fall (depths, sizes, temperatures)."""
 
-    __slots__ = ("component", "name", "help", "prom_name", "_value", "_lock")
+    __slots__ = ("component", "name", "help", "prom_name", "_value", "_fn", "_lock")
 
     def __init__(self, component: str, name: str, help: str = "") -> None:
         self.component = component
@@ -117,7 +117,13 @@ class Gauge:
         self.help = help
         self.prom_name = _prom_name(component, name)
         self._value = 0.0
+        self._fn: Callable[[], float] | None = None
         self._lock = threading.Lock()
+
+    def set_function(self, fn: Callable[[], float]) -> None:
+        """Compute the value with ``fn`` whenever it is read: for a value
+        cheap at a scrape but costly to keep current on every write."""
+        self._fn = fn
 
     def set(self, value: float) -> None:
         """Replace the current value."""
@@ -140,11 +146,12 @@ class Gauge:
 
     @property
     def value(self) -> float:
-        """The current value."""
-        return self._value
+        """The current value (``fn()`` for a computed gauge)."""
+        fn = self._fn
+        return self._value if fn is None else float(fn())
 
     def __repr__(self) -> str:
-        return f"Gauge({self.component}.{self.name}={self._value})"
+        return f"Gauge({self.component}.{self.name}={self.value})"
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,17 @@ or invisible, never a manifest pointing at garbage:
     <root>/<key>/c00000042.bin   raw chunk bytes (CRC'd against the manifest)
 
 ``<key>`` is a hex digest of the doc id, so arbitrary ids stay
-filesystem-safe.  Without a root the store is a plain in-memory dict —
-the loopback/test configuration.
+filesystem-safe; chunk bytes live on disk only.  Without a root the
+store keeps them in memory — the loopback/test configuration.
 
-Reads verify CRCs: a corrupt or torn chunk raises
-:class:`ContentNotFound` exactly like an absent one, which makes the
-replication plane re-fetch it instead of serving bad bytes.
+Disk reads verify CRCs: a corrupt or torn chunk raises
+:class:`ContentNotFound` exactly like an absent one (and leaves the
+held-chunk inventory), so the replication plane re-fetches it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import struct
@@ -126,7 +127,10 @@ class ChunkStore:
     def __init__(self, root: Path | None = None) -> None:
         self.root = root
         self._manifests: dict[str, ContentManifest] = {}
-        self._chunks: dict[str, dict[int, bytes]] = {}
+        #: doc id -> bitmask of the chunk indices held (bit i: chunk i).
+        self._held: dict[str, int] = {}
+        #: (doc id, index) -> chunk bytes, for a store without a root.
+        self._chunks: dict[tuple[str, int], bytes] = {}
         if root is not None:
             root.mkdir(parents=True, exist_ok=True)
             self._recover()
@@ -149,7 +153,11 @@ class ChunkStore:
             except (OSError, ValueError):
                 continue  # torn write: the doc was never fully stored
             self._manifests[manifest.doc_id] = manifest
-            self._chunks.setdefault(manifest.doc_id, {})
+            # Inventory the chunks that verify (get_chunk drops the rest).
+            self._held[manifest.doc_id] = (1 << manifest.num_chunks) - 1
+            for index in range(manifest.num_chunks):
+                with contextlib.suppress(ContentNotFound):
+                    self.get_chunk(manifest.doc_id, index)
 
     # -- writes -------------------------------------------------------------
 
@@ -162,7 +170,7 @@ class ChunkStore:
             # Re-published document: drop the stale chunks first.
             self.remove_doc(manifest.doc_id)
         self._manifests[manifest.doc_id] = manifest
-        self._chunks[manifest.doc_id] = {}
+        self._held[manifest.doc_id] = 0
         if self.root is not None:
             doc_dir = self._doc_dir(manifest.doc_id)
             doc_dir.mkdir(parents=True, exist_ok=True)
@@ -183,9 +191,11 @@ class ChunkStore:
             raise ValueError(f"chunk {index} has {len(data)} bytes, want {end - start}")
         if zlib.crc32(data) != manifest.chunk_crcs[index]:
             raise ValueError(f"chunk {index} fails its manifest CRC")
-        self._chunks.setdefault(doc_id, {})[index] = data
-        if self.root is not None:
+        if self.root is None:
+            self._chunks[doc_id, index] = data
+        else:
             atomic_write_bytes(self._doc_dir(doc_id) / f"c{index:08d}.bin", data)
+        self._held[doc_id] |= 1 << index
 
     def ingest(self, doc_id: str, origin: int, data: bytes, chunk_size: int) -> ContentManifest:
         """Chunk a whole document into the store (the publish path).
@@ -204,7 +214,7 @@ class ChunkStore:
             self.remove_doc(doc_id)
         # Stage the manifest in memory only, so chunk writes validate.
         self._manifests[doc_id] = manifest
-        self._chunks[doc_id] = {}
+        self._held[doc_id] = 0
         if self.root is not None:
             self._doc_dir(doc_id).mkdir(parents=True, exist_ok=True)
         for index in range(manifest.num_chunks):
@@ -221,8 +231,10 @@ class ChunkStore:
         if doc_id not in self._manifests:
             return 0
         freed = self.bytes_held(doc_id)
-        del self._manifests[doc_id]
-        self._chunks.pop(doc_id, None)
+        manifest = self._manifests.pop(doc_id)
+        del self._held[doc_id]
+        for index in range(manifest.num_chunks):
+            self._chunks.pop((doc_id, index), None)
         if self.root is not None:
             doc_dir = self._doc_dir(doc_id)
             if doc_dir.is_dir():
@@ -245,35 +257,30 @@ class ChunkStore:
         return doc_id in self._manifests
 
     def get_chunk(self, doc_id: str, index: int) -> bytes:
-        """One chunk's bytes, CRC-verified (corrupt counts as missing)."""
+        """One chunk's bytes; a disk read is CRC-verified, and a corrupt
+        chunk counts as missing from then on."""
         manifest = self.get_manifest(doc_id)
         if not 0 <= index < manifest.num_chunks:
             raise ContentNotFound(doc_id, f"chunk {index} outside manifest")
-        cached = self._chunks.get(doc_id, {}).get(index)
-        if cached is not None:
-            return cached
-        if self.root is not None:
-            path = self._doc_dir(doc_id) / f"c{index:08d}.bin"
-            try:
-                data = path.read_bytes()
-            except OSError:
-                raise ContentNotFound(doc_id, f"chunk {index} missing") from None
-            if zlib.crc32(data) == manifest.chunk_crcs[index]:
-                self._chunks.setdefault(doc_id, {})[index] = data
-                return data
+        if not self._held[doc_id] >> index & 1:
+            raise ContentNotFound(doc_id, f"chunk {index} missing")
+        if self.root is None:
+            return self._chunks[doc_id, index]
+        try:
+            data = (self._doc_dir(doc_id) / f"c{index:08d}.bin").read_bytes()
+            intact = zlib.crc32(data) == manifest.chunk_crcs[index]
+        except OSError:
+            intact = False  # vanished under us: as unusable as a corrupt one
+        if not intact:
+            self._held[doc_id] &= ~(1 << index)
             raise ContentNotFound(doc_id, f"chunk {index} corrupt")
-        raise ContentNotFound(doc_id, f"chunk {index} missing")
+        return data
 
     def missing_chunks(self, doc_id: str) -> tuple[int, ...]:
-        """Indices this store cannot serve (absent or corrupt)."""
+        """Indices this store cannot serve (absent, or found corrupt)."""
         manifest = self.get_manifest(doc_id)
-        missing = []
-        for index in range(manifest.num_chunks):
-            try:
-                self.get_chunk(doc_id, index)
-            except ContentNotFound:
-                missing.append(index)
-        return tuple(missing)
+        held = self._held[doc_id]
+        return tuple(index for index in range(manifest.num_chunks) if not held >> index & 1)
 
     def is_complete(self, doc_id: str) -> bool:
         """True if every chunk of ``doc_id`` is held (readable end to end)."""
@@ -300,10 +307,9 @@ class ChunkStore:
         manifest = self._manifests.get(doc_id)
         if manifest is None:
             return 0
-        held = 0
-        for index in range(manifest.num_chunks):
-            try:
-                held += len(self.get_chunk(doc_id, index))
-            except ContentNotFound:
-                pass
-        return held
+        size, total, held = manifest.chunk_size, manifest.total_size, self._held[doc_id]
+        return sum(
+            min(size, total - index * size)
+            for index in range(manifest.num_chunks)
+            if held >> index & 1
+        )

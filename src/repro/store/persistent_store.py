@@ -11,8 +11,8 @@ snapshot machinery of this package:
   the WAL (with its analyzed term frequencies) and fsynced before the
   call returns — acknowledged operations survive SIGKILL;
 * every ``snapshot_every`` WAL records, the full store (documents,
-  inverted index, compressed Bloom filter) is snapshotted atomically and
-  the WAL is reset.
+  inverted index, compressed Bloom filter) is snapshotted atomically —
+  streamed a bounded batch of documents at a time — and the WAL is reset.
 
 Callers keep reading and writing the store itself; a
 :class:`~repro.net.node.NetworkPeer` with a ``data_dir`` journals its
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import base64
 import time
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,6 +43,9 @@ from repro.store.wal import WriteAheadLog
 from repro.text.document import Document
 
 __all__ = ["PersistentDataStore", "RecoveryInfo"]
+
+#: Documents per snapshot inversion pass (one walk of the vocabulary).
+_SNAPSHOT_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -224,27 +227,26 @@ class PersistentDataStore:
         restart, to make the next recovery a pure snapshot load).
         """
         started = time.perf_counter()
-        per_doc: dict[str, dict[str, int]] = {
-            doc_id: {} for doc_id in self.store.document_ids()
-        }
-        index = self.store.index
-        for term in index.terms():
-            for doc_id, tf in index.postings_map(term).items():
-                per_doc[doc_id][term] = tf
-        docs = []
-        for doc_id, tf in per_doc.items():
-            doc = self.store.get(doc_id)
-            entry: dict[str, object] = {"id": doc_id, "text": doc.text, "tf": tf}
-            if doc.metadata:
-                entry["meta"] = dict(doc.metadata)
-            docs.append(entry)
+        store = self.store
+
+        def entries() -> Iterator[dict[str, object]]:
+            # Read back from the index (no Analyzer run) a batch at a
+            # time: never the whole store's inversion at once.
+            doc_ids = list(store.document_ids())
+            for start in range(0, len(doc_ids), _SNAPSHOT_BATCH):
+                batch = doc_ids[start : start + _SNAPSHOT_BATCH]
+                for doc_id, tf in store.index.term_frequencies(batch).items():
+                    doc = store.get(doc_id)
+                    entry: dict[str, object] = {"id": doc_id, "text": doc.text, "tf": tf}
+                    if doc.metadata:
+                        entry["meta"] = dict(doc.metadata)
+                    yield entry
+
         payload = {
             "seq": self._seq,
-            "filter_version": self.store.filter_version,
-            "bloom": base64.b64encode(
-                self.store.bloom_filter.to_compressed()
-            ).decode("ascii"),
-            "docs": docs,
+            "filter_version": store.filter_version,
+            "bloom": base64.b64encode(store.bloom_filter.to_compressed()).decode("ascii"),
+            "docs": entries(),
         }
         path = write_snapshot(self.data_dir, payload)
         self.wal.reset()

@@ -10,7 +10,8 @@ Durability protocol (also used by the directory checkpoint):
 
 1. encode the payload into a CRC-guarded container
    (``magic + uint32 CRC32 + uint64 length + JSON bytes``);
-2. write it to ``<name>.tmp`` in the same directory, flush, fsync;
+2. write it to ``<name>.tmp`` in the same directory (a snapshot streams
+   its documents and fills in the CRC and length last), flush, fsync;
 3. ``os.replace`` onto the final name (atomic on POSIX);
 4. fsync the directory so the rename itself is durable.
 
@@ -24,12 +25,15 @@ rot) degrades to an older consistent state instead of a crash.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import struct
 import zlib
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO
 
 from repro.constants import STORE_SNAPSHOT_KEEP
 
@@ -49,14 +53,32 @@ _HEADER = struct.Struct(">IQ")  # CRC32(payload), payload length
 
 _SNAPSHOT_GLOB = "snapshot-*.ppsnap"
 
+_dumps = functools.partial(json.dumps, separators=(",", ":"))
+
 
 # -- the CRC container (shared with checkpoint.py) ---------------------------
 
 
 def encode_container(magic: bytes, payload: dict[str, Any]) -> bytes:
     """Wrap a JSON payload in the magic + CRC + length container."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    body = _dumps(payload).encode("utf-8")
     return magic + _HEADER.pack(zlib.crc32(body), len(body)) + body
+
+
+def _json_pieces(payload: dict[str, Any]) -> Iterator[str]:
+    """``_dumps(payload)`` in pieces, a top-level iterator value written
+    as a JSON list one element per piece."""
+    yield "{"
+    for i, (key, value) in enumerate(payload.items()):
+        yield ("," if i else "") + _dumps(key) + ":"
+        if isinstance(value, Iterator):
+            yield "["
+            for j, item in enumerate(value):
+                yield ("," if j else "") + _dumps(item)
+            yield "]"
+        else:
+            yield _dumps(value)
+    yield "}"
 
 
 def decode_container(magic: bytes, data: bytes) -> dict[str, Any]:
@@ -79,11 +101,12 @@ def decode_container(magic: bytes, data: bytes) -> dict[str, Any]:
     return payload
 
 
-def atomic_write_bytes(path: Path, blob: bytes) -> None:
-    """Write ``blob`` to ``path`` via temp file + ``os.replace`` + fsyncs."""
+@contextmanager
+def _atomic_file(path: Path) -> Iterator[BinaryIO]:
+    """A temp file that becomes ``path`` (fsyncs + ``os.replace``) on exit."""
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
-        fh.write(blob)
+        yield fh
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
@@ -92,6 +115,12 @@ def atomic_write_bytes(path: Path, blob: bytes) -> None:
         os.fsync(dir_fd)
     finally:
         os.close(dir_fd)
+
+
+def atomic_write_bytes(path: Path, blob: bytes) -> None:
+    """Write ``blob`` to ``path`` via temp file + ``os.replace`` + fsyncs."""
+    with _atomic_file(path) as fh:
+        fh.write(blob)
 
 
 # -- snapshot files ----------------------------------------------------------
@@ -106,11 +135,22 @@ def write_snapshot(data_dir: Path, payload: dict[str, Any]) -> Path:
     """Durably write a snapshot payload; prune older generations.
 
     ``payload`` must carry the ``"seq"`` it covers (the file is named by
-    it, so lexicographic order is recovery order).  Returns the path.
+    it, so lexicographic order is recovery order).  A top-level iterator
+    value is streamed as a JSON list, one element at a time, into the
+    bytes :func:`encode_container` makes of that list.  Returns the path.
     """
     data_dir = Path(data_dir)
     path = snapshot_path(data_dir, int(payload["seq"]))
-    atomic_write_bytes(path, encode_container(SNAPSHOT_MAGIC, payload))
+    with _atomic_file(path) as fh:
+        fh.write(SNAPSHOT_MAGIC + _HEADER.pack(0, 0))
+        crc = length = 0
+        for piece in _json_pieces(payload):
+            data = piece.encode("utf-8")
+            crc = zlib.crc32(data, crc)
+            length += len(data)
+            fh.write(data)
+        fh.seek(len(SNAPSHOT_MAGIC))
+        fh.write(_HEADER.pack(crc, length))
     prune_snapshots(data_dir)
     return path
 

@@ -12,8 +12,8 @@ simulator, is vectorized at the ranking layer instead.
 
 from __future__ import annotations
 
+from collections.abc import Collection, Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
 
 __all__ = ["InvertedIndex", "Posting"]
 
@@ -104,6 +104,15 @@ class InvertedIndex:
     def collection_frequency(self, term: str) -> int:
         """Total occurrences of ``term`` across local documents (f_t)."""
         return sum(self._postings.get(term, {}).values())
+
+    def term_frequencies(self, doc_ids: Collection[str]) -> dict[str, dict[str, int]]:
+        """f_{D,t} of every term of each of ``doc_ids``, in one walk of the
+        vocabulary (each term costs min(its postings, ``len(doc_ids)``))."""
+        out: dict[str, dict[str, int]] = {doc_id: {} for doc_id in doc_ids}
+        for term, docs in self._postings.items():
+            for doc_id in docs.keys() & out.keys():  # iterates the smaller side
+                out[doc_id][term] = docs[doc_id]
+        return out
 
     def document_length(self, doc_id: str) -> int:
         """|D|: total number of term occurrences in ``doc_id``."""

@@ -10,8 +10,9 @@ names, plus attribute values, concatenated in document order.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 __all__ = ["XMLSnippet", "extract_text"]
 

@@ -125,18 +125,35 @@ class TestKillNineSemantics:
         assert ChunkStore(tmp_path).doc_ids() == []
 
     def test_corrupt_chunk_reads_as_missing(self, tmp_path):
-        store = _filled(tmp_path)
-        reopened = ChunkStore(tmp_path)  # cold cache: reads hit disk
+        """A rooted store holds chunk bytes on disk only, so a chunk
+        corrupted after it was written reads as missing in the store that
+        wrote it (warm) and in one that reopened the directory (cold)."""
+        warm = _filled(tmp_path)
+        cold = ChunkStore(tmp_path)
+        assert warm.missing_chunks("doc-a") == cold.missing_chunks("doc-a") == ()
         (doc_dir,) = list(tmp_path.iterdir())
         chunk_path = doc_dir / "c00000001.bin"
         chunk_path.write_bytes(b"\x00" * CHUNK)
-        with pytest.raises(ContentNotFound, match="corrupt"):
-            reopened.get_chunk("doc-a", 1)
-        assert reopened.missing_chunks("doc-a") == (1,)
-        assert not reopened.is_complete("doc-a")
-        assert reopened.bytes_held("doc-a") == len(DATA) - CHUNK
-        # The warm store still serves from its verified in-memory copy.
-        assert store.read_doc("doc-a") == DATA
+        for store in (warm, cold):
+            with pytest.raises(ContentNotFound, match="corrupt"):
+                store.get_chunk("doc-a", 1)
+            assert store.missing_chunks("doc-a") == (1,)
+            assert not store.is_complete("doc-a")
+            assert store.bytes_held("doc-a") == len(DATA) - CHUNK
+            with pytest.raises(ContentNotFound):
+                store.read_doc("doc-a")
+        # Re-filling the chunk (what a replication push does) heals it.
+        warm.put_chunk("doc-a", 1, DATA[CHUNK : 2 * CHUNK])
+        assert warm.read_doc("doc-a") == DATA
+
+    def test_chunk_corrupt_at_reopen_is_missing(self, tmp_path):
+        _filled(tmp_path)
+        (doc_dir,) = list(tmp_path.iterdir())
+        (doc_dir / "c00000002.bin").write_bytes(b"\x00" * CHUNK)
+        (doc_dir / "c00000003.bin").unlink()
+        reopened = ChunkStore(tmp_path)
+        assert reopened.missing_chunks("doc-a") == (2, 3)
+        assert reopened.bytes_held("doc-a") == len(DATA) - 2 * CHUNK
 
 
 class TestPushReceivePath:

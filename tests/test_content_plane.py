@@ -14,7 +14,7 @@ import pytest
 
 from repro.constants import ContentConfig
 from repro.content.plane import replica_ring
-from repro.gossip.wire import ManifestPush
+from repro.gossip.wire import ChunkPush, ManifestPush
 from repro.net.chaos import EdgeFaults, FaultPlan, FaultyTransport
 from repro.net.node import NetworkPeer
 from repro.net.transport import LoopbackNetwork
@@ -251,6 +251,119 @@ def test_inactive_plane_stores_locally_but_never_pushes():
         assert community.registries[0].value("content", "manifest_pushes_total") == 0
         # The local copy still serves chunk requests (the CLI get path).
         assert origin.content.store.read_doc("doc-p") == DOC_TEXT.encode("utf-8")
+        await community.stop()
+
+    _run(scenario())
+
+
+def _recount(node: NetworkPeer) -> dict[str, float]:
+    """The four content gauges recomputed from scratch: chunks read
+    back through the store, targets from a freshly built ring."""
+    plane, store, k = node.content, node.content.store, node.content.config.replicas
+    ring = replica_ring([node.peer_id, *node.membership.live()])
+    docs = bytes_held = orphan = replicated = 0
+    for doc_id in store.doc_ids():
+        manifest = store.get_manifest(doc_id)
+        docs += 1
+        held = 0
+        for index in range(manifest.num_chunks):
+            try:
+                held += len(store.get_chunk(doc_id, index))
+            except LookupError:
+                pass
+        bytes_held += held
+        targets = [pid for pid in ring.successors_for(doc_id, k + 1) if pid != manifest.origin][:k]
+        if manifest.origin != node.peer_id and node.peer_id not in targets:
+            orphan += held
+        confirmed = plane._confirmed.get(doc_id, ())
+        replicated += all(pid == node.peer_id or pid in confirmed for pid in targets)
+    return {
+        "planetp_content_docs_held": docs,
+        "planetp_content_bytes_held": bytes_held,
+        "planetp_content_orphan_chunk_bytes": orphan,
+        "planetp_content_docs_fully_replicated": replicated,
+    }
+
+
+def test_content_gauges_equal_a_recount_after_every_step():
+    """The content gauges are computed when read: after each publish,
+    ManifestPush, ChunkPush, removal and membership change, what
+    ``stats_response()`` carries equals a brute-force recount."""
+
+    async def scenario():
+        community = Community(4, ContentConfig(replicas=1, chunk_size=128))
+        await community.boot()
+        nodes = community.nodes
+
+        def check() -> None:
+            for node in nodes.values():
+                samples = dict(node.stats_response().samples)
+                expect = _recount(node)
+                assert {name: samples[name] for name in expect} == expect, node.peer_id
+
+        check()
+        # The flat directory's memory gauges are read the same way.
+        samples = dict(nodes[0].stats_response().samples)
+        assert samples["planetp_node_full_filters_held"] == len(nodes)
+        filter_bytes = len(nodes) * nodes[0].bloom_config.num_bits // 8
+        assert samples["planetp_node_directory_filter_bytes"] == filter_bytes
+        for i in range(3):
+            nodes[i % 2].publish(Document(f"doc-{i}", DOC_TEXT))
+            check()
+        origin = nodes[0]
+        manifest = origin.content.store.get_manifest("doc-0")
+        (target,) = origin.content.replica_targets("doc-0", origin=0)
+        stray = next(pid for pid in nodes if pid not in (0, target))
+        plane = nodes[stray].content
+        plane.on_manifest_push(ManifestPush(manifest))  # an orphan in the making
+        check()
+        for index in range(manifest.num_chunks):
+            data = origin.content.store.get_chunk("doc-0", index)
+            plane.on_chunk_push(ChunkPush("doc-0", index, data))
+            check()
+        assert dict(nodes[stray].stats_response().samples)[
+            "planetp_content_orphan_chunk_bytes"
+        ] == len(DOC_TEXT)
+        for node in nodes.values():
+            await node.content.maintenance_round()
+            check()
+        nodes[1].content.remove_local("doc-1")
+        check()
+        await nodes[target].stop()
+        await community.mark_offline(target, via=0)
+        check()
+        for _ in range(3):
+            await origin.content.maintenance_round()
+            check()
+        await community.stop()
+
+    _run(scenario())
+
+
+def test_publishes_make_no_placement_rescans():
+    """Fifty publishes cost O(50) ring placements, not O(50²): the write
+    path places nothing, and one scrape places each document at most
+    twice."""
+
+    async def scenario():
+        community = Community(3, ContentConfig(replicas=1, chunk_size=128))
+        await community.boot()
+        node = community.nodes[0]
+        plane = node.content
+        calls = 0
+        place = plane.replica_targets
+
+        def counted(doc_id: str, origin: int) -> list[int]:
+            nonlocal calls
+            calls += 1
+            return place(doc_id, origin)
+
+        plane.replica_targets = counted
+        for i in range(50):
+            node.publish(Document(f"doc-{i}", DOC_TEXT))
+        assert calls == 0
+        node.stats_response()
+        assert 50 <= calls <= 2 * 50
         await community.stop()
 
     _run(scenario())

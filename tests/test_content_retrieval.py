@@ -171,7 +171,7 @@ def test_corrupt_replica_is_rejected_and_routed_around():
             if pid != 0 and node.content.store.is_complete("doc-c")
         ]
         bad = fx.nodes[holders[0]].content.store
-        bad._chunks["doc-c"][0] = b"\x00" * 256
+        bad._chunks["doc-c", 0] = b"\x00" * 256
         data = await fx.client.fetch([f"peer:{holders[0]}"], "doc-c")
         assert data == DOC_BYTES
         assert fx.registry.value("content_client", "crc_rejects_total") >= 1

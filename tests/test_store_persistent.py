@@ -9,12 +9,17 @@ Analyzer-free by recovering into a store whose analyzer raises on use.
 
 from __future__ import annotations
 
+import base64
+import random
+import tracemalloc
+
 import pytest
 
 from repro.constants import BloomConfig, StoreConfig
 from repro.core.datastore import LocalDataStore
 from repro.obs import Registry
 from repro.store.persistent_store import PersistentDataStore
+from repro.store.snapshot import SNAPSHOT_MAGIC, decode_container
 from repro.text.analyzer import Analyzer
 from repro.text.document import Document
 
@@ -238,3 +243,62 @@ def test_the_journal_recovers_into_the_store_it_is_given(tmp_path):
     recovered = _store(tmp_path)
     assert list(recovered.store.document_ids()) == ["a"]
     recovered.close()
+
+
+def _ingest_text(rng: random.Random, words: list[str]) -> str:
+    """A ~2 KB document, the size the ingest workload publishes."""
+    return " ".join(rng.choice(words) for _ in range(300))
+
+
+def test_snapshot_file_is_the_whole_store_container(tmp_path):
+    """The streamed snapshot decodes to the payload a whole-store
+    container held, each document's term frequencies as analyzed."""
+    rng = random.Random(3)
+    words = [f"w{i}x" for i in range(400)]
+    journal = _store(tmp_path)
+    for i in range(150):
+        meta = {"rank": i} if i % 5 == 0 else {}
+        journal.store.publish(Document(f"doc-{i}", _ingest_text(rng, words), meta))
+    journal.store.remove("doc-7")
+    path = journal.snapshot()
+    analyzer = Analyzer()
+    docs = []
+    for doc_id in journal.store.document_ids():
+        doc = journal.store.get(doc_id)
+        entry = {"id": doc_id, "text": doc.text, "tf": dict(analyzer.term_frequencies(doc.text))}
+        if doc.metadata:
+            entry["meta"] = dict(doc.metadata)
+        docs.append(entry)
+    expected = {
+        "seq": 151,
+        "filter_version": journal.store.filter_version,
+        "bloom": base64.b64encode(journal.store.bloom_filter.to_compressed()).decode("ascii"),
+        "docs": docs,
+    }
+    assert decode_container(SNAPSHOT_MAGIC, path.read_bytes()) == expected
+    journal.close()
+
+
+def test_snapshot_memory_does_not_grow_with_the_store(tmp_path):
+    """A warm snapshot streams a bounded batch of documents at a time:
+    its extra peak is the same at 150 and 600 documents."""
+    rng = random.Random(5)
+    words = ["".join(rng.choices("abcdefghijklmnopqrstuvwxyz", k=rng.randint(3, 9)))
+             for _ in range(5000)]
+
+    def peak(n: int) -> int:
+        journal = _store(tmp_path / str(n))
+        for i in range(n):
+            journal.store.publish(Document(f"doc-{i}", _ingest_text(rng, words)))
+        journal.snapshot()  # warm: the next one measures steady state
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            journal.snapshot()
+            extra = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        journal.close()
+        return extra
+
+    assert peak(600) < 2 * peak(150)

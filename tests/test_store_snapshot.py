@@ -96,3 +96,12 @@ def test_pruning_keeps_newest_generations(tmp_path):
         write_snapshot(tmp_path, {"seq": seq})
     remaining = sorted(tmp_path.glob("snapshot-*.ppsnap"))
     assert remaining == [snapshot_path(tmp_path, 4), snapshot_path(tmp_path, 5)]
+
+
+def test_an_iterator_value_streams_to_the_container_bytes(tmp_path):
+    docs = [{"id": "a", "tf": {"x": 1}}, {"id": "b", "text": "é"}, {"id": "c"}]
+    payload = {"seq": 4, "bloom": "", "docs": docs}
+    path = write_snapshot(tmp_path, {**payload, "docs": iter(docs)})
+    assert path.read_bytes() == encode_container(SNAPSHOT_MAGIC, payload)
+    empty = write_snapshot(tmp_path, {"seq": 5, "docs": iter(())})
+    assert empty.read_bytes() == encode_container(SNAPSHOT_MAGIC, {"seq": 5, "docs": []})

@@ -138,3 +138,42 @@ def test_property_remove_restores_empty(doc_terms):
     assert idx.num_documents() == 0
     assert idx.vocabulary_size() == 0
     assert idx.total_term_count() == 0
+
+
+@given(
+    st.dictionaries(
+        st.text("abcd", min_size=1, max_size=3),
+        st.dictionaries(
+            st.text("abcde", min_size=1, max_size=3),
+            st.integers(min_value=1, max_value=9),
+            max_size=8,
+        ),
+        max_size=8,
+    ),
+    st.sets(st.text("abcd", min_size=1, max_size=3)),
+)
+@settings(max_examples=60, deadline=None)
+def test_property_remove_and_read_back_agree_with_a_fresh_index(docs, removed):
+    """After removals the index equals one built from the survivors
+    alone: postings, lengths, and each document's term frequencies read
+    back in batches of any size."""
+    idx = InvertedIndex()
+    for doc_id, freqs in docs.items():
+        idx.add_document(doc_id, freqs)
+    for doc_id in removed & docs.keys():
+        idx.remove_document(doc_id)
+    survivors = {d: f for d, f in docs.items() if d not in removed}
+    fresh = InvertedIndex()
+    for doc_id, freqs in survivors.items():
+        fresh.add_document(doc_id, freqs)
+    assert sorted(idx.terms()) == sorted(fresh.terms())
+    for term in fresh.terms():
+        assert dict(idx.postings_map(term)) == dict(fresh.postings_map(term))
+    assert idx.total_term_count() == fresh.total_term_count()
+    for doc_id, freqs in survivors.items():
+        assert idx.document_length(doc_id) == sum(freqs.values())
+    ids = sorted(survivors)
+    for size in (1, 3, len(ids) or 1):
+        for start in range(0, len(ids), size):
+            batch = ids[start : start + size]
+            assert idx.term_frequencies(batch) == {d: survivors[d] for d in batch}
