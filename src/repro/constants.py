@@ -332,8 +332,9 @@ class StoreConfig:
     """Tunables of the persistence subsystem (:mod:`repro.store`)."""
 
     snapshot_every: int = STORE_SNAPSHOT_EVERY
-    #: fsync the WAL on every append.  Turning this off trades crash
-    #: durability of the most recent records for publish throughput.
+    #: every fsync under the data dir (WAL, snapshots, checkpoints, chunk
+    #: store).  Off, writes stay atomic and survive ``kill -9``; only a
+    #: machine crash may lose the newest — traded for publish throughput.
     fsync: bool = True
 
     def __post_init__(self) -> None:

@@ -10,10 +10,10 @@ successors of ``H(doc_id)`` that are not its origin.
 Replication is a push protocol driven from :meth:`ContentPlane.
 maintenance_round`, one bounded step per gossip round:
 
-1. For every locally-held document, compute today's replica targets
-   from the members currently believed online (the same liveness
-   evidence — failed contacts, T_Dead expiry, heal-on-success — the
-   query plane maintains; nothing new is tracked).
+1. For every held document with work pending, compute today's replica
+   targets from the members currently believed online (the liveness
+   evidence — failed contacts, T_Dead expiry, heal-on-success — the query
+   plane maintains); a fully confirmed one waits for that view to move.
 2. Push ``ManifestPush`` to each unconfirmed target; its ``ManifestAck``
    lists the chunk indices it still needs, which are shipped with
    ``ChunkPush`` (each re-acked with the shrinking missing set).  An
@@ -98,6 +98,10 @@ class ContentPlane:
         self._confirmed: dict[str, tuple[int, ...]] = {}
         #: rotation cursor so bounded maintenance visits every doc fairly.
         self._cursor = 0
+        #: docs that may have replication work left (refilled whenever the
+        #: liveness view moves; left once every target confirmed).
+        self._pending: set[str] = set()
+        self._pending_view: tuple[int, ...] = ()
         #: memoised ring, keyed by the membership view that built it.
         self._ring_key: tuple[int, ...] = ()
         self._ring: ConsistentHashRing | None = None
@@ -164,14 +168,14 @@ class ContentPlane:
         """Whether this node pushes replicas (k > 0)."""
         return self.config.replicas > 0
 
-    def _live_members(self) -> list[int]:
-        """Members eligible to hold replicas: ourselves and the live
-        members — the query plane's liveness view."""
-        return [self.node.peer_id, *self.node.membership.live()]
+    def _view(self) -> tuple[int, ...]:
+        """Members eligible to hold replicas, sorted: ourselves and the
+        live members — the query plane's liveness view."""
+        return tuple(sorted([self.node.peer_id, *self.node.membership.live()]))
 
     def ring(self) -> ConsistentHashRing:
         """The ring for the current liveness view (memoised per view)."""
-        key = tuple(sorted(self._live_members()))
+        key = self._view()
         if self._ring is None or key != self._ring_key:
             self._ring = replica_ring(list(key))
             self._ring_key = key
@@ -222,12 +226,14 @@ class ContentPlane:
         """Chunk a locally-published document (the publish hook)."""
         manifest = self.store.ingest(doc_id, self.node.peer_id, data, self.config.chunk_size)
         self._confirmed[doc_id] = ()
+        self._pending.add(doc_id)
         return manifest
 
     def remove_local(self, doc_id: str) -> None:
         """Forget a document (unpublish path)."""
         self.store.remove_doc(doc_id)
         self._confirmed.pop(doc_id, None)
+        self._pending.discard(doc_id)
 
     # -- replication (initiator side) ---------------------------------------
 
@@ -235,7 +241,12 @@ class ContentPlane:
         """One bounded replication/handoff/GC step (per gossip round)."""
         if not self.active:
             return
-        self._invalidate_confirmations()
+        view = self._view()
+        if view != self._pending_view:
+            # Holders may have left and placements moved: revisit them all.
+            self._pending_view = view
+            self._invalidate_confirmations()
+            self._pending = set(self.store.doc_ids())
         doc_ids = self.store.doc_ids()
         if doc_ids:
             start = self._cursor % len(doc_ids)
@@ -245,7 +256,7 @@ class ContentPlane:
             for doc_id in rotation:
                 if budget <= 0:
                     break
-                if await self._maintain_doc(doc_id):
+                if doc_id in self._pending and await self._maintain_doc(doc_id):
                     budget -= 1
 
     def _invalidate_confirmations(self) -> None:
@@ -265,12 +276,14 @@ class ContentPlane:
         try:
             manifest = self.store.get_manifest(doc_id)
         except ContentNotFound:
+            self._pending.discard(doc_id)
             return False
         targets = self.replica_targets(doc_id, manifest.origin)
         if not self.store.is_complete(doc_id):
             # Only targets receive pushes, so an incomplete copy held by
             # a non-target can never be completed — drop it immediately
-            # (it was never a countable replica; nothing is lost).
+            # (never a countable replica); a target is re-queued per chunk.
+            self._pending.discard(doc_id)
             if manifest.origin != self.node.peer_id and self.node.peer_id not in targets:
                 self._drop_copy(manifest.doc_id)
             return False
@@ -284,6 +297,8 @@ class ContentPlane:
                 confirmed += (pid,)
                 if doc_id in self._confirmed:  # not dropped meanwhile
                     self._confirmed[doc_id] = confirmed
+        if all(pid == self.node.peer_id or pid in confirmed for pid in targets):
+            self._pending.discard(doc_id)
         self._maybe_drop_orphan(manifest, targets, confirmed)
         return worked
 
@@ -333,6 +348,7 @@ class ContentPlane:
     def _drop_copy(self, doc_id: str) -> None:
         freed = self.store.remove_doc(doc_id)
         self._confirmed.pop(doc_id, None)
+        self._pending.discard(doc_id)
         self._c_orphans.inc()
         self._c_orphan_bytes.inc(freed)
         self.node.obs.emit(
@@ -376,6 +392,7 @@ class ContentPlane:
         except (OSError, ValueError):
             return ManifestAck(manifest.doc_id, False, ())
         self._confirmed.setdefault(manifest.doc_id, ())
+        self._pending.add(manifest.doc_id)
         missing = self.store.missing_chunks(manifest.doc_id)
         return ManifestAck(manifest.doc_id, True, missing)
 
@@ -393,6 +410,7 @@ class ContentPlane:
             return ManifestAck(msg.doc_id, False, ())
         else:
             self._c_recv_chunks.inc()
+            self._pending.add(msg.doc_id)
         missing = self.store.missing_chunks(msg.doc_id)
         return ManifestAck(msg.doc_id, True, missing)
 

@@ -17,6 +17,7 @@ Analyzer.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Mapping
+from itertools import islice
 
 from repro.bloom.filter import BloomFilter
 from repro.constants import BloomConfig
@@ -94,9 +95,11 @@ class LocalDataStore:
         replayer batching many records hashes each distinct term once
         instead of once per occurrence).
         """
-        self.index.add_document(doc.doc_id, term_freqs)
+        new_terms = self.index.add_document(doc.doc_id, term_freqs)
         self._documents[doc.doc_id] = doc
-        if update_filter and self._filter.add_missing(list(term_freqs)):
+        # An indexed term is already in the filter (filters only grow, and
+        # a rebuild covers the index), so only new terms are hashed.
+        if update_filter and self._filter.add_missing(new_terms):
             self.filter_version += 1
         return doc
 
@@ -137,10 +140,10 @@ class LocalDataStore:
         frequencies, so neither the Analyzer nor term re-hashing runs for
         documents covered by a snapshot: the index is loaded directly and
         ``bloom_filter`` (the snapshot's decoded filter) is adopted as-is
-        when it matches this store's configuration.  A ``None`` or
-        mismatched filter (the Bloom sizing changed between runs) is
-        rebuilt from the restored index instead.  Only valid on an empty
-        store.
+        when it matches this store's configuration and holds a sample of
+        the indexed terms.  A ``None`` or mismatched filter (the Bloom
+        sizing or hash count changed between runs) is rebuilt from the
+        restored index instead.  Only valid on an empty store.
         """
         if self._documents:
             raise ValueError("restore requires an empty data store")
@@ -151,6 +154,7 @@ class LocalDataStore:
             bloom_filter is not None
             and bloom_filter.num_bits == self._bloom_config.num_bits
             and bloom_filter.num_hashes == self._bloom_config.num_hashes
+            and all(term in bloom_filter for term in islice(self.index.terms(), 8))
         ):
             self._filter = bloom_filter
         else:

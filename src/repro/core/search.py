@@ -11,7 +11,7 @@ Two entry points, one per search mode of Section 5:
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from repro.ranking.tfidf import RankedDoc
 from repro.ranking.vsm import document_term_weight, similarity_from_parts
@@ -43,7 +43,7 @@ def score_local_documents(
         weight = ipf.get(term, 0.0)
         if weight <= 0.0:
             continue
-        for doc_id, tf in index.postings_map(term).items():
+        for doc_id, tf in index.iter_postings(term):
             sums[doc_id] = sums.get(doc_id, 0.0) + document_term_weight(tf) * weight
     scored = [
         (doc_id, similarity_from_parts(s, index.document_length(doc_id)))

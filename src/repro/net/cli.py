@@ -134,9 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--no-fsync", action="store_true",
-        help="skip the WAL fsync before acking publishes (trades crash "
-             "durability of the newest records for throughput; useful for "
-             "large single-host fleets)",
+        help="skip every fsync under the data dir: WAL, snapshots, "
+             "checkpoints and chunk store (writes stay atomic, so kill -9 "
+             "loses nothing acked; a machine crash may lose the newest "
+             "writes; useful for large single-host fleets)",
     )
     parser.add_argument(
         "--bloom-bits", type=int, default=BloomConfig().num_bits, metavar="BITS",

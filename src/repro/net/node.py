@@ -306,7 +306,7 @@ class NetworkPeer:
         self.content = ContentPlane(
             self,
             self.content_config,
-            ChunkStore(data_dir / "chunks" if data_dir is not None else None),
+            ChunkStore(data_dir and data_dir / "chunks", fsync=self.store_config.fsync),
         )
         #: gossip-powered frequent-term mining + popularity counters
         #: (repro.analytics); off by default — a node pays nothing for
@@ -476,7 +476,7 @@ class NetworkPeer:
             checkpoint = DirectoryCheckpoint(
                 self.peer_id, time.time(), self._rid_seq, codec.encode(snap)
             )
-            nbytes = save_checkpoint(self._checkpoint_path, checkpoint)
+            nbytes = save_checkpoint(self._checkpoint_path, checkpoint, self.store_config.fsync)
         except (OSError, CodecError):
             self.obs.counter(
                 "store", "checkpoint_errors_total", "failed checkpoint writes"

@@ -72,7 +72,7 @@ class CentralizedTFIDF:
             idf = self.idf(term)
             if idf == 0.0:
                 continue
-            for doc_id, tf in self._index.postings_map(term).items():
+            for doc_id, tf in self._index.iter_postings(term):
                 sums[doc_id] = sums.get(doc_id, 0.0) + document_term_weight(tf) * idf
         return {
             doc_id: similarity_from_parts(s, self._index.document_length(doc_id))

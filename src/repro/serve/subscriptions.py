@@ -161,7 +161,7 @@ class SubscriptionManager:
         }
         blob = encode_container(_CHECKPOINT_MAGIC, payload)
         try:
-            atomic_write_bytes(self._path, blob)
+            atomic_write_bytes(self._path, blob, self.node.store_config.fsync)
             return len(blob)
         except OSError:
             self.obs.counter(

@@ -44,7 +44,7 @@ class DirectoryCheckpoint:
     snapshot: bytes
 
 
-def save_checkpoint(path: str | Path, checkpoint: DirectoryCheckpoint) -> int:
+def save_checkpoint(path: str | Path, checkpoint: DirectoryCheckpoint, fsync: bool = True) -> int:
     """Durably write ``checkpoint`` to ``path``; returns bytes written."""
     payload = {
         "peer_id": checkpoint.peer_id,
@@ -53,7 +53,7 @@ def save_checkpoint(path: str | Path, checkpoint: DirectoryCheckpoint) -> int:
         "snapshot": base64.b64encode(checkpoint.snapshot).decode("ascii"),
     }
     blob = encode_container(CHECKPOINT_MAGIC, payload)
-    atomic_write_bytes(Path(path), blob)
+    atomic_write_bytes(Path(path), blob, fsync)
     return len(blob)
 
 

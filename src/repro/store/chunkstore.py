@@ -124,8 +124,10 @@ def _unpack_manifest(blob: bytes) -> ContentManifest:
 class ChunkStore:
     """Per-document manifests + chunk bytes, durable when rooted."""
 
-    def __init__(self, root: Path | None = None) -> None:
+    def __init__(self, root: Path | None = None, *, fsync: bool = True) -> None:
         self.root = root
+        #: a node's ``StoreConfig.fsync``: writes are atomic either way.
+        self.fsync = fsync
         self._manifests: dict[str, ContentManifest] = {}
         #: doc id -> bitmask of the chunk indices held (bit i: chunk i).
         self._held: dict[str, int] = {}
@@ -174,7 +176,7 @@ class ChunkStore:
         if self.root is not None:
             doc_dir = self._doc_dir(manifest.doc_id)
             doc_dir.mkdir(parents=True, exist_ok=True)
-            atomic_write_bytes(doc_dir / "manifest.bin", _pack_manifest(manifest))
+            atomic_write_bytes(doc_dir / "manifest.bin", _pack_manifest(manifest), self.fsync)
 
     def put_chunk(self, doc_id: str, index: int, data: bytes) -> None:
         """Store one chunk, verified against the manifest's CRC.
@@ -194,7 +196,7 @@ class ChunkStore:
         if self.root is None:
             self._chunks[doc_id, index] = data
         else:
-            atomic_write_bytes(self._doc_dir(doc_id) / f"c{index:08d}.bin", data)
+            atomic_write_bytes(self._doc_dir(doc_id) / f"c{index:08d}.bin", data, self.fsync)
         self._held[doc_id] |= 1 << index
 
     def ingest(self, doc_id: str, origin: int, data: bytes, chunk_size: int) -> ContentManifest:
@@ -222,7 +224,7 @@ class ChunkStore:
             self.put_chunk(doc_id, index, data[start : start + chunk_size])
         if self.root is not None:
             atomic_write_bytes(
-                self._doc_dir(doc_id) / "manifest.bin", _pack_manifest(manifest)
+                self._doc_dir(doc_id) / "manifest.bin", _pack_manifest(manifest), self.fsync
             )
         return manifest
 

@@ -8,8 +8,9 @@ snapshot machinery of this package:
   the no-Analyzer apply paths, and any torn tail is truncated.  Recovery
   never raises on damaged files — it restores the last durable prefix;
 * from then on every ``publish``/``remove`` on that store is appended to
-  the WAL (with its analyzed term frequencies) and fsynced before the
-  call returns — acknowledged operations survive SIGKILL;
+  the WAL (with its analyzed term frequencies) and, unless
+  ``config.fsync`` is off, fsynced before the call returns —
+  acknowledged operations survive SIGKILL either way;
 * every ``snapshot_every`` WAL records, the full store (documents,
   inverted index, compressed Bloom filter) is snapshotted atomically —
   streamed a bounded batch of documents at a time — and the WAL is reset.
@@ -123,7 +124,7 @@ class PersistentDataStore:
         except (OSError, ValueError):
             count = 0  # first open, or a damaged counter: restart at one
         count += 1
-        atomic_write_bytes(path, str(count).encode("ascii"))
+        atomic_write_bytes(path, str(count).encode("ascii"), self.config.fsync)
         return count
 
     def _recover(self) -> RecoveryInfo:
@@ -248,7 +249,7 @@ class PersistentDataStore:
             "bloom": base64.b64encode(store.bloom_filter.to_compressed()).decode("ascii"),
             "docs": entries(),
         }
-        path = write_snapshot(self.data_dir, payload)
+        path = write_snapshot(self.data_dir, payload, self.config.fsync)
         self.wal.reset()
         self._records_since_snapshot = 0
         self._c_snapshots.inc()

@@ -13,7 +13,8 @@ Durability protocol (also used by the directory checkpoint):
 2. write it to ``<name>.tmp`` in the same directory (a snapshot streams
    its documents and fills in the CRC and length last), flush, fsync;
 3. ``os.replace`` onto the final name (atomic on POSIX);
-4. fsync the directory so the rename itself is durable.
+4. fsync the directory so the rename itself is durable (``fsync=False``
+   skips the two fsyncs, not the rename).
 
 A crash at any step leaves either the old snapshot, or the old snapshot
 plus a stray ``*.tmp`` (ignored and cleaned up by the next writer), or
@@ -102,24 +103,27 @@ def decode_container(magic: bytes, data: bytes) -> dict[str, Any]:
 
 
 @contextmanager
-def _atomic_file(path: Path) -> Iterator[BinaryIO]:
-    """A temp file that becomes ``path`` (fsyncs + ``os.replace``) on exit."""
+def _atomic_file(path: Path, fsync: bool = True) -> Iterator[BinaryIO]:
+    """A temp file that becomes ``path`` via ``os.replace`` on exit (atomic
+    either way; ``fsync`` also fsyncs the file and then its directory)."""
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "wb") as fh:
         yield fh
-        fh.flush()
-        os.fsync(fh.fileno())
+        if fsync:
+            fh.flush()
+            os.fsync(fh.fileno())
     os.replace(tmp, path)
-    dir_fd = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
+    if fsync:
+        dir_fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
 
 
-def atomic_write_bytes(path: Path, blob: bytes) -> None:
-    """Write ``blob`` to ``path`` via temp file + ``os.replace`` + fsyncs."""
-    with _atomic_file(path) as fh:
+def atomic_write_bytes(path: Path, blob: bytes, fsync: bool = True) -> None:
+    """Write ``blob`` to ``path`` via temp file + ``os.replace`` (+ fsyncs)."""
+    with _atomic_file(path, fsync) as fh:
         fh.write(blob)
 
 
@@ -131,7 +135,7 @@ def snapshot_path(data_dir: Path, seq: int) -> Path:
     return Path(data_dir) / f"snapshot-{seq:020d}.ppsnap"
 
 
-def write_snapshot(data_dir: Path, payload: dict[str, Any]) -> Path:
+def write_snapshot(data_dir: Path, payload: dict[str, Any], fsync: bool = True) -> Path:
     """Durably write a snapshot payload; prune older generations.
 
     ``payload`` must carry the ``"seq"`` it covers (the file is named by
@@ -141,7 +145,7 @@ def write_snapshot(data_dir: Path, payload: dict[str, Any]) -> Path:
     """
     data_dir = Path(data_dir)
     path = snapshot_path(data_dir, int(payload["seq"]))
-    with _atomic_file(path) as fh:
+    with _atomic_file(path, fsync) as fh:
         fh.write(SNAPSHOT_MAGIC + _HEADER.pack(0, 0))
         crc = length = 0
         for piece in _json_pieces(payload):

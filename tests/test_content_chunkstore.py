@@ -98,10 +98,10 @@ class TestKillNineSemantics:
 
         real_write = mod.atomic_write_bytes
 
-        def die_on_manifest(path, data):
+        def die_on_manifest(path, data, fsync=True):
             if path.name == "manifest.bin":
                 raise OSError("simulated kill -9 at the manifest write")
-            real_write(path, data)
+            real_write(path, data, fsync)
 
         monkeypatch.setattr(mod, "atomic_write_bytes", die_on_manifest)
         store = ChunkStore(tmp_path)

@@ -367,3 +367,46 @@ def test_publishes_make_no_placement_rescans():
         await community.stop()
 
     _run(scenario())
+
+
+def test_a_quiet_round_places_no_document():
+    """At the replication fixed point a round visits no document; after a
+    member goes offline, each node places a held document at most once
+    in the round that notices."""
+
+    async def scenario():
+        community = Community(4, ContentConfig(replicas=1, chunk_size=4096))
+        await community.boot()
+        for i in range(200):
+            community.nodes[0].publish(Document(f"doc-{i:03d}", DOC_TEXT))
+        calls = dict.fromkeys(community.nodes, 0)
+        for pid, node in community.nodes.items():
+            place = node.content.replica_targets
+
+            def counted(doc_id: str, origin: int, pid=pid, place=place) -> list[int]:
+                calls[pid] += 1
+                return place(doc_id, origin)
+
+            node.content.replica_targets = counted
+        for _ in range(40):
+            for node in community.nodes.values():
+                await node.content.maintenance_round()
+        for pid, node in community.nodes.items():
+            held = node.content.store.doc_ids()
+            assert node.content.fully_replicated_docs() == len(held)
+        assert len(community.nodes[0].content.store.doc_ids()) == 200
+        calls.update(dict.fromkeys(calls, 0))
+        for node in community.nodes.values():
+            await node.content.maintenance_round()
+        assert calls == dict.fromkeys(community.nodes, 0)
+
+        await community.nodes[3].stop()
+        for pid in (0, 1, 2):
+            node = community.nodes[pid]
+            node.membership.contact_failed(3, node.clock())
+            calls[pid] = 0
+            await node.content.maintenance_round()
+            assert 0 < calls[pid] <= len(node.content.store.doc_ids())
+        await community.stop()
+
+    _run(scenario())

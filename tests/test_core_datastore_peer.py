@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bloom.hashing import HashFamily
 from repro.constants import BloomConfig, GossipConfig
 from repro.core.datastore import LocalDataStore
 from repro.core.peer import PlanetPPeer
@@ -112,6 +113,23 @@ class TestDataStore:
         store.apply_remove("d1")
         assert calls == []
         assert store.index.num_documents() == 0
+
+    def test_publish_hashes_only_the_terms_the_index_lacks(self, monkeypatch):
+        store = LocalDataStore()
+        store.publish(Document("d1", "gossip spreads rumors epidemically"))
+        hashed = []
+        real = HashFamily.positions_many
+        monkeypatch.setattr(
+            HashFamily,
+            "positions_many",
+            lambda self, terms: (hashed.append(len(terms)), real(self, terms))[1],
+        )
+        store.publish(Document("d2", "rumors spreads gossip"))
+        assert hashed == []
+        version = store.filter_version
+        store.publish(Document("d3", "gossip rumors stragglers"))
+        assert hashed == [1]  # "stragglers" (stemmed) alone is new
+        assert store.filter_version == version + 1
 
     def test_restore_requires_empty_store(self):
         store = LocalDataStore()

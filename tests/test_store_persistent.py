@@ -10,16 +10,22 @@ Analyzer-free by recovering into a store whose analyzer raises on use.
 from __future__ import annotations
 
 import base64
+import hashlib
 import random
+import tempfile
+import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.constants import BloomConfig, StoreConfig
 from repro.core.datastore import LocalDataStore
 from repro.obs import Registry
 from repro.store.persistent_store import PersistentDataStore
-from repro.store.snapshot import SNAPSHOT_MAGIC, decode_container
+from repro.store.snapshot import SNAPSHOT_MAGIC, decode_container, encode_container
 from repro.text.analyzer import Analyzer
 from repro.text.document import Document
 
@@ -200,6 +206,20 @@ def test_bloom_config_change_rebuilds_filter_from_index(tmp_path):
     recovered.close()
 
 
+def test_a_hash_count_change_alone_rebuilds_filter_from_index(tmp_path):
+    """The snapshot's filter carries no hash count, so a restart with a
+    new one decodes it under the new count: it must be rebuilt, not
+    adopted (only new terms are hashed from then on)."""
+    journal = _store(tmp_path, bloom_config=BloomConfig(num_hashes=2))
+    journal.store.publish(Document("a", "resize the community filter"))
+    journal.close()
+
+    recovered = _store(tmp_path, bloom_config=BloomConfig(num_hashes=5))
+    recovered.store.publish(Document("b", "the community filter again"))
+    assert all(t in recovered.store.bloom_filter for t in recovered.store.index.terms())
+    recovered.close()
+
+
 def test_recovery_metrics_are_published(tmp_path):
     journal = _store(tmp_path)
     journal.store.publish(Document("a", "metric bearing document"))
@@ -302,3 +322,112 @@ def test_snapshot_memory_does_not_grow_with_the_store(tmp_path):
         return extra
 
     assert peak(600) < 2 * peak(150)
+
+
+class _HashEveryTerm(LocalDataStore):
+    """The reference: each publish hashes every one of its terms."""
+
+    def apply_publish(self, doc, term_freqs, *, update_filter=True):
+        self.index.add_document(doc.doc_id, term_freqs)
+        self._documents[doc.doc_id] = doc
+        if update_filter and self._filter.add_missing(list(term_freqs)):
+            self.filter_version += 1
+        return doc
+
+
+_WORDS = ["gossip", "bloom", "peer", "rumor", "filter", "search", "ring", "node"]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["publish", "remove", "republish", "replay", "restore", "read"]),
+            st.integers(0, 5),
+            st.lists(st.sampled_from(_WORDS + ["fresh"]), min_size=1, max_size=5),
+        ),
+        max_size=14,
+    )
+)
+@settings(max_examples=40, deadline=None)
+def test_property_filter_equals_one_that_hashes_every_term(steps):
+    """Publish, remove, republish, WAL replay and snapshot restore in any
+    order: after every step the filter bits, ``filter_version`` and
+    staleness equal those of a store that hashes every term."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = [Path(tmp) / "subject", Path(tmp) / "reference"]
+        kinds = [LocalDataStore, _HashEveryTerm]
+
+        def open_journal(i):
+            return PersistentDataStore(
+                dirs[i], kinds[i](), config=StoreConfig(fsync=False), registry=Registry()
+            )
+
+        journals = [open_journal(0), open_journal(1)]
+        for n, (op, doc, words) in enumerate(steps):
+            doc_id = f"doc-{doc}"
+            text = " ".join(w if w != "fresh" else f"fresh{n}" for w in words)
+            for i, journal in enumerate(journals):
+                store = journal.store
+                if op in ("remove", "republish") and doc_id in store:
+                    store.remove(doc_id)
+                if op in ("publish", "republish") and doc_id not in store:
+                    store.publish(Document(doc_id, text))
+                if op == "restore":
+                    journal.snapshot()
+                if op in ("replay", "restore"):  # a crash: reopen, no close
+                    journals[i] = open_journal(i)
+                if op == "read":
+                    store.bloom_filter  # regenerates a stale filter
+            subject, reference = (journal.store for journal in journals)
+            assert subject._filter == reference._filter
+            assert subject.filter_version == reference.filter_version
+            assert subject._filter_stale == reference._filter_stale
+
+
+def _pinned_store(tmp_path) -> PersistentDataStore:
+    rng = random.Random(11)
+    words = [f"t{i}" for i in range(300)]
+    journal = _store(tmp_path)
+    for i in range(120):
+        meta = {"rank": i} if i % 7 == 0 else {}
+        journal.store.publish(Document(f"doc-{i}", f"m{i} " + _ingest_text(rng, words), meta))
+    for i in (3, 50, 119):
+        journal.store.remove(f"doc-{i}")
+    journal.store.publish(Document("doc-50", "republished with new words"))
+    return journal
+
+
+def test_snapshot_bytes_are_pinned(tmp_path):
+    """The index layout is invisible on disk: the snapshot of a fixed store
+    (publishes, removals, a republish) is byte-identical to the one a
+    dict-of-dicts index wrote."""
+    journal = _pinned_store(tmp_path)
+    path = journal.snapshot()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "3e9dc008241b345cf87c74818f7328626b7bf799751de167b823b61ff6dc479f"
+    )
+    journal.close()
+
+
+def test_snapshot_reads_back_without_walking_every_posting(tmp_path):
+    """A snapshot of 1200 ingest-sized documents costs under 4× one
+    ``encode_container`` of the same payload: reading term frequencies
+    back bisects each term's postings to the batch.  (Measured on 2
+    shared vCPUs: 2.5–2.7×; the dict-of-dicts index 2.7–3.6×; a walk
+    over every posting per batch 9×.)"""
+    rng = random.Random(4)
+    words = [f"term{i:04d}" for i in range(2000)]
+    journal = _store(tmp_path, config=StoreConfig(snapshot_every=10**6, fsync=False))
+    for i in range(1200):
+        journal.store.publish(Document(f"d{i}", f"mark{i} " + _ingest_text(rng, words)))
+    payload = decode_container(SNAPSHOT_MAGIC, journal.snapshot().read_bytes())
+    snapshot_s = encode_s = float("inf")
+    for _ in range(3):
+        started = time.perf_counter()
+        journal.snapshot()
+        snapshot_s = min(snapshot_s, time.perf_counter() - started)
+        started = time.perf_counter()
+        encode_container(SNAPSHOT_MAGIC, payload)
+        encode_s = min(encode_s, time.perf_counter() - started)
+    assert snapshot_s < 4 * encode_s
+    journal.close()

@@ -24,6 +24,7 @@ import pytest
 
 from repro.constants import StoreConfig
 from repro.core.datastore import LocalDataStore
+from repro.gossip.wire import ChunkPush, ManifestPush
 from repro.net.codec import StatsRequest
 from repro.net.node import RID_RESTART_GAP, NetworkPeer
 from repro.net.transport import LoopbackNetwork
@@ -345,3 +346,24 @@ def test_cli_node_survives_sigkill(tmp_path):
     finally:
         if proc.poll() is None:
             proc.kill()
+
+
+@pytest.mark.parametrize("fsync", [True, False])
+def test_the_fsync_setting_covers_every_write_under_the_data_dir(tmp_path, monkeypatch, fsync):
+    """``StoreConfig.fsync`` governs the WAL and the chunk store alike: off,
+    neither a publish nor a replica write fsyncs; on, a publish makes five
+    (WAL append, chunk file + directory, manifest file + directory) and
+    a replica write four."""
+    config = StoreConfig(fsync=fsync)
+    origin = _node(LoopbackNetwork(), 0, data_dir=tmp_path / "a", store_config=config)
+    replica = _node(LoopbackNetwork(), 1, data_dir=tmp_path / "b", store_config=config)
+    synced = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd))[1])
+    origin.publish(Document("doc", "gossip spreads rumors epidemically"))
+    published = len(synced)
+    store = origin.content.store
+    replica.content.on_manifest_push(ManifestPush(store.get_manifest("doc")))
+    replica.content.on_chunk_push(ChunkPush("doc", 0, store.get_chunk("doc", 0)))
+    assert replica.content.store.is_complete("doc")
+    assert (published, len(synced) - published) == ((5, 4) if fsync else (0, 0))

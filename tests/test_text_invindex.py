@@ -1,5 +1,9 @@
 """Tests for the inverted index."""
 
+import random
+import tracemalloc
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -177,3 +181,27 @@ def test_property_remove_and_read_back_agree_with_a_fresh_index(docs, removed):
         for start in range(0, len(ids), size):
             batch = ids[start : start + size]
             assert idx.term_frequencies(batch) == {d: survivors[d] for d in batch}
+
+
+def test_an_ingest_document_costs_under_4_kb_of_index():
+    """Postings are packed ``(ordinal, tf)`` pairs: a 250-term document of
+    the ingest workload (uniform over 2000 terms, plus a unique marker)
+    adds 2.6 KB to a warm index, bound 4 KB (a dict entry per posting
+    cost 6.5 KB)."""
+    rng = random.Random(7)
+    terms = [f"term{i:04d}" for i in range(2000)]
+    docs = [
+        Counter([f"mark{i}", *rng.choices(terms, k=250)]) for i in range(600)
+    ]
+    idx = InvertedIndex()
+    for i, freqs in enumerate(docs[:100]):
+        idx.add_document(f"warm-{i}", freqs)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i, freqs in enumerate(docs[100:]):
+            idx.add_document(f"ing-{i:06d}", freqs)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown / 500 < 4096
